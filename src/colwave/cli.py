@@ -419,7 +419,10 @@ def _cmd_demo(args) -> int:
 def _resolve_threads(value: int | None) -> int:
     if value is None:
         env = os.environ.get("COLWAVE_THREADS")
-        value = int(env) if env else 1
+        try:
+            value = int(env) if env else 1
+        except ValueError:
+            raise ConfigError("threads", f"COLWAVE_THREADS is not an integer: {env!r}") from None
     if value == 0:
         value = os.cpu_count() or 1
     if value < 0:

@@ -11,12 +11,19 @@ cos(theta) times uniform azimuth on the 3D sphere).
 
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
-the grid by multilinear interpolation and treated as zero outside the
-lattice box.
+the grid by multilinear interpolation (linear in time between levels).
+At a fixed time lag the inner integral is the same node stencil around
+every target, so ``solve_linear`` builds one stencil per lag at the origin
+and applies them all through one zero-padded spatial FFT, while
+``duhamel`` builds the stencils at its own point.  Past the box the
+source is zero at the nodes: the interpolant falls to zero over the cell
+beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
+of the box edge, so only sources nonzero on boundary nodes see this.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -31,6 +38,9 @@ from .seminorms import Field, SpaceTimeGrid, datum_seminorm, seminorm
 _CHUNK = 1 << 21
 
 _BINARY_MAGIC = b"CWF1"
+#: Dump header after the magic: version, dim, margin_cells, time levels,
+#: nodes per axis, horizon, support_radius, spatial_extent, dx, dt.
+_BINARY_HEADER = struct.Struct("<5I5d")
 
 
 @dataclass(frozen=True)
@@ -126,40 +136,6 @@ def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
 
 
 # ---------------------------------------------------------------------------
-# sampled-field interpolation
-# ---------------------------------------------------------------------------
-
-def _interp_spatial(values: np.ndarray, grid: SpaceTimeGrid, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of one spatial slice; 0 outside the box."""
-    n = len(grid.axis)
-    f = (pts + grid.spatial_extent) / grid.dx
-    inside = np.all((f >= 0.0) & (f <= n - 1.0), axis=-1)
-    f = np.clip(f, 0.0, n - 1.0)
-    i = np.minimum(f.astype(np.int64), n - 2)
-    w = f - i
-    v = values.ravel()
-    if grid.dim == 1:
-        base = i[:, 0]
-        out = v[base] * (1.0 - w[:, 0]) + v[base + 1] * w[:, 0]
-    elif grid.dim == 2:
-        base = i[:, 0] * n + i[:, 1]
-        w0, w1 = w[:, 0], w[:, 1]
-        lo = v[base] * (1 - w1) + v[base + 1] * w1
-        hi = v[base + n] * (1 - w1) + v[base + n + 1] * w1
-        out = lo * (1 - w0) + hi * w0
-    else:
-        base = (i[:, 0] * n + i[:, 1]) * n + i[:, 2]
-        w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
-        n2 = n * n
-        c00 = v[base] * (1 - w2) + v[base + 1] * w2
-        c01 = v[base + n] * (1 - w2) + v[base + n + 1] * w2
-        c10 = v[base + n2] * (1 - w2) + v[base + n2 + 1] * w2
-        c11 = v[base + n2 + n] * (1 - w2) + v[base + n2 + n + 1] * w2
-        out = (c00 * (1 - w1) + c01 * w1) * (1 - w0) + (c10 * (1 - w1) + c11 * w1) * w0
-    return np.where(inside, out, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # data terms
 # ---------------------------------------------------------------------------
 
@@ -209,117 +185,78 @@ def _data_terms_at(
 # Duhamel source integral
 # ---------------------------------------------------------------------------
 
-class _DuhamelKernel:
-    """Evaluates the source part of the solution for a sampled source.
+def _hat_antiderivative(u: np.ndarray) -> np.ndarray:
+    """Integral of the unit hat max(0, 1 - |v|) over v <= u."""
+    u = np.clip(u, -1.0, 1.0)
+    return np.where(u < 0.0, 0.5 * (1.0 + u) ** 2, 1.0 - 0.5 * (1.0 - u) ** 2)
 
-    Precomputes per-level support radii (used to skip target/radius pairs
-    whose backward sphere provably misses the source) and, in 1D, the
-    per-level cumulative integrals that make the inner line integral of
-    the piecewise-linear interpolant exact.
+
+def _lag_weights(
+    grid: SpaceTimeGrid, quad: QuadratureSpec, x: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Node weights of the inner Duhamel integral at target x for radii s.
+
+    Returns shape ``(len(s),) + grid.spatial_shape``; the inner integral of
+    a source slice at radius ``s[k]`` is ``sum(weights[k] * slice)``.  In 1D
+    it is half the exact integral of the piecewise-linear interpolant over
+    [x - s, x + s]; in 2D/3D it is s times the sphere/disk mean of the
+    multilinear interpolant, each rule point's weight scattered to its 2^d
+    cell corners.  Every node carries its full hat, so past the last node
+    the interpolant falls to zero over one cell.
     """
+    n, d = len(grid.axis), grid.dim
+    if d == 1:
+        hi = (x[0] + s[:, None] - grid.axis) / grid.dx
+        lo = (x[0] - s[:, None] - grid.axis) / grid.dx
+        return 0.5 * grid.dx * (_hat_antiderivative(hi) - _hat_antiderivative(lo))
+    dirs, wq = _mean_rule(d, quad)
+    f = (x - s[:, None, None] * dirs + grid.spatial_extent) / grid.dx  # (K, Q, d)
+    base = np.floor(f)
+    frac = (f - base)[:, :, None, :]
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))  # (C, d)
+    idx = base.astype(np.int64)[:, :, None, :] + corners
+    w = np.prod(np.where(corners == 1, frac, 1.0 - frac), axis=-1) * (s[:, None] * wq)[:, :, None]
+    inside = np.all((idx >= 0) & (idx < n), axis=-1)
+    size = n**d
+    flat = idx @ (n ** np.arange(d - 1, -1, -1)) + size * np.arange(len(s))[:, None, None]
+    out = np.bincount(flat[inside], weights=w[inside], minlength=len(s) * size)
+    return out.reshape((len(s),) + grid.spatial_shape)
 
-    def __init__(self, h: Field, quad: QuadratureSpec):
-        self.h = h
-        self.grid = h.grid
-        self.quad = quad
-        grid = self.grid
-        radius = grid.node_radius
-        rh = np.full(grid.n_time + 1, -np.inf)
-        for mm in range(grid.n_time + 1):
-            nz = np.abs(h.samples[mm]) > 0.0
-            if nz.any():
-                rh[mm] = float(np.max(radius[nz]))
-        self.level_radius = rh
-        self.is_zero = not np.isfinite(rh).any()
-        if grid.dim == 1:
-            vals = h.samples  # (nt+1, nx)
-            step = 0.5 * grid.dx * (vals[:, :-1] + vals[:, 1:])
-            cum = np.zeros_like(vals)
-            np.cumsum(step, axis=1, out=cum[:, 1:])
-            self._cum = cum
-        else:
-            self._dirs, self._weights = _mean_rule(grid.dim, quad)
 
-    # -- 1D exact line integral of the interpolant -----------------------
-    def _cumint(self, level: int, y: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        n = len(grid.axis)
-        vals = self.h.samples[level]
-        cum = self._cum[level]
-        yc = np.clip(y, -grid.spatial_extent, grid.spatial_extent)
-        f = (yc + grid.spatial_extent) / grid.dx
-        i = np.minimum(f.astype(np.int64), n - 2)
-        delta = yc - grid.axis[i]
-        out = cum[i] + vals[i] * delta + (vals[i + 1] - vals[i]) * delta**2 / (2.0 * grid.dx)
-        # outside the box the source is zero: clamp to the boundary value
-        out = np.where(y < -grid.spatial_extent, 0.0, out)
-        out = np.where(y > grid.spatial_extent, cum[-1], out)
-        return out
+def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
+    """Duhamel term of ``h`` at grid levels 1..n_time.
 
-    def _line_integral(self, level: int, x: np.ndarray, s: float) -> np.ndarray:
-        return self._cumint(level, x + s) - self._cumint(level, x - s)
-
-    def _mean(self, level: int, pts: np.ndarray, s: float) -> np.ndarray:
-        q = pts[:, None, :] - s * self._dirs[None, :, :]
-        flat = q.reshape(-1, self.grid.dim)
-        vals = _interp_spatial(self.h.samples[level], self.grid, flat)
-        return vals.reshape(len(pts), -1) @ self._weights
-
-    def _slice_term(self, tq: float, pts: np.ndarray, s: float) -> np.ndarray:
-        """Inner integral at source time tq and radius s (time-interpolated)."""
-        grid = self.grid
-        g = tq / grid.dt
-        m = min(int(math.floor(g + 1e-9)), grid.n_time)
-        beta = g - m
-        if beta < 1e-9 or m >= grid.n_time:
-            beta = 0.0
-        if grid.dim == 1:
-            x = pts[:, 0]
-            val = self._line_integral(m, x, s)
-            if beta > 0.0:
-                val = (1.0 - beta) * val + beta * self._line_integral(m + 1, x, s)
-            return 0.5 * val
-        val = self._mean(m, pts, s)
-        if beta > 0.0:
-            val = (1.0 - beta) * val + beta * self._mean(m + 1, pts, s)
-        return s * val
-
-    def _reach(self, tq: float) -> float:
-        """Support radius of the interpolated source at time tq."""
-        grid = self.grid
-        g = tq / grid.dt
-        m = min(int(math.floor(g + 1e-9)), grid.n_time)
-        r = self.level_radius[m]
-        if g - m > 1e-9 and m < grid.n_time:
-            r = max(r, self.level_radius[m + 1])
-        return r + grid.dx  # one interpolation cell
-
-    def at(self, t: float, pts: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
-        """Source contribution at time t for targets pts (M, dim)."""
-        out = np.zeros(len(pts))
-        if self.is_zero or t <= 0.0:
-            return out
-        ds_target = self.grid.dt / self.quad.time_points_per_dt
-        k_count = max(1, math.ceil(t / ds_target - 1e-9))
-        ds = t / k_count
-        if radii is None:
-            radii = np.sqrt(np.sum(pts * pts, axis=-1))
-        chunk = max(1, _CHUNK // (1 if self.grid.dim == 1 else len(self._weights)))
-        for k in range(1, k_count + 1):
-            s = k * ds
-            tq = t - s
-            reach = self._reach(tq)
-            if not math.isfinite(reach):
-                continue
-            w = ds * (0.5 if k == k_count else 1.0)
-            mask = radii <= s + reach + 1e-12
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            for lo in range(0, len(idx), chunk):
-                sel = idx[lo : lo + chunk]
-                out[sel] += w * self._slice_term(tq, pts[sel], s)
-        return out
+    With ``p = time_points_per_dt`` and ``ds = dt / p``, the source H[j] at
+    sub-level j is linear in time between grid levels, and level n is the
+    trapezoid ``ds * sum_{k=1..np} S_k * H[np-k] - ds/2 * S_np * H[0]``.
+    The lag-k stencil S_k holds the origin-node weights of radius k*ds;
+    every node sees the same stencil, so each sum is a spatial correlation,
+    applied through one zero-padded FFT.
+    """
+    grid = h.grid
+    tp = quad.time_points_per_dt
+    d, n = grid.dim, len(grid.axis)
+    half = n // 2
+    lags = grid.n_time * tp
+    ds = grid.dt / tp
+    j = np.arange(lags)
+    beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
+    src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
+    axes = tuple(range(1, d + 1))
+    # a stencil reaches half nodes either way: that much padding keeps the
+    # circular correlation from wrapping
+    shape = (n + half,) * d
+    stencils = _lag_weights(grid, quad, np.zeros(d), ds * np.arange(1, lags + 1))
+    stencils = np.roll(np.pad(stencils, [(0, 0)] + [(0, half)] * d), -half, axis=axes)
+    s_hat = np.conj(np.fft.rfftn(stencils, axes=axes))
+    h_hat = np.fft.rfftn(src, s=shape, axes=axes)
+    acc = np.empty((grid.n_time,) + s_hat.shape[1:], dtype=complex)
+    for level in range(1, grid.n_time + 1):
+        p = level * tp
+        acc[level - 1] = np.einsum("k...,k...->...", s_hat[:p], h_hat[p - 1 :: -1])
+        acc[level - 1] -= 0.5 * s_hat[p - 1] * h_hat[0]
+    out = np.fft.irfftn(acc, s=shape, axes=axes)
+    return ds * out[(slice(None),) + (slice(0, n),) * d]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +287,7 @@ def solve_linear(
                 grid.spatial_shape
             )
     if h is not None:
-        kernel = _DuhamelKernel(h, quad)
-        if not kernel.is_zero:
-            radii = grid.node_radius.ravel()
-            for n in range(1, grid.n_time + 1):
-                out[n] += kernel.at(float(grid.times[n]), pts, radii).reshape(grid.spatial_shape)
+        out[1:] += _source_levels(h, quad)
     return Field(grid, out)
 
 
@@ -366,7 +299,22 @@ def duhamel(h: Field, x, t: float, quad: QuadratureSpec) -> float:
     pts = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     if pts.shape[1] != grid.dim:
         raise ValidationError("x", f"point must have dimension {grid.dim}")
-    return float(_DuhamelKernel(h, quad).at(max(t, 0.0), pts)[0])
+    if t <= 0.0:
+        return 0.0
+    # trapezoid over k_count lags of length ds <= dt / time_points_per_dt
+    k_count = max(1, math.ceil(t / (grid.dt / quad.time_points_per_dt) - 1e-9))
+    ds = t / k_count
+    s = ds * np.arange(1, k_count + 1)
+    # source slice at t - s, linear in time between grid levels
+    g = (t - s) / grid.dt
+    m = np.minimum(np.floor(g + 1e-9).astype(np.int64), grid.n_time)
+    beta = np.where((g - m < 1e-9) | (m >= grid.n_time), 0.0, g - m)
+    beta = beta[(slice(None),) + (None,) * grid.dim]
+    slices = (1.0 - beta) * h.samples[m] + beta * h.samples[np.minimum(m + 1, grid.n_time)]
+    trap = np.full(k_count, ds)
+    trap[-1] *= 0.5
+    inner = np.sum(_lag_weights(grid, quad, pts[0], s) * slices, axis=tuple(range(1, grid.dim + 1)))
+    return float(trap @ inner)
 
 
 def linear_value(
@@ -473,8 +421,7 @@ def field_to_binary(field: Field, path) -> None:
     axis, float64 horizon, support_radius, spatial_extent, dx, dt.
     """
     grid = field.grid
-    header = _BINARY_MAGIC + struct.pack(
-        "<5I5d",
+    header = _BINARY_MAGIC + _BINARY_HEADER.pack(
         1,
         grid.dim,
         grid.margin_cells,
@@ -496,10 +443,14 @@ def field_from_binary(path) -> Field:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise ValidationError("path", "not a colwave field dump")
-        version, dim, margin, n_levels, n_axis = struct.unpack("<5I", fh.read(20))
+        header = fh.read(_BINARY_HEADER.size)
+        if len(header) != _BINARY_HEADER.size:
+            raise ValidationError("path", "truncated dump header")
+        version, dim, margin, n_levels, n_axis, horizon, support_radius, extent, dx, dt = (
+            _BINARY_HEADER.unpack(header)
+        )
         if version != 1:
             raise ValidationError("path", f"unsupported dump version {version}")
-        horizon, support_radius, extent, dx, dt = struct.unpack("<5d", fh.read(40))
         grid = SpaceTimeGrid(
             dim=dim,
             horizon=horizon,
@@ -511,5 +462,8 @@ def field_from_binary(path) -> Field:
         )
         if grid.n_time + 1 != n_levels or len(grid.axis) != n_axis:
             raise ValidationError("path", "dump header inconsistent with grid geometry")
-        samples = np.fromfile(fh, dtype="<f8").reshape(grid.shape)
-    return Field(grid, samples)
+        count = math.prod(grid.shape)
+        samples = np.fromfile(fh, dtype="<f8", count=count)
+        if samples.size != count or fh.read(1):
+            raise ValidationError("path", f"payload does not hold the {count} samples of its grid")
+    return Field(grid, samples.reshape(grid.shape))

@@ -34,6 +34,7 @@ from .semilinear import (
     DEFAULT_TOL,
     SolveReport,
     apply_fixed_point_map,
+    picard_solve,
     solve_net,
 )
 
@@ -328,8 +329,6 @@ def check_wave_oracle(
     if outer_radius is None:
         outer_radius = 0.65 if dim == 1 else 1.1
     per_eps: list[tuple[float, float]] = []
-    from .semilinear import picard_solve  # local import to avoid cycle at module load
-
     for eps in eps_values:
         problem = cubic_oracle_problem(dim, float(eps), horizon, inner_radius, outer_radius)
         grid = SpaceTimeGrid.covering(dim, horizon, outer_radius, dx=dx, dt=dx / 2.0)

@@ -1,9 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colwave.errors import ValidationError
 from colwave.linwave import (
     QuadratureSpec,
+    _mean_rule,
     check_support,
     duhamel,
     field_from_binary,
@@ -130,6 +136,204 @@ def test_solve_linear_rejects_foreign_source_grid():
 
 
 # ---------------------------------------------------------------------------
+# Duhamel integral against an independent per-point reference
+# ---------------------------------------------------------------------------
+
+def _interp_slice(values, grid, pts):
+    """Multilinear interpolant of one slice at pts (M, dim); zero-node padding."""
+    pad = 2
+    v = np.pad(values, pad)
+    f = (pts + grid.spatial_extent) / grid.dx + pad
+    i = np.floor(f).astype(int)
+    w = f - i
+    out = np.zeros(len(pts))
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        c = np.array(corner)
+        idx = np.clip(i + c, 0, v.shape[0] - 1)
+        out += np.prod(np.where(c == 1, w, 1.0 - w), axis=1) * v[tuple(idx.T)]
+    return out
+
+
+def _line_integral(values, grid, x, s):
+    """Exact integral of the 1D piecewise-linear interpolant over [x-s, x+s]."""
+    axis = np.concatenate([[grid.axis[0] - grid.dx], grid.axis, [grid.axis[-1] + grid.dx]])
+    vals = np.concatenate([[0.0], values, [0.0]])
+    knots = np.concatenate([[x - s], axis[(axis > x - s) & (axis < x + s)], [x + s]])
+    y = np.interp(knots, axis, vals, left=0.0, right=0.0)
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(knots)))
+
+
+def reference_duhamel(h, pts, t, quad):
+    """Skip-free per-point Duhamel sum: gather, interpolate, trapezoid."""
+    grid = h.grid
+    out = np.zeros(len(pts))
+    if t <= 0.0:
+        return out
+    k_count = max(1, math.ceil(t / (grid.dt / quad.time_points_per_dt) - 1e-9))
+    ds = t / k_count
+    for k in range(1, k_count + 1):
+        s = k * ds
+        g = (t - s) / grid.dt
+        m = min(int(math.floor(g + 1e-9)), grid.n_time)
+        beta = g - m
+        if beta < 1e-9 or m >= grid.n_time:
+            beta = 0.0
+        level = h.samples[m]
+        if beta > 0.0:
+            level = (1 - beta) * level + beta * h.samples[m + 1]
+        if grid.dim == 1:
+            inner = np.array([0.5 * _line_integral(level, grid, x, s) for x in pts[:, 0]])
+        else:
+            dirs, wq = _mean_rule(grid.dim, quad)
+            q = pts[:, None, :] - s * dirs[None]
+            vals = _interp_slice(level, grid, q.reshape(-1, grid.dim)).reshape(len(pts), -1)
+            inner = s * (vals @ wq)
+        out += (0.5 if k == k_count else 1.0) * ds * inner
+    return out
+
+
+def edge_source(grid, radius=0.4):
+    """Source nonzero up to its level radius, with a sharp cutoff there."""
+    r = grid.node_radius
+    expand = (slice(None),) + (None,) * grid.dim
+    samples = np.where(r <= radius, 1.0 + 0.3 * np.cos(3.0 * r), 0.0)[None]
+    return Field(grid, samples * (1.0 + grid.times)[expand])
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize("dim,dx", [(1, 0.1), (2, 0.15), (3, 0.2)])
+def test_duhamel_matches_reference(dim, dx, tp):
+    # the sharp cutoff puts the source on its level radius, which the
+    # interpolation stencil reaches sqrt(dim) cells past: a support test
+    # that allows only one cell drops real contributions here
+    quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
+    grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dx / 2)
+    h = edge_source(grid)
+    field = solve_linear(ZERO_DATUM, ZERO_DATUM, h, grid, quad)
+    pts = grid.spatial_points
+    peak = np.max(np.abs(field.samples))
+    for n in (1, grid.n_time // 2, grid.n_time):
+        ref = reference_duhamel(h, pts, float(grid.times[n]), quad)
+        np.testing.assert_allclose(field.samples[n].ravel(), ref, rtol=0, atol=1e-13 * peak)
+    rng = np.random.default_rng(dim * 10 + tp)
+    for _ in range(3):
+        x = rng.uniform(-0.6, 0.6, dim)
+        t = float(rng.uniform(0.0, grid.horizon))
+        ref = reference_duhamel(h, x[None], t, quad)[0]
+        assert abs(duhamel(h, x, t, quad) - ref) <= 1e-13 * peak
+
+
+# ---------------------------------------------------------------------------
+# Duhamel properties on tiny grids
+# ---------------------------------------------------------------------------
+
+TINY_QUAD = {
+    tp: QuadratureSpec(angular_points=8, polar_points=4, time_points_per_dt=tp) for tp in (1, 2)
+}
+
+
+def tiny_grid(dim):
+    # 13 nodes per axis, 3 time steps
+    return SpaceTimeGrid(dim=dim, horizon=0.3, support_radius=0.2, spatial_extent=0.6,
+                         dx=0.1, dt=0.1)
+
+
+def tiny_source(grid, seed):
+    """Random source on the nodes with |y|_inf <= 0.2, four cells off the edge."""
+    rng = np.random.default_rng(seed)
+    inner = np.all(np.abs(np.stack(grid.meshes()[1:])) <= 0.2 + 1e-12, axis=0)
+    return rng.standard_normal(grid.shape) * inner
+
+
+def apply_source(grid, samples, tp):
+    return solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, samples), grid, TINY_QUAD[tp]).samples
+
+
+DIMS = st.sampled_from([1, 2, 3])
+TPS = st.sampled_from([1, 2])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_duhamel_linearity(dim, tp, seed, a, b):
+    grid = tiny_grid(dim)
+    h1, h2 = tiny_source(grid, seed), tiny_source(grid, seed + 1)
+    u1, u2 = apply_source(grid, h1, tp), apply_source(grid, h2, tp)
+    combined = apply_source(grid, a * h1 + b * h2, tp)
+    scale = abs(a) * np.max(np.abs(u1)) + abs(b) * np.max(np.abs(u2))
+    np.testing.assert_allclose(combined, a * u1 + b * u2, rtol=0, atol=1e-13 * scale + 1e-300)
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS, st.integers(0, 2))
+def test_duhamel_causality(dim, tp, seed, m):
+    grid = tiny_grid(dim)
+    h = tiny_source(grid, seed)
+    changed = h.copy()
+    changed[m + 1 :] = tiny_source(grid, seed + 1)[m + 1 :]
+    u, v = apply_source(grid, h, tp), apply_source(grid, changed, tp)
+    np.testing.assert_allclose(v[: m + 1], u[: m + 1], rtol=0, atol=1e-14 * np.max(np.abs(h)))
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS, st.integers(0, 2), st.sampled_from([-2, -1, 1, 2]))
+def test_duhamel_translation_covariance(dim, tp, seed, axis, shift):
+    axis = min(axis, dim - 1)
+    grid = tiny_grid(dim)
+    h = tiny_source(grid, seed)
+    u = apply_source(grid, h, tp)
+    moved = apply_source(grid, np.roll(h, shift, axis=1 + axis), tp)
+
+    def window(lo, hi):
+        sl = [slice(None)] * (dim + 1)
+        sl[1 + axis] = slice(lo, hi)
+        return tuple(sl)
+
+    src, dst = (window(None, -shift), window(shift, None)) if shift > 0 else (
+        window(-shift, None), window(None, shift))
+    np.testing.assert_allclose(moved[dst], u[src], rtol=0, atol=1e-13 * np.max(np.abs(u)))
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS, st.integers(0, 2))
+def test_duhamel_reflection_symmetry(dim, tp, seed, axis):
+    axis = min(axis, dim - 1)
+    grid = tiny_grid(dim)
+    h = tiny_source(grid, seed)
+    u = apply_source(grid, h, tp)
+    mirrored = apply_source(grid, np.flip(h, axis=1 + axis), tp)
+    np.testing.assert_allclose(mirrored, np.flip(u, axis=1 + axis), rtol=0,
+                               atol=1e-13 * np.max(np.abs(u)))
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS)
+def test_duhamel_cone_support(dim, tp, seed):
+    # the multilinear interpolant of a node value reaches sqrt(dim) cells
+    grid = tiny_grid(dim)
+    h = tiny_source(grid, seed)
+    u = apply_source(grid, h, tp)
+    r_h = float(np.max(grid.node_radius[np.any(h != 0.0, axis=0)]))
+    reach = math.sqrt(dim) * grid.dx
+    expand = (slice(None),) + (None,) * dim
+    outside = grid.node_radius[None] > (grid.times[expand] + r_h + reach + 1e-12)
+    assert np.max(np.abs(u[outside])) <= 1e-14 * np.max(np.abs(h))
+
+
+@settings(max_examples=20)
+@given(DIMS, TPS, SEEDS, st.integers(0, 3), st.integers(0, 2**31))
+def test_duhamel_point_matches_grid(dim, tp, seed, level, node):
+    grid = tiny_grid(dim)
+    h = tiny_source(grid, seed)
+    u = apply_source(grid, h, tp)
+    idx = np.unravel_index(node % (len(grid.axis) ** dim), grid.spatial_shape)
+    x = grid.axis[list(idx)]
+    val = duhamel(Field(grid, h), x, float(grid.times[level]), TINY_QUAD[tp])
+    assert abs(val - u[(level,) + idx]) <= 1e-13 * np.max(np.abs(u))
+
+
+# ---------------------------------------------------------------------------
 # support
 # ---------------------------------------------------------------------------
 
@@ -214,6 +418,20 @@ def test_field_binary_roundtrip(tmp_path):
     back = field_from_binary(path)
     assert back.grid == grid
     np.testing.assert_array_equal(back.samples, field.samples)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda b: b[:30], lambda b: b[: 64 + 8 * 5 + 3], lambda b: b + bytes(8)],
+    ids=["short_header", "short_payload", "trailing_bytes"],
+)
+def test_field_binary_wrong_length(tmp_path, mangle):
+    grid = SpaceTimeGrid.covering(1, 0.3, 0.2, dx=0.1, dt=0.05)
+    path = tmp_path / "field.bin"
+    field_to_binary(constant_field(grid, 1.0), path)
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(ValidationError, match="path"):
+        field_from_binary(path)
 
 
 def test_field_csv_layout(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import colwave.cli as cli
-from colwave.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOLVER_FAILURE, main
+from colwave.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, main
 from colwave.errors import ConfigError
 from colwave.linwave import QuadratureSpec
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
@@ -38,6 +38,17 @@ def test_resolve_threads(monkeypatch):
     assert cli._resolve_threads(0) >= 1
     with pytest.raises(ConfigError, match="threads"):
         cli._resolve_threads(-1)
+    monkeypatch.setenv("COLWAVE_THREADS", "abc")
+    with pytest.raises(ConfigError, match="threads"):
+        cli._resolve_threads(None)
+    assert cli._resolve_threads(2) == 2
+
+
+def test_bad_threads_env_exit_code(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("COLWAVE_THREADS", "abc")
+    monkeypatch.setattr(cli, "run_suite", lambda threads=1: [SuiteResult("a", True, "fine", 0.1)])
+    assert main(["demo", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert "threads" in capsys.readouterr().err
 
 
 def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
