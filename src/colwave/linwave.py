@@ -9,6 +9,14 @@ sin(phi), after which both angular directions carry smooth integrands
 (Gauss-Legendre in phi, uniform trapezoid in theta; Gauss-Legendre in
 cos(theta) times uniform azimuth on the 3D sphere).
 
+The data terms are evaluated only at targets with |x| < |t| + R, R the
+largest outer radius of the nonzero data, and are exactly 0.0 elsewhere:
+every rule point lies within |t| of its target (x - t*d with |d| <= 1,
+line offsets in [-t, t]), and both bump kinds vanish, value and gradient,
+on a band just inside outer_radius (``nets._FLAT_CLIP``), far wider than
+the rounding in |x - t*d|.  Each datum's radial profile is evaluated
+once per rule point, giving the value and the gradient together.
+
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
 the grid by multilinear interpolation (linear in time between levels).
@@ -129,9 +137,13 @@ def _feature_scale(datum: InitialDatum) -> float:
 
 
 def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
-    """Composite Gauss-Legendre rule on [-t, t] resolving the datum profile."""
+    """Composite Gauss-Legendre rule on [-t, t] resolving the datum profile.
+
+    For t < 0 the weights are negative (the velocity term is odd in t) and
+    the panels are those of |t|.
+    """
     width = _feature_scale(datum) / 2.0
-    panels = 1 if not math.isfinite(width) else min(512, max(1, math.ceil(2.0 * t / width)))
+    panels = 1 if not math.isfinite(width) else min(512, max(1, math.ceil(2.0 * abs(t) / width)))
     return _gauss_panels(-t, t, quad.polar_points, panels)
 
 
@@ -147,37 +159,49 @@ def _data_terms_at(
     pts: np.ndarray,
     quad: QuadratureSpec,
 ) -> np.ndarray:
-    """Homogeneous part of the solution at time t for targets pts (M, dim)."""
-    m = pts.shape[0]
-    out = np.zeros(m)
+    """Homogeneous part of the solution at time t for targets pts (M, dim).
+
+    Every rule point lies within |t| of its target, so only targets with
+    |x| < |t| + R, R the largest outer radius of the nonzero data, are
+    evaluated; all others are exactly 0.0.
+    """
+    out = np.zeros(pts.shape[0])
+    radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
+    if not radii:
+        return out
+    live = np.flatnonzero(np.sqrt(np.sum(pts * pts, axis=-1)) < abs(t) + max(radii))
+    pts = pts[live]
+    m = len(live)
     if t == 0.0:
         if u0.kind != "zero":
-            out += u0.value(pts)
+            out[live] = u0.value(pts)
         return out
     if dim == 1:
         if u0.kind != "zero":
-            out += 0.5 * (u0.value(pts + t) + u0.value(pts - t))
+            out[live] = 0.5 * (u0.value(pts + t) + u0.value(pts - t))
         if u1.kind != "zero":
             offs, w = _line_rule(t, u1, quad)
             chunk = max(1, _CHUNK // len(offs))
             for lo in range(0, m, chunk):
                 sub = pts[lo : lo + chunk]
                 vals = u1.value(sub[:, None, :] + offs[None, :, None])
-                out[lo : lo + chunk] += 0.5 * (vals @ w)
+                out[live[lo : lo + chunk]] += 0.5 * (vals @ w)
         return out
     sd, wq = _mean_rule(dim, quad)
     chunk = max(1, _CHUNK // len(wq))
     for lo in range(0, m, chunk):
         sub = pts[lo : lo + chunk]
         q = sub[:, None, :] - t * sd[None, :, :]
+        rho = np.sqrt(np.sum(q * q, axis=-1))
         acc = np.zeros(len(sub))
         if u0.kind != "zero":
-            v0 = u0.value(q)
-            g0 = u0.gradient(q)
+            # value and gradient from one profile pass, as in InitialDatum
+            v0, f1, _ = u0._radial(rho)
+            g0 = (f1 / np.where(rho > 0.0, rho, 1.0))[..., None] * q
             acc += (v0 - t * np.einsum("mqd,qd->mq", g0, sd)) @ wq
         if u1.kind != "zero":
-            acc += t * (u1.value(q) @ wq)
-        out[lo : lo + chunk] = acc
+            acc += t * (u1._radial(rho)[0] @ wq)
+        out[live[lo : lo + chunk]] = acc
     return out
 
 

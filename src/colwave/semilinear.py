@@ -191,6 +191,17 @@ def _second_difference(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis) / h**2
 
 
+def _defect(field: Field, eps: float, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Defect u_tt - Lap(u) - eps**b f(u) on every node, and the residual mask."""
+    grid = field.grid
+    if grid.dim != problem.dim:
+        raise ValidationError("grid", "grid dimension does not match the problem")
+    wave = _second_difference(field.samples, 0, grid.dt)
+    for axis in range(1, grid.dim + 1):
+        wave -= _second_difference(field.samples, axis, grid.dx)
+    return wave - problem.small_factor(eps) * problem.f.value(field.samples), residual_mask(grid)
+
+
 def residual(field: Field, eps: float, problem: Problem) -> Field:
     """Discrete wave-operator defect u_tt - Lap(u) - eps**b f(u).
 
@@ -198,22 +209,14 @@ def residual(field: Field, eps: float, problem: Problem) -> Field:
     converged solution shrinks at second order in the grid spacings plus
     the stopping-tolerance contribution tol/dt^2.
     """
-    grid = field.grid
-    if grid.dim != problem.dim:
-        raise ValidationError("grid", "grid dimension does not match the problem")
-    wave = _second_difference(field.samples, 0, grid.dt)
-    for axis in range(1, grid.dim + 1):
-        wave -= _second_difference(field.samples, axis, grid.dx)
-    res = wave - problem.small_factor(eps) * problem.f.value(field.samples)
-    mask = residual_mask(grid)
-    return Field(grid, np.where(mask, res, 0.0))
+    res, mask = _defect(field, eps, problem)
+    return Field(field.grid, np.where(mask, res, 0.0))
 
 
 def residual_sup(field: Field, eps: float, problem: Problem) -> float:
     """Max |residual| over the interior cone nodes."""
-    res = residual(field, eps, problem)
-    mask = residual_mask(field.grid)
-    return float(np.max(np.abs(res.samples[mask]))) if mask.any() else 0.0
+    res, mask = _defect(field, eps, problem)
+    return float(np.max(np.abs(res[mask]))) if mask.any() else 0.0
 
 
 def reports_to_csv(reports: list[SolveReport], path) -> None:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,18 @@ def test_check_support_zero_nonlinearity(tmp_path, capsys):
 def test_oracle_prints_value(capsys):
     assert main(["oracle", "--eps", "0.5", "--t", "1.0"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2.0"
+
+
+def test_module_entry_point_runs_from_source():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colwave", "oracle", "--eps", "0.5", "--t", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip() == "2.0"
 
 
 def test_oracle_lifespan_exit(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from colwave.errors import ValidationError
 from colwave.linwave import (
     QuadratureSpec,
+    _line_rule,
     _mean_rule,
     check_support,
     duhamel,
@@ -24,6 +25,7 @@ from colwave.seminorms import Field, SpaceTimeGrid, constant_field
 
 QUAD = QuadratureSpec(angular_points=16, polar_points=12)
 GAUSS = InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0)
+GAUSS_NEG = InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=-2.0)
 PLATEAU = InitialDatum("plateau_bump", outer_radius=0.8, inner_radius=0.6, amplitude=1.0)
 
 
@@ -99,6 +101,90 @@ def test_linearity_in_data_and_source():
 
 
 PLATEAU_SMALL = InitialDatum("plateau_bump", outer_radius=0.4, inner_radius=0.2, amplitude=0.5)
+
+
+# ---------------------------------------------------------------------------
+# data terms against an independent unmasked reference
+# ---------------------------------------------------------------------------
+
+def reference_data_terms(u0, u1, dim, t, pts, quad):
+    """Rule sums at every target (no support test), from InitialDatum.value/.gradient."""
+    if t == 0.0:
+        return u0.value(pts)
+    if dim == 1:
+        offs, w = _line_rule(t, u1, quad)
+        line = u1.value(pts[:, None, :] + offs[None, :, None])
+        return 0.5 * (u0.value(pts + t) + u0.value(pts - t)) + 0.5 * np.sum(line * w, axis=1)
+    dirs, wq = _mean_rule(dim, quad)
+    q = pts[:, None, :] - t * dirs[None]
+    kirchhoff = u0.value(q) - t * np.sum(u0.gradient(q) * dirs, axis=-1)
+    return np.sum((kirchhoff + t * u1.value(q)) * wq, axis=1)
+
+
+def data_reach(u0, u1, t):
+    return abs(t) + max(d.outer_radius for d in (u0, u1) if d.kind != "zero")
+
+
+DATA_QUAD = QuadratureSpec(angular_points=8, polar_points=6)
+
+
+@pytest.mark.parametrize(
+    "dim,dx,horizon,u0,u1",
+    [
+        (1, 0.05, 0.6, GAUSS, PLATEAU),
+        (2, 0.1, 0.6, PLATEAU, GAUSS),
+        (3, 0.15, 0.45, GAUSS, PLATEAU_SMALL),
+        # horizon past R: the interior |x| <= t - R is evaluated too
+        (3, 0.2, 0.9, PLATEAU_SMALL, GAUSS_NEG),
+    ],
+    ids=["1d", "2d", "3d", "3d_past_R"],
+)
+def test_data_terms_match_reference(dim, dx, horizon, u0, u1):
+    grid = SpaceTimeGrid.covering(dim, horizon, data_reach(u0, u1, 0.0), dx=dx, dt=dx / 2)
+    field = solve_linear(u0, u1, None, grid, DATA_QUAD)
+    peak = np.max(np.abs(field.samples))
+    pts = grid.spatial_points
+    radius = grid.node_radius.ravel()
+    for n in range(grid.n_time + 1):
+        t = float(grid.times[n])
+        level = field.samples[n].ravel()
+        ref = reference_data_terms(u0, u1, dim, t, pts, DATA_QUAD)
+        np.testing.assert_allclose(level, ref, rtol=0, atol=1e-14 * peak)
+        assert np.all(level[radius >= data_reach(u0, u1, t)] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linear_value_matches_reference_at_reach(dim):
+    u0, u1 = GAUSS, PLATEAU_SMALL
+    rng = np.random.default_rng(dim)
+    for t in (0.3, -0.3, 0.0):
+        reach = data_reach(u0, u1, t)
+        dirs = rng.standard_normal((12, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scales = np.concatenate(
+            [rng.uniform(0.0, 1.0, 6), [1.0 - 1e-9, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9, 1.2, 2.0]]
+        )
+        pts = reach * scales[:, None] * dirs
+        got = np.array([linear_value(u0, u1, t, x, DATA_QUAD) for x in pts])
+        ref = reference_data_terms(u0, u1, dim, t, pts, DATA_QUAD)
+        peak = max(np.max(np.abs(ref)), abs(linear_value(u0, u1, t, np.zeros(dim), DATA_QUAD)))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * peak)
+        outside = np.linalg.norm(pts, axis=1) >= reach
+        assert outside.sum() >= 4 and np.all(got[outside] == 0.0)
+    assert linear_value(ZERO_DATUM, ZERO_DATUM, 0.3, np.zeros(dim), DATA_QUAD) == 0.0
+    assert linear_value(ZERO_DATUM, ZERO_DATUM, -0.3, np.zeros(dim), DATA_QUAD) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_time_reversal(dim):
+    # the u0 part is even in t and the u1 part odd: the 1D line rule must
+    # size its panels by |t|
+    x = np.full(dim, 0.1)
+    for t in (0.3, 0.6, 1.0):
+        even = linear_value(GAUSS, ZERO_DATUM, t, x, DATA_QUAD)
+        odd = linear_value(ZERO_DATUM, PLATEAU_SMALL, t, x, DATA_QUAD)
+        back = linear_value(GAUSS, PLATEAU_SMALL, -t, x, DATA_QUAD)
+        assert back == pytest.approx(even - odd, rel=0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from colwave.semilinear import (
     residual_sup,
     solve_net,
 )
+from colwave.suite import RESIDUAL_C, _residual_problem
 from colwave.verify import cubic_oracle_problem, m1_membership
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
@@ -223,6 +224,21 @@ def test_residual_of_converged_solution_small():
     assert report.converged
     sup = residual_sup(field, 0.25, prob)
     assert sup <= 1200.0 * (grid.dx**2 + grid.dt**2) + tol / grid.dt**2
+
+
+def test_residual_convergence_2d():
+    # the 2D counterpart of the suite's 1D refinement study, on its preset
+    prob = _residual_problem(2)
+    quad = QuadratureSpec(angular_points=12, polar_points=8)
+    eps, tol = 0.25, 1e-12
+    sups = []
+    for dx in (0.1, 0.05):
+        grid = grid_for(prob, dx=dx)
+        field, report = picard_solve(prob, eps, grid, quad, tol=tol)
+        assert report.converged
+        sups.append(residual_sup(field, eps, prob))
+        assert sups[-1] <= RESIDUAL_C * (grid.dx**2 + grid.dt**2) + tol / grid.dt**2
+    assert sups[0] >= 3.0 * sups[1]
 
 
 def test_reports_csv(tmp_path):
