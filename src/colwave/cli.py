@@ -146,10 +146,25 @@ def _parse_nonlinearity(doc, path: str) -> NonlinearitySpec:
     return _build(path, NonlinearitySpec, **doc)
 
 
+def _reject_booleans(doc, path: str) -> None:
+    """No config field is boolean, and bool passes every int/float check."""
+    if isinstance(doc, bool):
+        raise ConfigError(path, "must not be a boolean")
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        _reject_booleans(value, f"{path}.{key}" if path else str(key))
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; errors name the offending field."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
+    _reject_booleans(doc, "")
     pdoc = dict(_need(doc, "problem", ""))
     u0 = _parse_datum(_need(pdoc, "u0", "problem"), "problem.u0")
     u1 = _parse_datum(_need(pdoc, "u1", "problem"), "problem.u1")

@@ -16,6 +16,13 @@ line offsets in [-t, t]), and both bump kinds vanish, value and gradient,
 on a band just inside outer_radius (``nets._FLAT_CLIP``), far wider than
 the rounding in |x - t*d|.  Each datum's radial profile is evaluated
 once per rule point, giving the value and the gradient together.
+``solve_linear`` evaluates them only on the nodes of the nonnegative
+orthant and fills every other node by reflection.  That is exact: the
+data are radial, every rule maps onto itself under each coordinate
+reflection (``angular_points`` is even, the Gauss-Legendre nodes are
+symmetric), and the grid axis is exactly antisymmetric, so the result is
+mirror-symmetric bit for bit and the t = 0 level is u0 at the nodes.
+Axis swaps are not symmetries of the rules and are not used.
 
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
@@ -302,14 +309,17 @@ def solve_linear(
     """
     if h is not None and h.grid != grid:
         raise ValidationError("h", "source must be sampled on the target grid")
-    pts = grid.spatial_points
     out = np.zeros(grid.shape)
-    have_data = u0.kind != "zero" or u1.kind != "zero"
-    if have_data:
+    if u0.kind != "zero" or u1.kind != "zero":
+        # radial data, a reflection-invariant rule and an antisymmetric axis:
+        # evaluate the nonnegative orthant and mirror it onto every other one
+        half = len(grid.axis) // 2
+        orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
+        pts = np.stack([m.ravel() for m in orthant], axis=-1)
+        mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
         for n in range(grid.n_time + 1):
-            out[n] = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad).reshape(
-                grid.spatial_shape
-            )
+            vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad)
+            out[n] = vals.reshape(orthant[0].shape)[mirror]
     if h is not None:
         out[1:] += _source_levels(h, quad)
     return Field(grid, out)
@@ -429,12 +439,16 @@ def field_to_csv(field: Field, path) -> None:
     """Rows (t, x[, y[, z]], value) in C order, 17 significant digits."""
     grid = field.grid
     names = ["t", "x", "y", "z"][: grid.dim + 1]
+    # every coordinate is a grid time or an axis value: format those once
+    times = np.array([f"{v:.17g}," for v in grid.times], dtype=object)
+    axis = np.array([f"{v:.17g}," for v in grid.axis], dtype=object)
+    idx = np.indices(grid.shape).reshape(grid.dim + 1, -1)
+    prefix = times[idx[0]]
+    for k in range(1, grid.dim + 1):
+        prefix = prefix + axis[idx[k]]
     with open(path, "w") as fh:
         fh.write(",".join(names + ["value"]) + "\n")
-        mesh = grid.meshes()
-        flat = [m.ravel() for m in mesh] + [field.samples.ravel()]
-        for row in zip(*flat):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(f"{p}{v:.17g}\n" for p, v in zip(prefix, field.samples.ravel().tolist()))
 
 
 def field_to_binary(field: Field, path) -> None:

@@ -115,8 +115,14 @@ class SpaceTimeGrid:
 
     @cached_property
     def axis(self) -> np.ndarray:
+        """Node coordinates per axis, exactly antisymmetric: ``axis == -axis[::-1]``.
+
+        The centre node is exactly 0.0 and the ends exactly +-spatial_extent,
+        so node values of radial functions are exactly mirror-symmetric.
+        """
         half = round(self.spatial_extent / self.dx)
-        return np.linspace(-self.spatial_extent, self.spatial_extent, 2 * half + 1)
+        pos = np.linspace(0.0, self.spatial_extent, half + 1)
+        return np.concatenate([-pos[:0:-1], pos])
 
     @cached_property
     def spatial_shape(self) -> tuple[int, ...]:
@@ -302,21 +308,38 @@ def fit_decay_exponent(
 
 
 def _derivative_stack(field: Field, n: int):
-    """All FD partial-derivative arrays of total order <= n."""
+    """FD partial-derivative arrays of total order <= n, one group per order."""
     spacings = (field.grid.dt,) + (field.grid.dx,) * field.grid.dim
     axes = range(field.grid.dim + 1)
-    yield field.samples
+    yield [field.samples]
     if n == 0:
         return
     firsts = [np.gradient(field.samples, spacings[a], axis=a, edge_order=2) for a in axes]
-    yield from firsts
+    yield firsts
     if n == 1:
         return
-    for i in axes:
-        for j in axes:
-            if j < i:
-                continue
-            yield np.gradient(firsts[i], spacings[j], axis=j, edge_order=2)
+    yield (
+        np.gradient(firsts[i], spacings[j], axis=j, edge_order=2)
+        for i in axes
+        for j in axes
+        if j >= i
+    )
+
+
+def _seminorm_orders(field: Field, n: int) -> list[float]:
+    """[mu_0, ..., mu_n] of one field from a single derivative-stack pass."""
+    if not (0 <= n <= MAX_SEMINORM_ORDER):
+        raise UnsupportedOrderError(
+            f"seminorm order must lie in [0, {MAX_SEMINORM_ORDER}], got {n}"
+        )
+    mask = field.grid.cone_mask(CONE_INFLATION_CELLS)
+    mus = []
+    best = 0.0
+    for group in _derivative_stack(field, n):
+        for arr in group:
+            best = max(best, float(np.max(np.abs(arr[mask]))))
+        mus.append(best)
+    return mus
 
 
 def seminorm(field: Field, n: int) -> float:
@@ -325,15 +348,12 @@ def seminorm(field: Field, n: int) -> float:
     Centered differences inside, second-order one-sided at the grid
     boundaries; order 0 is the plain sup.
     """
-    if not (0 <= n <= MAX_SEMINORM_ORDER):
-        raise UnsupportedOrderError(
-            f"seminorm order must lie in [0, {MAX_SEMINORM_ORDER}], got {n}"
-        )
-    mask = field.grid.cone_mask(CONE_INFLATION_CELLS)
-    best = 0.0
-    for arr in _derivative_stack(field, n):
-        best = max(best, float(np.max(np.abs(arr[mask]))))
-    return best
+    return _seminorm_orders(field, n)[n]
+
+
+def _seminorm_table(net: Net, n: int) -> np.ndarray:
+    """(J, n + 1) table of mu_0..mu_n for every ladder entry."""
+    return np.array([_seminorm_orders(f, n) for f in net.fields])
 
 
 def valuation(net: Net, n: int) -> ValuationEstimate:
@@ -342,14 +362,18 @@ def valuation(net: Net, n: int) -> ValuationEstimate:
     return fit_decay_exponent(net.ladder.values, mus)
 
 
-def ultra_pseudo_seminorm(net_u: Net, net_v: Net, n: int) -> float:
-    """p_n(U - V) = exp(-nu_n(U - V)); 0 for the negligible sentinel."""
-    est = valuation(net_u - net_v, n)
+def _pseudo_seminorm(est: ValuationEstimate) -> float:
+    """exp(-slope) of a fitted estimate; 0 for the negligible sentinel."""
     if est.is_negligible_sentinel:
         return 0.0
     if est.slope < -700.0:  # exp would overflow; the net is wildly non-moderate
         return math.inf
     return math.exp(-est.slope)
+
+
+def ultra_pseudo_seminorm(net_u: Net, net_v: Net, n: int) -> float:
+    """p_n(U - V) = exp(-nu_n(U - V)); 0 for the negligible sentinel."""
+    return _pseudo_seminorm(valuation(net_u - net_v, n))
 
 
 def ultra_metric(net_u: Net, net_v: Net, n_terms: int) -> float:
@@ -358,9 +382,11 @@ def ultra_metric(net_u: Net, net_v: Net, n_terms: int) -> float:
         raise UnsupportedOrderError(
             f"n_terms must lie in [1, {MAX_SEMINORM_ORDER + 1}], got {n_terms}"
         )
+    table = _seminorm_table(net_u - net_v, n_terms - 1)
     total = 0.0
     for n in range(n_terms):
-        total += 2.0 ** (-n - 1) * min(ultra_pseudo_seminorm(net_u, net_v, n), 1.0)
+        est = fit_decay_exponent(net_u.ladder.values, table[:, n])
+        total += 2.0 ** (-n - 1) * min(_pseudo_seminorm(est), 1.0)
     return total
 
 
@@ -384,7 +410,11 @@ def classify(
     net counts as negligible when every fitted slope at the tested orders
     is at least ``negligible_slope``, and analogously for the others.
     """
-    slopes = [valuation(net, n).slope for n in range(MAX_SEMINORM_ORDER + 1)]
+    table = _seminorm_table(net, MAX_SEMINORM_ORDER)
+    slopes = [
+        fit_decay_exponent(net.ladder.values, table[:, n]).slope
+        for n in range(MAX_SEMINORM_ORDER + 1)
+    ]
     if all(s >= negligible_slope for s in slopes):
         return NetClass.NEGLIGIBLE_AT_TESTED_ORDER
     if all(s >= -bounded_tol for s in slopes):
@@ -425,9 +455,10 @@ def datum_seminorm(datum: InitialDatum, dim: int, n: int) -> float:
 
 def valuation_table(net: Net, orders=(0, 1, 2)) -> list[tuple[float, float, int, float, float]]:
     """Rows (eps, mu_n, n, fitted slope, stderr) for CSV export."""
+    table = _seminorm_table(net, max(orders, default=0))
     rows = []
     for n in orders:
-        mus = [seminorm(f, n) for f in net.fields]
+        mus = table[:, n]
         est = fit_decay_exponent(net.ladder.values, mus)
         for eps, mu in zip(net.ladder.values, mus):
             rows.append((float(eps), float(mu), int(n), est.slope, est.stderr))

@@ -172,3 +172,33 @@ def test_no_checks_selected_is_config_error(tmp_path, capsys):
     path, doc = base_config(tmp_path, checks=[])
     path.write_text(json.dumps(doc))
     assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tol",
+        "max_iter",
+        "residual_constant",
+        "grid.dx",
+        "grid.dt",
+        "problem.dim",
+        "problem.horizon",
+        "problem.u0.amplitude",
+        "ladder.eps0",
+        "quad.time_points_per_dt",
+    ],
+)
+def test_boolean_number_rejected(tmp_path, capsys, name):
+    # bool is an int in Python, so JSON true must be refused explicitly
+    path, doc = base_config(tmp_path)
+    *parents, key = name.split(".")
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=name):
+        load_config(path)
+    assert main(["solve-linear", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert name in capsys.readouterr().err

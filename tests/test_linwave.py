@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from colwave.errors import ValidationError
 from colwave.linwave import (
     QuadratureSpec,
+    _data_terms_at,
     _line_rule,
     _mean_rule,
     check_support,
@@ -151,6 +152,39 @@ def test_data_terms_match_reference(dim, dx, horizon, u0, u1):
         ref = reference_data_terms(u0, u1, dim, t, pts, DATA_QUAD)
         np.testing.assert_allclose(level, ref, rtol=0, atol=1e-14 * peak)
         assert np.all(level[radius >= data_reach(u0, u1, t)] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# data terms on one orthant, mirrored
+# ---------------------------------------------------------------------------
+
+MIRROR_CASES = [(1, 0.03, 0.5), (2, 0.07, 0.5), (3, 0.12, 0.4)]
+
+
+@pytest.mark.parametrize("dim,dx,horizon", MIRROR_CASES, ids=["1d", "2d", "3d"])
+def test_data_fields_mirror_symmetric(dim, dx, horizon):
+    grid = SpaceTimeGrid.covering(dim, horizon, 0.5, dx=dx, dt=dx / 2)
+    field = solve_linear(GAUSS, PLATEAU_SMALL, None, grid, DATA_QUAD)
+    for axis in range(1, dim + 1):
+        assert np.array_equal(field.samples, np.flip(field.samples, axis=axis))
+    np.testing.assert_array_equal(
+        field.samples[0], GAUSS.value(grid.spatial_points).reshape(grid.spatial_shape)
+    )
+
+
+@pytest.mark.parametrize("dim,dx,horizon", MIRROR_CASES, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("angular", [6, 10, 12])
+def test_data_fields_match_unmirrored(dim, dx, horizon, angular):
+    # 6 and 10 give rules with the coordinate reflections but no axis swaps
+    quad = QuadratureSpec(angular_points=angular, polar_points=7)
+    grid = SpaceTimeGrid.covering(dim, horizon, 0.8, dx=dx, dt=dx / 2)
+    field = solve_linear(PLATEAU, GAUSS_NEG, None, grid, quad)
+    peak = np.max(np.abs(field.samples))
+    for n, t in enumerate(grid.times):
+        full = _data_terms_at(PLATEAU, GAUSS_NEG, dim, float(t), grid.spatial_points, quad)
+        np.testing.assert_allclose(
+            field.samples[n], full.reshape(grid.spatial_shape), rtol=0, atol=1e-14 * peak
+        )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -529,3 +563,26 @@ def test_field_csv_layout(tmp_path):
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + field.samples.size
     assert lines[1].split(",")[2] == "1.25"
+
+
+def reference_csv(field, path):
+    """The row-by-row writer: one formatted row per node."""
+    grid = field.grid
+    names = ["t", "x", "y", "z"][: grid.dim + 1]
+    with open(path, "w") as fh:
+        fh.write(",".join(names + ["value"]) + "\n")
+        flat = [m.ravel() for m in grid.meshes()] + [field.samples.ravel()]
+        for row in zip(*flat):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("dim,dx", [(1, 0.021), (2, 0.07), (3, 0.13)])
+def test_field_csv_matches_row_writer(tmp_path, dim, dx):
+    grid = SpaceTimeGrid.covering(dim, 0.3, 0.2, dx=dx, dt=dx / 3)
+    rng = np.random.default_rng(dim)
+    samples = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
+    samples.flat[:3] = [0.0, -0.0, 1.0]
+    field = Field(grid, samples)
+    field_to_csv(field, tmp_path / "new.csv")
+    reference_csv(field, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -22,6 +22,7 @@ from colwave.seminorms import (
     valuation,
     valuation_table,
 )
+from colwave.seminorms import MAX_SEMINORM_ORDER
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
@@ -41,6 +42,30 @@ def test_grid_snaps_spacings():
     assert g.horizon / g.dt == pytest.approx(g.n_time)
     assert g.axis[0] == -2.0 and g.axis[-1] == 2.0
     assert 0.0 in g.axis
+
+
+@pytest.mark.parametrize(
+    "extent,dx",
+    [(2.0, 0.1), (2.0, 0.021), (1.3, 0.07), (0.9, 0.3), (5.0, 0.013), (0.77, 0.77)],
+)
+def test_axis_exactly_antisymmetric(extent, dx):
+    g = SpaceTimeGrid(dim=1, horizon=0.5, support_radius=0.2, spatial_extent=extent,
+                      dx=dx, dt=min(dx, 0.5) / 2)
+    half = len(g.axis) // 2
+    assert np.array_equal(g.axis, -g.axis[::-1])
+    assert g.axis[half] == 0.0
+    assert g.axis[0] == -extent and g.axis[-1] == extent
+    assert np.all(np.diff(g.axis) > 0.0)
+    np.testing.assert_allclose(np.diff(g.axis), g.dx, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim,dx", [(1, 0.033), (2, 0.07), (3, 0.11)])
+def test_covering_axis_exactly_antisymmetric(dim, dx):
+    g = SpaceTimeGrid.covering(dim, 0.45, 0.35, dx=dx)
+    half = len(g.axis) // 2
+    assert np.array_equal(g.axis, -g.axis[::-1])
+    assert g.axis[half] == 0.0
+    assert g.axis[0] == -g.spatial_extent and g.axis[-1] == g.spatial_extent
 
 
 def test_grid_validation():
@@ -264,3 +289,83 @@ def test_valuation_table_shape():
     eps, mu, n, slope, stderr = rows[0]
     assert (eps, n) == (0.5, 0)
     assert slope == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one derivative stack for every order, against per-order references
+# ---------------------------------------------------------------------------
+
+def reference_seminorm(field, n):
+    """Per-order sup over the cone of the FD derivatives, built independently."""
+    g = field.grid
+    spacings = (g.dt,) + (g.dx,) * g.dim
+    mask = g.cone_mask()
+    arrays = [field.samples]
+    firsts = [np.gradient(field.samples, h, axis=a, edge_order=2) for a, h in enumerate(spacings)]
+    if n >= 1:
+        arrays += firsts
+    if n >= 2:
+        arrays += [
+            np.gradient(firsts[i], spacings[j], axis=j, edge_order=2)
+            for i in range(g.dim + 1)
+            for j in range(i, g.dim + 1)
+        ]
+    return max(float(np.max(np.abs(a[mask]))) for a in arrays)
+
+
+def calculus_nets():
+    g = SpaceTimeGrid.covering(2, 0.3, 0.25, dx=0.05, dt=0.025)
+    T, X, Y = g.meshes()
+    pattern = np.cos(4 * X) * np.sin(3 * Y + T) + T * X * Y
+    # each ladder entry mixes orders differently, so mu_0, mu_1, mu_2 decay apart
+    u = Net(LADDER, tuple(
+        Field(g, float(e) ** 1.5 * pattern + float(e) ** 0.5 * np.sin(9 * X) * T**2)
+        for e in LADDER.values
+    ))
+    v = power_net(g, LADDER, 0.5, pattern=np.exp(-(X**2 + Y**2) * 10) * (1 + T))
+    return u, v
+
+
+def test_seminorm_orders_match_references():
+    u, v = calculus_nets()
+    for net in (u, v, u - v):
+        for f in net.fields[::3]:
+            for n in range(MAX_SEMINORM_ORDER + 1):
+                assert seminorm(f, n) == reference_seminorm(f, n)
+
+
+def test_valuation_table_matches_per_order_fits():
+    u, _ = calculus_nets()
+    rows = valuation_table(u)
+    expected = []
+    for n in range(3):
+        mus = [reference_seminorm(f, n) for f in u.fields]
+        est = fit_decay_exponent(LADDER.values, mus)
+        expected += [(float(e), mu, n, est.slope, est.stderr) for e, mu in zip(LADDER.values, mus)]
+    assert rows == expected
+    assert valuation_table(u, orders=(2, 0)) == expected[16:] + expected[:8]
+
+
+def test_classify_and_ultra_metric_match_per_order_fits():
+    u, v = calculus_nets()
+    for net in (u, v, u - v, power_net(u.grid, LADDER, -1.0)):
+        slopes = [
+            fit_decay_exponent(LADDER.values, [reference_seminorm(f, n) for f in net.fields]).slope
+            for n in range(3)
+        ]
+        assert slopes == [valuation(net, n).slope for n in range(3)]
+        if all(s >= 6.0 for s in slopes):
+            expected = NetClass.NEGLIGIBLE_AT_TESTED_ORDER
+        elif all(s >= -0.05 for s in slopes):
+            expected = NetClass.BOUNDED_TYPE
+        elif all(s >= -20.0 for s in slopes):
+            expected = NetClass.MODERATE
+        else:
+            expected = NetClass.NOT_MODERATE
+        assert classify(net) is expected
+    for a, b in ((u, v), (v, u), (u, u)):
+        for n_terms in (1, 2, 3):
+            expected = 0.0
+            for n in range(n_terms):
+                expected += 2.0 ** (-n - 1) * min(ultra_pseudo_seminorm(a, b, n), 1.0)
+            assert ultra_metric(a, b, n_terms) == expected
