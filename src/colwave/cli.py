@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -31,27 +30,14 @@ from .linwave import (
 )
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
-from .semilinear import reports_to_csv, residual_sup, solve_net
-from .suite import RESIDUAL_C, run_suite
-from .verify import (
-    check_association,
-    check_contraction,
-    check_uniqueness_surrogate,
-    check_wave_oracle,
-    ode_check,
-    oracle_lifespan,
-)
-
-CHECK_NAMES = ("support", "contraction", "association", "uniqueness", "oracle", "residual")
+from .semilinear import reports_to_csv, solve_net
+from .suite import CHECK_NAMES, CONFIG_CHECKS, RESIDUAL_C, Solved, fmt, run_suite, write_csv
+from .verify import oracle_lifespan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @dataclass
@@ -121,29 +107,22 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _object(doc: dict, key: str, path: str = "", default: dict | None = None) -> dict:
+    """The JSON object at ``doc[key]``; required when there is no default."""
+    value = _need(doc, key, path) if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}" if path else key, "expected an object")
+    return value
+
+
 def _build(path: str, ctor, **kwargs):
     try:
         return ctor(**kwargs)
     except ValidationError as err:
         prefix = f"{path}.{err.parameter}" if path else err.parameter
         raise ConfigError(prefix, str(err)) from err
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(path, f"bad fields: {err}") from err
-
-
-def _parse_datum(doc, path: str) -> InitialDatum:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object")
-    return _build(path, InitialDatum, **doc)
-
-
-def _parse_nonlinearity(doc, path: str) -> NonlinearitySpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object")
-    if "coefficients" in doc:
-        doc = dict(doc)
-        doc["coefficients"] = tuple(doc["coefficients"])
-    return _build(path, NonlinearitySpec, **doc)
 
 
 def _reject_booleans(doc, path: str) -> None:
@@ -165,10 +144,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
     _reject_booleans(doc, "")
-    pdoc = dict(_need(doc, "problem", ""))
-    u0 = _parse_datum(_need(pdoc, "u0", "problem"), "problem.u0")
-    u1 = _parse_datum(_need(pdoc, "u1", "problem"), "problem.u1")
-    f = _parse_nonlinearity(_need(pdoc, "f", "problem"), "problem.f")
+    pdoc = _object(doc, "problem")
+    u0 = _build("problem.u0", InitialDatum, **_object(pdoc, "u0", "problem"))
+    u1 = _build("problem.u1", InitialDatum, **_object(pdoc, "u1", "problem"))
+    f = _build("problem.f", NonlinearitySpec, **_object(pdoc, "f", "problem"))
     problem = _build(
         "problem",
         Problem,
@@ -180,9 +159,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         f=f,
         small_exponent=pdoc.get("small_exponent", 1.0),
     )
-    ldoc = doc.get("ladder", {})
-    ladder = _build("ladder", EpsilonLadder, **ldoc)
-    gdoc = dict(doc.get("grid", {}))
+    ladder = _build("ladder", EpsilonLadder, **_object(doc, "ladder", default={}))
+    gdoc = _object(doc, "grid", default={})
     if "dx" not in gdoc:
         raise ConfigError("grid.dx", "missing required field")
     if "spatial_extent" in gdoc:
@@ -205,7 +183,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             dt=gdoc.get("dt"),
             margin_cells=gdoc.get("margin_cells", 2),
         )
-    quad = _build("quad", QuadratureSpec, **doc.get("quad", {}))
+    quad = _build("quad", QuadratureSpec, **_object(doc, "quad", default={}))
     tol = doc.get("tol", 1e-10)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ConfigError("tol", "must be a positive number")
@@ -213,9 +191,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not (isinstance(max_iter, int) and max_iter >= 1):
         raise ConfigError("max_iter", "must be a positive integer")
     checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError("checks", "expected a list of check names")
     for name in checks:
         if name not in CHECK_NAMES:
             raise ConfigError("checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    outputs = doc.get("outputs", "out")
+    if not isinstance(outputs, str):
+        raise ConfigError("outputs", "expected a directory name")
     residual_constant = doc.get("residual_constant", RESIDUAL_C)
     if not (isinstance(residual_constant, (int, float)) and residual_constant > 0):
         raise ConfigError("residual_constant", "must be a positive number")
@@ -226,7 +209,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         quad=quad,
         tol=float(tol),
         max_iter=max_iter,
-        outputs=doc.get("outputs", "out"),
+        outputs=outputs,
         checks=list(checks),
         residual_constant=float(residual_constant),
     )
@@ -272,29 +255,28 @@ def _cmd_solve_linear(cfg: ExperimentConfig, args) -> int:
     rep = check_support(fld, cfg.problem.support_radius, tol=1e-8)
     block = (
         f"solve-linear ok\n  grid shape {fld.grid.shape}\n"
-        f"  support max_outside={_fmt(rep.max_outside)}"
+        f"  support max_outside={fmt(rep.max_outside)}"
     )
     _write_summary(out, [block])
     print(block)
     return EXIT_OK
 
 
-def _solve_net_or_fail(cfg: ExperimentConfig, threads: int):
-    net, reports = solve_net(
+def _solve_net(cfg: ExperimentConfig, threads: int):
+    return solve_net(
         cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter, threads=threads
     )
-    return net, reports
 
 
 def _cmd_solve_semilinear(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args)
-    net, reports = _solve_net_or_fail(cfg, args.threads)
+    net, reports = _solve_net(cfg, args.threads)
     reports_to_csv(reports, os.path.join(out, "solve_reports.csv"))
     for j, fld in enumerate(net.fields):
         field_to_binary(fld, os.path.join(out, f"field_{j:03d}.bin"))
     lines = [
-        f"solve-semilinear eps={_fmt(r.eps)} iterations={r.iterations} "
-        f"converged={r.converged} final_increment={_fmt(r.final_increment)}"
+        f"solve-semilinear eps={fmt(r.eps)} iterations={r.iterations} "
+        f"converged={r.converged} final_increment={fmt(r.final_increment)}"
         for r in reports
     ]
     _write_summary(out, lines)
@@ -306,93 +288,13 @@ def _cmd_solve_semilinear(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args)
-    net, reports = _solve_net_or_fail(cfg, args.threads)
+    net, reports = _solve_net(cfg, args.threads)
     rows = valuation_table(net)
-    with open(os.path.join(out, "valuation.csv"), "w") as fh:
-        fh.write("eps,mu,n,slope,stderr\n")
-        for eps, mu, n, slope, stderr in rows:
-            fh.write(f"{_fmt(eps)},{_fmt(mu)},{n},{_fmt(slope)},{_fmt(stderr)}\n")
+    write_csv(os.path.join(out, "valuation.csv"), "eps,mu,n,slope,stderr", rows)
     print(f"valuation table written ({len(rows)} rows)")
     if not all(r.converged for r in reports):
         return EXIT_SOLVER_FAILURE
     return EXIT_OK
-
-
-def _run_check(name: str, cfg: ExperimentConfig, out: str, threads: int):
-    """Run one named check; returns (ok, summary_block)."""
-    prob, ladder, grid, quad = cfg.problem, cfg.ladder, cfg.grid, cfg.quad
-    if name == "support":
-        net, reports = _solve_net_or_fail(cfg, threads)
-        lin = solve_linear(prob.u0, prob.u1, None, grid, quad)
-        rows = [("linear", check_support(lin, prob.support_radius, 1e-8))]
-        rows += [
-            (f"eps={_fmt(r.eps)}", check_support(f, prob.support_radius, 1e-8))
-            for f, r in zip(net.fields, reports)
-        ]
-        with open(os.path.join(out, "support.csv"), "w") as fh:
-            fh.write("case,max_outside,ok\n")
-            for label, rep in rows:
-                fh.write(f"{label},{_fmt(rep.max_outside)},{str(rep.ok).lower()}\n")
-        worst = max(rep.max_outside for _, rep in rows)
-        ok = all(rep.ok for _, rep in rows) and all(r.converged for r in reports)
-        return ok, f"support ok={ok} max_outside={_fmt(worst)} (tol 1e-08)"
-    if name == "residual":
-        net, reports = _solve_net_or_fail(cfg, threads)
-        lines = ["eps,residual_sup,budget,ok"]
-        ok = all(r.converged for r in reports)
-        for f, r in zip(net.fields, reports):
-            sup = residual_sup(f, r.eps, prob)
-            budget = cfg.residual_constant * (grid.dx**2 + grid.dt**2) + cfg.tol / grid.dt**2
-            good = sup <= budget
-            ok = ok and good
-            lines.append(f"{_fmt(r.eps)},{_fmt(sup)},{_fmt(budget)},{str(good).lower()}")
-        with open(os.path.join(out, "residual.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return ok, f"residual ok={ok}"
-    if name == "association":
-        rep = check_association(prob, ladder, grid, quad, cfg.tol, cfg.max_iter, threads=threads)
-        with open(os.path.join(out, "association.csv"), "w") as fh:
-            fh.write("eps,mu0_difference\n")
-            for eps, mu in zip(ladder.values, rep.mu0_history):
-                fh.write(f"{_fmt(eps)},{_fmt(mu)}\n")
-        ok = rep.associated and rep.strong_rate_ok
-        return ok, (
-            f"association ok={ok} rate={_fmt(rep.fitted_rate.slope)} "
-            f"(need >= {_fmt(prob.small_exponent - 0.1)})"
-        )
-    if name == "contraction":
-        rep = check_contraction(prob, ladder, grid, quad, tol=cfg.tol, max_iter=cfg.max_iter,
-                                threads=threads)
-        with open(os.path.join(out, "contraction.csv"), "w") as fh:
-            fh.write("order,slope_gap\n")
-            for n, gap in sorted(rep.slope_gaps.items()):
-                fh.write(f"{n},{_fmt(gap)}\n")
-        return rep.ok, (
-            f"contraction ok={rep.ok} min_gap={_fmt(min(rep.slope_gaps.values()))} "
-            f"metric_ratio={_fmt(rep.metric_ratio)} kappa_bound={_fmt(rep.kappa_bound)}"
-        )
-    if name == "uniqueness":
-        rep = check_uniqueness_surrogate(prob, ladder, grid, quad, cfg.tol, cfg.max_iter,
-                                         threads=threads)
-        with open(os.path.join(out, "uniqueness.csv"), "w") as fh:
-            fh.write("order,mu_max\n")
-            for n, mu in sorted(rep.mu_max.items()):
-                fh.write(f"{n},{_fmt(mu)}\n")
-        cls = rep.classification.value if rep.classification else "n/a"
-        return rep.ok, f"uniqueness ok={rep.ok} class={cls} ({rep.reason})"
-    if name == "oracle":
-        ode = ode_check(0.5, [i * 0.01 for i in range(101)])
-        wave = check_wave_oracle(prob.dim)
-        with open(os.path.join(out, "oracle.csv"), "w") as fh:
-            fh.write("eps,max_error\n")
-            for eps, err in wave.per_eps:
-                fh.write(f"{_fmt(eps)},{_fmt(err)}\n")
-        ok = wave.ok and ode.max_analytic_defect < 1e-12
-        return ok, (
-            f"oracle ok={ok} ode_defect={_fmt(ode.max_analytic_defect)} "
-            f"wave_errs={[f'{e:.2e}' for _, e in wave.per_eps]} (tol {_fmt(wave.tol)})"
-        )
-    raise ConfigError("checks", f"unknown check {name!r}")
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
@@ -400,13 +302,18 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     names = args.check or cfg.checks
     if not names:
         raise ConfigError("checks", "no checks selected (config 'checks' or --check)")
+    solved = None
+    if set(names) != {"oracle"}:  # the oracle solves its own plateau problems
+        linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
+        solved = Solved(*_solve_net(cfg, args.threads), linear)
     blocks = []
     all_ok = True
     for name in names:
-        ok, block = _run_check(name, cfg, out, args.threads)
-        blocks.append(block)
-        print(block)
-        all_ok = all_ok and ok
+        result = CONFIG_CHECKS[name](cfg, solved, args.threads)
+        write_csv(os.path.join(out, f"{name}.csv"), result.header, result.rows)
+        blocks.append(result.details)
+        print(result.details)
+        all_ok = all_ok and result.ok
     _write_summary(out, blocks)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -418,13 +325,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    results = run_suite(threads=max(args.threads, 1))
+    results = run_suite()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "demo_summary.txt"), "w") as fh:
-            for r in results:
-                fh.write(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.details} [{r.seconds:.1f}s]\n")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_CHECK_FAILED
+            for r, seconds in results:
+                fh.write(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.details} [{seconds:.1f}s]\n")
+    return EXIT_OK if all(r.ok for r, _ in results) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

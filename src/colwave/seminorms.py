@@ -149,10 +149,6 @@ class SpaceTimeGrid:
         expand = (slice(None),) + (None,) * self.dim
         return self.node_radius[None] <= bound[expand]
 
-    def outside_mask(self, inflation_cells: int = 2) -> np.ndarray:
-        """Nodes strictly outside the inflated cone."""
-        return ~self.cone_mask(inflation_cells)
-
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Full space-time meshgrid (T, X[, Y[, Z]]) in grid shape."""
         return tuple(np.meshgrid(self.times, *([self.axis] * self.dim), indexing="ij"))
@@ -193,10 +189,6 @@ class Field:
     def _check(self, other: "Field"):
         if not isinstance(other, Field) or other.grid != self.grid:
             raise ValidationError("grid", "fields must share one grid")
-
-    def sup_on_cone(self, inflation_cells: int = CONE_INFLATION_CELLS) -> float:
-        mask = self.grid.cone_mask(inflation_cells)
-        return float(np.max(np.abs(self.samples[mask]))) if mask.any() else 0.0
 
     def copy(self) -> "Field":
         return Field(self.grid, self.samples.copy())

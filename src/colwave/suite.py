@@ -1,15 +1,16 @@
-"""Preset verification suite: one self-contained check per headline claim.
+"""Every check in one place: the preset suite and the config checks.
 
-Each check returns a SuiteResult; ``run_suite`` prints one pass/fail line
-per check.  The presets are sized so the whole suite runs in minutes on a
-laptop while every tolerance stays fixed.
+The eight self-contained preset checks (``CHECKS``, one per headline claim)
+back the acceptance tests and ``colwave demo`` through ``run_check``.  The
+six config checks (``CONFIG_CHECKS``) back ``colwave check``: each measures
+the config's net, solved once by the caller, and returns its CSV rows.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,13 +27,19 @@ from .seminorms import (
     ultra_metric,
     valuation,
 )
-from .semilinear import picard_solve, residual_sup, solve_net
+from .semilinear import SolveReport, picard_solve, residual_sup, solve_net
 from .verify import (
+    RATE_MARGIN,
     check_association,
     check_contraction,
+    check_uniqueness_surrogate,
     check_wave_oracle,
+    ode_check,
     oracle_lifespan,
 )
+
+if TYPE_CHECKING:
+    from .cli import ExperimentConfig
 
 #: Residual bound constant: sup residual <= RESIDUAL_C * (dx^2 + dt^2) + tol/dt^2
 #: for the preset problems below.  The constant tracks the fourth
@@ -44,11 +51,32 @@ _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=
 
 
 @dataclass
-class SuiteResult:
+class CheckResult:
+    """Outcome of one check; config checks also carry their CSV table."""
+
     name: str
     ok: bool
     details: str
-    seconds: float
+    header: str = ""
+    rows: list | tuple = ()
+
+
+def fmt(x: float) -> str:
+    """17 significant digits, the format of every float in CLI outputs."""
+    return f"{x:.17g}"
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """The header line, then one line per row: floats by ``fmt``, bools lower-case."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float = 1.0) -> Problem:
@@ -63,15 +91,19 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
     )
 
 
-def _grid_1d(problem: Problem, dx: float = 0.02) -> SpaceTimeGrid:
-    return SpaceTimeGrid.covering(1, problem.horizon, problem.support_radius, dx=dx, dt=dx / 2)
+def _preset_net(b: float) -> tuple[Problem, Net, list[SolveReport], Field]:
+    """The 1D bump preset for exponent b on the 8-entry ladder, and its linear part."""
+    prob = _bump_problem(1, b=b)
+    grid = SpaceTimeGrid.covering(1, prob.horizon, prob.support_radius, dx=0.02, dt=0.01)
+    net, reports = solve_net(prob, make_ladder(0.5, 0.5, 8), grid, _QUAD_1D)
+    return prob, net, reports, solve_linear(prob.u0, prob.u1, None, grid, _QUAD_1D)
 
 
 # ---------------------------------------------------------------------------
 # 1. linear kernels
 # ---------------------------------------------------------------------------
 
-def check_linear_kernels() -> SuiteResult:
+def check_linear_kernels() -> CheckResult:
     """Translation-average identity in 1D; plateau means u(t,0)=t in 1D/2D/3D."""
     t0 = time.time()
     quad = QuadratureSpec(angular_points=16, polar_points=12)
@@ -90,11 +122,10 @@ def check_linear_kernels() -> SuiteResult:
             err_mean = max(err_mean, abs(v - t))
     elapsed = time.time() - t0
     ok = err_translate <= 1e-8 and err_mean <= 1e-6 and elapsed < 30.0
-    return SuiteResult(
+    return CheckResult(
         "linear_kernels",
         ok,
         f"translate_err={err_translate:.2e} (tol 1e-08), mean_err={err_mean:.2e} (tol 1e-06)",
-        elapsed,
     )
 
 
@@ -102,23 +133,13 @@ def check_linear_kernels() -> SuiteResult:
 # 2. cone support
 # ---------------------------------------------------------------------------
 
-def check_cone_support(threads: int = 1) -> SuiteResult:
+def check_cone_support() -> CheckResult:
     """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
-    t0 = time.time()
     tol = 1e-8
-    worst = 0.0
-    labels = []
-
-    prob1 = _bump_problem(1)
-    grid1 = _grid_1d(prob1)
-    lin1 = solve_linear(prob1.u0, prob1.u1, None, grid1, _QUAD_1D)
-    worst = max(worst, check_support(lin1, prob1.support_radius, tol).max_outside)
-    labels.append("1d-linear")
-    net1, reports1 = solve_net(prob1, make_ladder(0.5, 0.5, 8), grid1, _QUAD_1D, threads=threads)
+    prob1, net1, reports1, lin1 = _preset_net(1.0)
+    worst = max(check_support(f, prob1.support_radius, tol).max_outside
+                for f in (lin1, *net1.fields))
     conv = all(r.converged for r in reports1)
-    for f in net1.fields:
-        worst = max(worst, check_support(f, prob1.support_radius, tol).max_outside)
-    labels.append("1d-semilinear-net")
 
     quad23 = QuadratureSpec(angular_points=12, polar_points=8)
     for dim, dx in ((2, 0.08), (3, 0.12)):
@@ -127,15 +148,13 @@ def check_cone_support(threads: int = 1) -> SuiteResult:
         field, rep = picard_solve(prob, 0.25, grid, quad23)
         conv = conv and rep.converged
         worst = max(worst, check_support(field, prob.support_radius, tol).max_outside)
-        labels.append(f"{dim}d-semilinear")
 
-    elapsed = time.time() - t0
     ok = conv and worst <= tol
-    return SuiteResult(
+    return CheckResult(
         "cone_support",
         ok,
-        f"max_outside={worst:.2e} (tol 1e-08) over {', '.join(labels)}",
-        elapsed,
+        f"max_outside={worst:.2e} (tol 1e-08) over "
+        "1d-linear, 1d-semilinear-net, 2d-semilinear, 3d-semilinear",
     )
 
 
@@ -165,7 +184,7 @@ def _residual_problem(dim: int) -> Problem:
     )
 
 
-def check_residual_convergence(threads: int = 1) -> SuiteResult:
+def check_residual_convergence() -> CheckResult:
     """Wave-operator defect within budget; second-order under 1D refinement."""
     t0 = time.time()
     tol = 1e-12
@@ -178,7 +197,7 @@ def check_residual_convergence(threads: int = 1) -> SuiteResult:
         grid = SpaceTimeGrid.covering(1, prob.horizon, prob.support_radius, dx=dx, dt=dx / 2)
         field, rep = picard_solve(prob, eps, grid, _QUAD_1D, tol=tol)
         if not rep.converged:
-            return SuiteResult("residual_convergence", False, f"1D solve at dx={dx} failed", 0.0)
+            return CheckResult("residual_convergence", False, f"1D solve at dx={dx} failed")
         sup = residual_sup(field, eps, prob)
         budget = RESIDUAL_C * (grid.dx**2 + grid.dt**2) + tol / grid.dt**2
         bound_ok = bound_ok and sup <= budget
@@ -196,12 +215,11 @@ def check_residual_convergence(threads: int = 1) -> SuiteResult:
 
     elapsed = time.time() - t0
     ok = bound_ok and order >= 1.8 and elapsed < 300.0
-    return SuiteResult(
+    return CheckResult(
         "residual_convergence",
         ok,
         f"order={order:.2f} (need >=1.8), 1d_sups={[f'{s:.2e}' for s in sups]}, "
         f"3d_sup={sup3:.2e} (budget {budget3:.2e})",
-        elapsed,
     )
 
 
@@ -209,20 +227,18 @@ def check_residual_convergence(threads: int = 1) -> SuiteResult:
 # 4. blow-up oracle
 # ---------------------------------------------------------------------------
 
-def check_lifespan_oracle() -> SuiteResult:
+def check_lifespan_oracle() -> CheckResult:
     """ODE oracle value and the 1/(1 - eps t) wave solution in 1D and 3D."""
-    t0 = time.time()
     ode_exact = oracle_lifespan(0.5, 1.0) == 2.0
     rep1 = check_wave_oracle(1)
     rep3 = check_wave_oracle(3)
-    elapsed = time.time() - t0
     ok = ode_exact and rep1.ok and rep3.ok
-    fmt = lambda r: ", ".join(f"{e:g}:{v:.1e}" for e, v in r.per_eps)
-    return SuiteResult(
+    errs = lambda r: ", ".join(f"{e:g}:{v:.1e}" for e, v in r.per_eps)
+    return CheckResult(
         "lifespan_oracle",
         ok,
-        f"ode(0.5,1)=2.0 exact: {ode_exact}; 1d errs {fmt(rep1)}; 3d errs {fmt(rep3)} (tol 1e-04)",
-        elapsed,
+        f"ode(0.5,1)=2.0 exact: {ode_exact}; "
+        f"1d errs {errs(rep1)}; 3d errs {errs(rep3)} (tol 1e-04)",
     )
 
 
@@ -230,39 +246,33 @@ def check_lifespan_oracle() -> SuiteResult:
 # 5. contraction factor
 # ---------------------------------------------------------------------------
 
-def check_contraction_factor(threads: int = 1) -> SuiteResult:
+def check_contraction_factor() -> CheckResult:
     """Valuation gap >= b - 0.1 and metric ratio <= exp(-(b - 0.1)) for b in {0.5, 1}."""
-    t0 = time.time()
-    ladder = make_ladder(0.5, 0.5, 8)
     details = []
     ok = True
     for b in (0.5, 1.0):
-        prob = _bump_problem(1, b=b)
-        rep = check_contraction(prob, ladder, _grid_1d(prob), _QUAD_1D, threads=threads)
+        prob, net, _, lin = _preset_net(b)
+        rep = check_contraction(prob, net, lin, _QUAD_1D)
         gap = min(rep.slope_gaps.values())
         details.append(f"b={b}: gap={gap:.2f}, ratio={rep.metric_ratio:.3f}")
         ok = ok and rep.ok
-    elapsed = time.time() - t0
-    return SuiteResult("contraction_factor", ok, "; ".join(details), elapsed)
+    return CheckResult("contraction_factor", ok, "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
 # 6. association with the linear solution
 # ---------------------------------------------------------------------------
 
-def check_linear_association(threads: int = 1) -> SuiteResult:
+def check_linear_association() -> CheckResult:
     """mu_0 difference decay rate >= b - 0.1 for b in {0.5, 1, 2}."""
-    t0 = time.time()
-    ladder = make_ladder(0.5, 0.5, 8)
     details = []
     ok = True
     for b in (0.5, 1.0, 2.0):
-        prob = _bump_problem(1, b=b)
-        rep = check_association(prob, ladder, _grid_1d(prob), _QUAD_1D, threads=threads)
+        prob, net, _, lin = _preset_net(b)
+        rep = check_association(prob, net, lin)
         details.append(f"b={b}: rate={rep.fitted_rate.slope:.3f}")
-        ok = ok and rep.associated and rep.strong_rate_ok
-    elapsed = time.time() - t0
-    return SuiteResult("linear_association", ok, "; ".join(details), elapsed)
+        ok = ok and rep.ok
+    return CheckResult("linear_association", ok, "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +285,8 @@ def _tiny_grid() -> SpaceTimeGrid:
     )
 
 
-def check_ultrametric_calculus() -> SuiteResult:
+def check_ultrametric_calculus() -> CheckResult:
     """Metric axioms on random triples; exact fits; planted classifications."""
-    t0 = time.time()
     grid = _tiny_grid()
     ladder = make_ladder(0.5, 0.5, 8)
     rng = np.random.default_rng(20240811)
@@ -333,14 +342,12 @@ def check_ultrametric_calculus() -> SuiteResult:
             axiom_violation = max(axiom_violation, dxy - max(dxz, dzy))
         axiom_violation = max(axiom_violation, ultra_metric(u_net, u_net, 3))
 
-    elapsed = time.time() - t0
     ok = fit_err <= 1e-10 and cls_ok and axiom_violation <= 1e-9
-    return SuiteResult(
+    return CheckResult(
         "ultrametric_calculus",
         ok,
         f"fit_err={fit_err:.1e} (tol 1e-10), classifications={'ok' if cls_ok else 'BAD'}, "
         f"axiom_violation={axiom_violation:.1e}",
-        elapsed,
     )
 
 
@@ -348,12 +355,9 @@ def check_ultrametric_calculus() -> SuiteResult:
 # 8. Picard increment scaling
 # ---------------------------------------------------------------------------
 
-def check_picard_scaling(threads: int = 1) -> SuiteResult:
+def check_picard_scaling() -> CheckResult:
     """Successive-increment ratios scale like eps (log-log slope 1 +/- 0.15)."""
-    t0 = time.time()
-    prob = _bump_problem(1, b=1.0)
-    ladder = make_ladder(0.5, 0.5, 8)
-    _, reports = solve_net(prob, ladder, _grid_1d(prob), _QUAD_1D, threads=threads)
+    _, _, reports, _ = _preset_net(1.0)
     eps_used = []
     ratios = []
     for rep in reports:
@@ -361,17 +365,14 @@ def check_picard_scaling(threads: int = 1) -> SuiteResult:
             eps_used.append(rep.eps)
             ratios.append(rep.increment_history[1] / rep.increment_history[0])
     if len(ratios) < 3:
-        return SuiteResult("picard_scaling", False, "too few usable increment ratios", 0.0)
+        return CheckResult("picard_scaling", False, "too few usable increment ratios")
     slope = fit_decay_exponent(np.array(eps_used), ratios).slope
-    elapsed = time.time() - t0
     ok = abs(slope - 1.0) <= 0.15
-    return SuiteResult(
-        "picard_scaling", ok, f"ratio slope={slope:.3f} (need 1 +/- 0.15)", elapsed
-    )
+    return CheckResult("picard_scaling", ok, f"ratio slope={slope:.3f} (need 1 +/- 0.15)")
 
 
 # ---------------------------------------------------------------------------
-# runner
+# preset runner
 # ---------------------------------------------------------------------------
 
 CHECKS = {
@@ -386,18 +387,112 @@ CHECKS = {
 }
 
 
-def run_suite(names=None, threads: int = 1, quiet: bool = False) -> list[SuiteResult]:
-    """Run the preset checks (all by default), printing one line each."""
-    selected = list(CHECKS) if names is None else list(names)
-    results = []
-    for name in selected:
-        fn = CHECKS[name]
-        try:
-            result = fn(threads=threads) if "threads" in fn.__code__.co_varnames else fn()
-        except Exception as exc:  # a crashed check is a failed check
-            result = SuiteResult(name, False, f"error: {exc}", 0.0)
-        results.append(result)
-        if not quiet:
-            state = "PASS" if result.ok else "FAIL"
-            print(f"{state}  {result.name:<24} {result.details}  [{result.seconds:.1f}s]")
-    return results
+def run_check(name: str) -> tuple[CheckResult, float]:
+    """Run one preset check, print its pass/fail line; returns it and its seconds."""
+    t0 = time.time()
+    try:
+        result = CHECKS[name]()
+    except Exception as exc:  # a crashed check is a failed check
+        result = CheckResult(name, False, f"error: {exc}")
+    seconds = time.time() - t0
+    print(f"{'PASS' if result.ok else 'FAIL'}  {name:<24} {result.details}  [{seconds:.1f}s]")
+    return result, seconds
+
+
+def run_suite() -> list[tuple[CheckResult, float]]:
+    """Run every preset check, printing one line each."""
+    return [run_check(name) for name in CHECKS]
+
+
+# ---------------------------------------------------------------------------
+# config checks
+# ---------------------------------------------------------------------------
+
+class Solved(NamedTuple):
+    """A config's net, its per-entry solve reports and its linear part."""
+
+    net: Net
+    reports: list[SolveReport]
+    linear: Field
+
+
+def _support(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    radius = cfg.problem.support_radius
+    cases = [("linear", check_support(solved.linear, radius, 1e-8))]
+    cases += [
+        (f"eps={fmt(r.eps)}", check_support(f, radius, 1e-8))
+        for f, r in zip(solved.net.fields, solved.reports)
+    ]
+    worst = max(rep.max_outside for _, rep in cases)
+    ok = all(rep.ok for _, rep in cases) and all(r.converged for r in solved.reports)
+    return CheckResult(
+        "support", ok, f"support ok={ok} max_outside={fmt(worst)} (tol 1e-08)",
+        "case,max_outside,ok", [(label, rep.max_outside, rep.ok) for label, rep in cases],
+    )
+
+
+def _contraction(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    rep = check_contraction(cfg.problem, solved.net, solved.linear, cfg.quad)
+    return CheckResult(
+        "contraction", rep.ok,
+        f"contraction ok={rep.ok} min_gap={fmt(min(rep.slope_gaps.values()))} "
+        f"metric_ratio={fmt(rep.metric_ratio)} kappa_bound={fmt(rep.kappa_bound)}",
+        "order,slope_gap", sorted(rep.slope_gaps.items()),
+    )
+
+
+def _association(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    rep = check_association(cfg.problem, solved.net, solved.linear, cfg.tol)
+    return CheckResult(
+        "association", rep.ok,
+        f"association ok={rep.ok} rate={fmt(rep.fitted_rate.slope)} "
+        f"(need >= {fmt(cfg.problem.small_exponent - RATE_MARGIN)})",
+        "eps,mu0_difference", list(zip(cfg.ladder, rep.mu0_history)),
+    )
+
+
+def _uniqueness(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    rep = check_uniqueness_surrogate(
+        cfg.problem, solved.net, cfg.quad, cfg.tol, cfg.max_iter, threads=threads
+    )
+    cls = rep.classification.value if rep.classification else "n/a"
+    return CheckResult(
+        "uniqueness", rep.ok, f"uniqueness ok={rep.ok} class={cls} ({rep.reason})",
+        "order,mu_max", sorted(rep.mu_max.items()),
+    )
+
+
+def _oracle(cfg: ExperimentConfig, solved: Solved | None, threads: int) -> CheckResult:
+    ode = ode_check(0.5, [i * 0.01 for i in range(101)])
+    wave = check_wave_oracle(cfg.problem.dim)
+    ok = wave.ok and ode.max_analytic_defect < 1e-12
+    return CheckResult(
+        "oracle", ok,
+        f"oracle ok={ok} ode_defect={fmt(ode.max_analytic_defect)} "
+        f"wave_errs={[f'{e:.2e}' for _, e in wave.per_eps]} (tol {fmt(wave.tol)})",
+        "eps,max_error", wave.per_eps,
+    )
+
+
+def _residual(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    grid = cfg.grid
+    budget = cfg.residual_constant * (grid.dx**2 + grid.dt**2) + cfg.tol / grid.dt**2
+    sups = [residual_sup(f, r.eps, cfg.problem) for f, r in zip(solved.net.fields, solved.reports)]
+    rows = [(r.eps, sup, budget, sup <= budget) for r, sup in zip(solved.reports, sups)]
+    ok = all(r.converged for r in solved.reports) and all(row[-1] for row in rows)
+    return CheckResult("residual", ok, f"residual ok={ok}", "eps,residual_sup,budget,ok", rows)
+
+
+#: Config checks by name, in the order ``colwave check --help`` lists them.
+#: Each takes the config, its ``Solved`` net (``None`` when only the
+#: oracle runs: it solves its own plateau problems) and the thread count.
+CONFIG_CHECKS = {
+    "support": _support,
+    "contraction": _contraction,
+    "association": _association,
+    "uniqueness": _uniqueness,
+    "oracle": _oracle,
+    "residual": _residual,
+}
+
+CHECK_NAMES = tuple(CONFIG_CHECKS)

@@ -23,6 +23,7 @@ from .seminorms import (
     NetClass,
     SpaceTimeGrid,
     ValuationEstimate,
+    _seminorm_table,
     classify,
     fit_decay_exponent,
     seminorm,
@@ -32,7 +33,6 @@ from .seminorms import (
 from .semilinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    SolveReport,
     apply_fixed_point_map,
     picard_solve,
     solve_net,
@@ -55,41 +55,46 @@ class AssociationReport:
     fitted_rate: ValuationEstimate
     associated: bool
     strong_rate_ok: bool
+    ok: bool
 
 
 def check_association(
     problem: Problem,
-    ladder,
-    grid: SpaceTimeGrid,
-    quad: QuadratureSpec,
+    net: Net,
+    linear: Field,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     threshold: float = ASSOCIATION_THRESHOLD,
     rate_margin: float = RATE_MARGIN,
-    threads: int = 1,
 ) -> AssociationReport:
-    """Decay of mu_0(u_eps - v) against the linear solution v.
+    """Decay of mu_0(u_eps - v) of a solved net against its linear part v.
 
     ``associated`` is the finite-ladder surrogate: the history decreases
-    (5% slack) down to below ``threshold``; ``strong_rate_ok`` asks the
-    fitted rate to reach the nominal exponent within ``rate_margin``.
+    (5% slack, plus ``10 * tol`` for the solve tolerance of ``net``) down
+    to below ``threshold``; ``strong_rate_ok`` asks the fitted rate to
+    reach the nominal exponent within ``rate_margin``; ``ok`` is both.
     """
-    net, _ = solve_net(problem, ladder, grid, quad, tol, max_iter, threads=threads)
-    v = solve_linear(problem.u0, problem.u1, None, grid, quad)
-    mu0 = [seminorm(f - v, 0) for f in net.fields]
-    fitted = fit_decay_exponent(ladder.values, mu0)
+    mu0 = [seminorm(f - linear, 0) for f in net.fields]
+    fitted = fit_decay_exponent(net.ladder.values, mu0)
     non_increasing = all(
         mu0[j + 1] <= mu0[j] * 1.05 + 10.0 * tol for j in range(len(mu0) - 1)
     )
     associated = non_increasing and mu0[-1] <= threshold
     strong = fitted.slope >= problem.small_exponent - rate_margin
     return AssociationReport(mu0_history=mu0, fitted_rate=fitted, associated=associated,
-                             strong_rate_ok=strong)
+                             strong_rate_ok=strong, ok=associated and strong)
 
 
 # ---------------------------------------------------------------------------
 # contraction of the fixed-point map
 # ---------------------------------------------------------------------------
+
+def _bump_pattern(problem: Problem, grid: SpaceTimeGrid) -> np.ndarray:
+    """Unit Gaussian bump over the data's support, at the spatial nodes."""
+    bump = InitialDatum(
+        "gaussian_bump", outer_radius=max(problem.support_radius, grid.dx * 4), amplitude=1.0
+    )
+    return bump.value(grid.spatial_points).reshape(grid.spatial_shape)
+
 
 @dataclass
 class ContractionReport:
@@ -101,42 +106,31 @@ class ContractionReport:
 
 def check_contraction(
     problem: Problem,
-    ladder,
-    grid: SpaceTimeGrid,
+    net_u: Net,
+    u_lin: Field,
     quad: QuadratureSpec,
     perturbation_scale: float = 0.1,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     rate_margin: float = RATE_MARGIN,
-    threads: int = 1,
 ) -> ContractionReport:
     """Fitted valuation gain of one map application on a perturbed net.
 
-    V = U + (smooth bump x scale); the gap nu_n(F(U)-F(V)) - nu_n(U-V)
-    should reach the small-factor exponent b, and the truncated-metric
-    ratio should not exceed exp(-(b - margin)).
+    U is the solved net and ``u_lin`` its linear part; V = U + (smooth
+    bump x scale); the gap nu_n(F(U)-F(V)) - nu_n(U-V) should reach the
+    small-factor exponent b, and the truncated-metric ratio should not
+    exceed exp(-(b - margin)).
     """
     b = problem.small_exponent
-    net_u, _ = solve_net(problem, ladder, grid, quad, tol, max_iter, threads=threads)
-    bump = InitialDatum(
-        "gaussian_bump", outer_radius=max(problem.support_radius, grid.dx * 4), amplitude=1.0
-    )
-    pattern = bump.value(grid.spatial_points).reshape(grid.spatial_shape)
-    pert = perturbation_scale * np.broadcast_to(pattern, grid.shape)
+    ladder, grid = net_u.ladder, u_lin.grid
+    pert = perturbation_scale * np.broadcast_to(_bump_pattern(problem, grid), grid.shape)
     net_v = Net(ladder, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
 
-    u_lin = solve_linear(problem.u0, problem.u1, None, grid, quad)
-    fu_fields = []
-    fv_fields = []
-    for j, eps in enumerate(ladder.values):
-        fu_fields.append(
-            apply_fixed_point_map(problem, float(eps), net_u.fields[j], grid, quad, u_lin)
-        )
-        fv_fields.append(
-            apply_fixed_point_map(problem, float(eps), net_v.fields[j], grid, quad, u_lin)
-        )
-    net_fu = Net(ladder, tuple(fu_fields))
-    net_fv = Net(ladder, tuple(fv_fields))
+    def mapped(net: Net) -> Net:
+        return Net(ladder, tuple(
+            apply_fixed_point_map(problem, float(eps), f, grid, quad, u_lin)
+            for eps, f in zip(ladder.values, net.fields)
+        ))
+
+    net_fu, net_fv = mapped(net_u), mapped(net_v)
 
     gaps: dict[int, float] = {}
     for n in range(MAX_SEMINORM_ORDER + 1):
@@ -168,8 +162,7 @@ class UniquenessReport:
 
 def check_uniqueness_surrogate(
     problem: Problem,
-    ladder,
-    grid: SpaceTimeGrid,
+    net_a: Net,
     quad: QuadratureSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -179,15 +172,15 @@ def check_uniqueness_surrogate(
 ) -> UniquenessReport:
     """Two solves from different seeds must land on the same fixed point.
 
-    The second solve starts from u_lin + eps**seed_exponent * bump; the
-    iteration damps such a perturbation below measurement, so the check
-    passes when the difference net classifies as negligible or all its
-    seminorms stay below 10 * tol.  A nonzero ``data_perturbation``
+    ``net_a`` is the first solve, from the default seed; the second solve
+    (``tol``, ``max_iter``) starts from u_lin + eps**seed_exponent * bump.
+    The iteration damps such a perturbation below measurement, so the
+    check passes when the difference net classifies as negligible or all
+    its seminorms stay below 10 * tol.  A nonzero ``data_perturbation``
     instead changes the u0 amplitude of the second problem, which is a
     genuinely different problem and must fail the check.
     """
-    net_a, _ = solve_net(problem, ladder, grid, quad, tol, max_iter, threads=threads)
-
+    ladder, grid = net_a.ladder, net_a.fields[0].grid
     problem_b = problem
     if data_perturbation != 0.0:
         u0 = problem.u0
@@ -196,10 +189,7 @@ def check_uniqueness_surrogate(
         problem_b = replace(problem, u0=replace(u0, amplitude=u0.amplitude + data_perturbation))
 
     u_lin_b = solve_linear(problem_b.u0, problem_b.u1, None, grid, quad)
-    bump = InitialDatum(
-        "gaussian_bump", outer_radius=max(problem.support_radius, grid.dx * 4), amplitude=1.0
-    )
-    pattern = bump.value(grid.spatial_points).reshape(grid.spatial_shape)
+    pattern = _bump_pattern(problem, grid)
     seeds = [
         Field(grid, u_lin_b.samples + float(eps) ** seed_exponent * pattern)
         for eps in ladder.values
@@ -209,9 +199,7 @@ def check_uniqueness_surrogate(
     )
 
     diff = net_a - net_b
-    mu_max = {
-        n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)
-    }
+    mu_max = dict(enumerate(_seminorm_table(diff, MAX_SEMINORM_ORDER).max(axis=0).tolist()))
     try:
         cls = classify(diff)
     except InsufficientDataError:
@@ -362,16 +350,12 @@ def m1_membership(net: Net, linear_field: Field, orders=(0, 1, 2)) -> M1Report:
     Reports (eps, n, mu) rows and the first ladder index from which
     mu_n <= 1 holds for all tested orders onwards (None if never).
     """
-    rows = []
-    table = np.zeros((len(net.ladder), len(orders)))
-    for j, f in enumerate(net.fields):
-        for c, n in enumerate(orders):
-            mu = seminorm(f - linear_field, n)
-            table[j, c] = mu
-            rows.append((float(net.ladder.values[j]), int(n), mu))
-    first = None
-    for j in range(len(net.ladder)):
-        if np.all(table[j:] <= 1.0):
-            first = j
-            break
+    diff = Net(net.ladder, tuple(f - linear_field for f in net.fields))
+    table = _seminorm_table(diff, max(orders))[:, list(orders)]
+    rows = [
+        (float(eps), int(n), float(mu))
+        for eps, mus in zip(net.ladder.values, table)
+        for n, mu in zip(orders, mus)
+    ]
+    first = next((j for j in range(len(table)) if np.all(table[j:] <= 1.0)), None)
     return M1Report(rows=rows, first_index=first)

@@ -1,17 +1,15 @@
 """Preset acceptance suite: every headline claim at its stated tolerance.
 
-Each test runs one suite check and prints its pass/fail line; the same
-checks back the ``colwave demo`` subcommand.
+Each test runs one suite check through the suite's runner, which prints
+its pass/fail line; the same runner backs the ``colwave demo`` subcommand.
 """
 
 import pytest
 
-from colwave.suite import CHECKS
+from colwave.suite import CHECKS, run_check
 
 
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_acceptance(name):
-    result = CHECKS[name]()
-    state = "PASS" if result.ok else "FAIL"
-    print(f"{state}  {result.name:<24} {result.details}  [{result.seconds:.1f}s]")
+    result, _ = run_check(name)
     assert result.ok, f"{result.name}: {result.details}"

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import colwave.cli
+import colwave.semilinear
+import colwave.suite
+import colwave.verify
 from colwave.cli import (
+    CHECK_NAMES,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -160,6 +165,69 @@ def test_check_residual_and_association(tmp_path, capsys):
     assert "association ok=True" in out
 
 
+def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, capsys):
+    path, doc = base_config(tmp_path, checks=list(CHECK_NAMES))
+    # wide plateau data keep the truncation constant inside the default budget
+    doc["problem"]["support_radius"] = 1.2
+    doc["problem"]["u0"] = {
+        "kind": "plateau_bump", "outer_radius": 1.2, "inner_radius": 0.2, "amplitude": 1.0,
+    }
+    doc["problem"]["f"] = {"kind": "sine"}
+    doc["ladder"]["count"] = 4
+    doc["grid"] = {"dx": 0.04, "dt": 0.02}
+    path.write_text(json.dumps(doc))
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0])
+        return colwave.semilinear.solve_net(*args, **kwargs)
+
+    for module in (colwave.cli, colwave.suite, colwave.verify):
+        monkeypatch.setattr(module, "solve_net", counted)
+
+    def run(out, *flags):
+        solves.clear()
+        code = main(["check", "--config", str(path), "--out", str(out), *flags])
+        return code, (out / "summary.txt").read_text().splitlines()
+
+    together = tmp_path / "all"
+    code, blocks = run(together)
+    assert code == EXIT_OK
+    assert len(solves) == 2  # the config net, then the seeded uniqueness solve
+    assert [b.split()[0] for b in blocks] == list(CHECK_NAMES)
+    assert all(" ok=True" in b for b in blocks)
+    headers = {
+        "support": "case,max_outside,ok",
+        "contraction": "order,slope_gap",
+        "association": "eps,mu0_difference",
+        "uniqueness": "order,mu_max",
+        "oracle": "eps,max_error",
+        "residual": "eps,residual_sup,budget,ok",
+    }
+    for name, header in headers.items():
+        lines = (together / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert all(line.count(",") == header.count(",") for line in lines[1:])
+    support_rows = (together / "support.csv").read_text().splitlines()[1:]
+    assert support_rows[0].startswith("linear,") and support_rows[0].endswith(",true")
+    for name, block in zip(CHECK_NAMES, blocks):
+        single = tmp_path / name
+        code, single_blocks = run(single, "--check", name)
+        assert code == EXIT_OK
+        assert single_blocks == [block]
+        assert (single / f"{name}.csv").read_bytes() == (together / f"{name}.csv").read_bytes()
+        assert sorted(p.name for p in single.iterdir()) == sorted([f"{name}.csv", "summary.txt"])
+        # the oracle solves only its own plateau problems
+        assert len(solves) == {"uniqueness": 2, "oracle": 0}.get(name, 1)
+
+    doc["residual_constant"] = 1e-6
+    path.write_text(json.dumps(doc))
+    code, failed = run(tmp_path / "failed")
+    assert code == EXIT_CHECK_FAILED
+    assert failed == blocks[:-1] + ["residual ok=False"]
+    assert len(solves) == 2
+
+
 def test_check_flag_overrides_config(tmp_path, capsys):
     path, doc = base_config(tmp_path, checks=[])
     path.write_text(json.dumps(doc))
@@ -202,3 +270,34 @@ def test_boolean_number_rejected(tmp_path, capsys, name):
         load_config(path)
     assert main(["solve-linear", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("problem", 5),
+        ("grid", [0.05]),
+        ("ladder", "eps"),
+        ("quad", None),
+        ("checks", 5),
+        ("outputs", 7),
+    ],
+)
+def test_config_shape_rejected(tmp_path, capsys, name, value):
+    # a section of the wrong JSON type is a config error naming it, not a crash
+    path, doc = base_config(tmp_path)
+    doc[name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=name):
+        load_config(path)
+    assert main(["solve-linear", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficients", [5, ["x"]])
+def test_bad_coefficients_rejected(tmp_path, capsys, coefficients):
+    path, doc = base_config(tmp_path)
+    doc["problem"]["f"] = {"kind": "polynomial", "coefficients": coefficients}
+    path.write_text(json.dumps(doc))
+    assert main(["solve-linear", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "problem.f" in capsys.readouterr().err

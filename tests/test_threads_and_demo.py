@@ -10,7 +10,7 @@ from colwave.linwave import QuadratureSpec
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import SpaceTimeGrid
 from colwave.semilinear import solve_net
-from colwave.suite import SuiteResult
+from colwave.suite import CheckResult
 
 
 def test_solve_net_threads_match_serial():
@@ -46,18 +46,18 @@ def test_resolve_threads(monkeypatch):
 
 def test_bad_threads_env_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("COLWAVE_THREADS", "abc")
-    monkeypatch.setattr(cli, "run_suite", lambda threads=1: [SuiteResult("a", True, "fine", 0.1)])
+    monkeypatch.setattr(cli, "run_suite", lambda: [(CheckResult("a", True, "fine"), 0.1)])
     assert main(["demo", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
     assert "threads" in capsys.readouterr().err
 
 
 def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
-    fake_pass = [SuiteResult("a", True, "fine", 0.1)]
-    monkeypatch.setattr(cli, "run_suite", lambda threads=1: fake_pass)
+    fake_pass = [(CheckResult("a", True, "fine"), 0.1)]
+    monkeypatch.setattr(cli, "run_suite", lambda: fake_pass)
     assert main(["demo", "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / "demo_summary.txt").read_text().startswith("PASS a")
-    fake_fail = [SuiteResult("a", True, "fine", 0.1), SuiteResult("b", False, "bad", 0.1)]
-    monkeypatch.setattr(cli, "run_suite", lambda threads=1: fake_fail)
+    assert (tmp_path / "demo_summary.txt").read_text() == "PASS a fine [0.1s]\n"
+    fake_fail = [(CheckResult("a", True, "fine"), 0.1), (CheckResult("b", False, "bad"), 0.1)]
+    monkeypatch.setattr(cli, "run_suite", lambda: fake_fail)
     assert main(["demo"]) == EXIT_CHECK_FAILED
 
 

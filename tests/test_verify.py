@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import colwave.verify as verify
 from colwave.errors import LifespanExceededError, ValidationError
-from colwave.linwave import QuadratureSpec
+from colwave.linwave import QuadratureSpec, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
-from colwave.seminorms import SpaceTimeGrid
+from colwave.seminorms import MAX_SEMINORM_ORDER, Net, SpaceTimeGrid, seminorm
+from colwave.semilinear import solve_net
 from colwave.verify import (
     check_association,
     check_contraction,
     check_uniqueness_surrogate,
     check_wave_oracle,
     cubic_oracle_problem,
+    m1_membership,
     ode_check,
     oracle_lifespan,
 )
@@ -35,6 +38,13 @@ def bump_problem(b=1.0, f=NonlinearitySpec("sine")):
 
 def grid_1d(dx=0.04):
     return SpaceTimeGrid.covering(1, 1.0, 0.5, dx=dx, dt=dx / 2)
+
+
+def solved(prob):
+    """The problem's net on LADDER and its linear part, on the default grid."""
+    grid = grid_1d()
+    net, _ = solve_net(prob, LADDER, grid, QUAD)
+    return net, solve_linear(prob.u0, prob.u1, None, grid, QUAD)
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +96,23 @@ def test_wave_oracle_1d():
 
 def test_association_trivial_for_zero_nonlinearity():
     prob = bump_problem(f=NonlinearitySpec("zero"))
-    rep = check_association(prob, LADDER, grid_1d(), QUAD)
+    rep = check_association(prob, *solved(prob))
     assert rep.associated
     assert rep.strong_rate_ok
+    assert rep.ok
     assert max(rep.mu0_history) <= 1e-12
 
 
 def test_association_rate_cubic_b1():
     prob = bump_problem(f=NonlinearitySpec("polynomial", (0.0, 0.0, 2.0)))
-    rep = check_association(prob, LADDER, grid_1d(), QUAD)
+    rep = check_association(prob, *solved(prob))
     assert rep.associated
     assert 0.9 <= rep.fitted_rate.slope <= 1.3
 
 
 def test_association_rate_b2():
     prob = bump_problem(b=2.0)
-    rep = check_association(prob, LADDER, grid_1d(), QUAD)
+    rep = check_association(prob, *solved(prob))
     assert rep.fitted_rate.slope >= 1.9
     assert rep.strong_rate_ok
 
@@ -112,7 +123,7 @@ def test_association_rate_b2():
 
 def test_contraction_zero_nonlinearity_sentinel():
     prob = bump_problem(f=NonlinearitySpec("zero"))
-    rep = check_contraction(prob, LADDER, grid_1d(), QUAD)
+    rep = check_contraction(prob, *solved(prob), QUAD)
     assert rep.ok
     assert all(math.isinf(g) for g in rep.slope_gaps.values())
     assert rep.metric_ratio == 0.0
@@ -120,7 +131,7 @@ def test_contraction_zero_nonlinearity_sentinel():
 
 def test_contraction_gap_b1():
     prob = bump_problem()
-    rep = check_contraction(prob, LADDER, grid_1d(), QUAD)
+    rep = check_contraction(prob, *solved(prob), QUAD)
     assert rep.ok
     assert min(rep.slope_gaps.values()) >= 0.9
     assert rep.metric_ratio <= math.exp(-0.9) + 1e-12
@@ -129,7 +140,7 @@ def test_contraction_gap_b1():
 
 def test_contraction_gap_b_half():
     prob = bump_problem(b=0.5)
-    rep = check_contraction(prob, LADDER, grid_1d(), QUAD)
+    rep = check_contraction(prob, *solved(prob), QUAD)
     assert rep.ok
     assert rep.metric_ratio <= math.exp(-0.4) + 1e-12
 
@@ -140,15 +151,60 @@ def test_contraction_gap_b_half():
 
 def test_uniqueness_seed_perturbation_damped():
     prob = bump_problem()
-    rep = check_uniqueness_surrogate(prob, LADDER, grid_1d(), QUAD)
+    net, _ = solved(prob)
+    rep = check_uniqueness_surrogate(prob, net, QUAD)
     assert rep.ok
     assert all(v <= 1e-9 for v in rep.mu_max.values())
 
 
 def test_uniqueness_data_perturbation_detected():
     prob = bump_problem()
-    rep = check_uniqueness_surrogate(
-        prob, LADDER, grid_1d(), QUAD, data_perturbation=0.5
-    )
+    net, _ = solved(prob)
+    rep = check_uniqueness_surrogate(prob, net, QUAD, data_perturbation=0.5)
     assert not rep.ok
     assert rep.mu_max[0] > 0.1
+
+
+@pytest.mark.parametrize("data_perturbation", [0.0, 0.5])
+def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturbation):
+    # mu_max comes from one derivative-stack pass per field; it must equal
+    # the per-order seminorms of the difference net bit for bit
+    seeded = []
+
+    def recording_solve_net(*args, **kwargs):
+        result = solve_net(*args, **kwargs)
+        seeded.append(result[0])
+        return result
+
+    monkeypatch.setattr(verify, "solve_net", recording_solve_net)
+    prob = bump_problem()
+    net, _ = solved(prob)
+    rep = check_uniqueness_surrogate(prob, net, QUAD, data_perturbation=data_perturbation)
+    (net_b,) = seeded
+    diff = net - net_b
+    expected = {
+        n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)
+    }
+    assert rep.mu_max == expected
+    assert all(type(v) is float for v in rep.mu_max.values())
+
+
+@pytest.mark.parametrize("orders", [(0, 1, 2), (2, 0), (1,)])
+def test_m1_membership_matches_per_order_seminorms(orders):
+    # the rows come from one derivative-stack pass per entry; they must equal
+    # per-order seminorms bit for bit, and the unit bound is crossed inside
+    # the ladder: entry j is the linear part plus 2**(2-j)/mu of itself
+    prob = bump_problem()
+    _, linear = solved(prob)
+    mu = seminorm(linear, max(orders))
+    net = Net(LADDER, tuple(linear + linear * (2.0 ** (2 - j) / mu) for j in range(len(LADDER))))
+    rep = m1_membership(net, linear, orders)
+    expected = [
+        (float(eps), n, seminorm(f - linear, n))
+        for eps, f in zip(LADDER.values, net.fields)
+        for n in orders
+    ]
+    assert rep.rows == expected
+    mus = np.array([m for _, _, m in expected]).reshape(len(LADDER), len(orders))
+    first = next(j for j in range(len(mus)) if np.all(mus[j:] <= 1.0))
+    assert rep.first_index == first > 0
