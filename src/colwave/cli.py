@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -125,10 +126,13 @@ def _build(path: str, ctor, **kwargs):
         raise ConfigError(path, f"bad fields: {err}") from err
 
 
-def _reject_booleans(doc, path: str) -> None:
-    """No config field is boolean, and bool passes every int/float check."""
+def _reject_bad_scalars(doc, path: str) -> None:
+    """No config field is boolean (passes every int check) or non-finite
+    (an infinite ``tol`` or ``residual_constant`` makes its check unfailable)."""
     if isinstance(doc, bool):
         raise ConfigError(path, "must not be a boolean")
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(path, "must be finite")
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
@@ -136,14 +140,14 @@ def _reject_booleans(doc, path: str) -> None:
     else:
         return
     for key, value in items:
-        _reject_booleans(value, f"{path}.{key}" if path else str(key))
+        _reject_bad_scalars(value, f"{path}.{key}" if path else str(key))
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; errors name the offending field."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
-    _reject_booleans(doc, "")
+    _reject_bad_scalars(doc, "")
     pdoc = _object(doc, "problem")
     u0 = _build("problem.u0", InitialDatum, **_object(pdoc, "u0", "problem"))
     u1 = _build("problem.u1", InitialDatum, **_object(pdoc, "u1", "problem"))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class ColwaveError(Exception):
     """Base class for all colwave errors."""
@@ -14,6 +16,12 @@ class ValidationError(ColwaveError, ValueError):
     def __init__(self, parameter: str, message: str):
         super().__init__(f"{parameter}: {message}")
         self.parameter = parameter
+
+
+def check_count(parameter: str, value, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer (numpy too) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(parameter, f"must be an integer >= {minimum}, got {value!r}")
 
 
 class UnsupportedOrderError(ColwaveError):

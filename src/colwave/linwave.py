@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .nets import InitialDatum
 from .seminorms import Field, SpaceTimeGrid, datum_seminorm, seminorm
 
@@ -73,14 +73,11 @@ class QuadratureSpec:
     time_points_per_dt: int = 1
 
     def __post_init__(self):
-        if self.angular_points < 4:
-            raise ValidationError("angular_points", "need at least 4 points")
+        check_count("angular_points", self.angular_points, 4)
+        check_count("polar_points", self.polar_points, 4)
+        check_count("time_points_per_dt", self.time_points_per_dt, 1)
         if self.angular_points % 2 != 0:
             raise ValidationError("angular_points", "must be even")
-        if self.polar_points < 4:
-            raise ValidationError("polar_points", "need at least 4 points")
-        if self.time_points_per_dt < 1:
-            raise ValidationError("time_points_per_dt", "must be >= 1")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedOrderError, ValidationError
+from .errors import UnsupportedOrderError, ValidationError, check_count
 
 DATUM_KINDS = ("plateau_bump", "gaussian_bump", "zero")
 NONLINEARITY_KINDS = ("polynomial", "sine", "exp_minus_one", "zero")
@@ -43,8 +43,7 @@ class EpsilonLadder:
             raise ValidationError("eps0", f"must lie in (0, 1], got {self.eps0}")
         if not (0.0 < self.ratio < 1.0) or not math.isfinite(self.ratio):
             raise ValidationError("ratio", f"must lie in (0, 1), got {self.ratio}")
-        if self.count < 3:
-            raise ValidationError("count", "a rate fit needs at least 3 ladder points")
+        check_count("count", self.count, 3)  # a rate fit needs 3 ladder points
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -62,7 +61,7 @@ class EpsilonLadder:
 
 def make_ladder(eps0: float, ratio: float, count: int) -> EpsilonLadder:
     """Build the geometric ladder ``eps_j = eps0 * ratio**j``."""
-    return EpsilonLadder(eps0=eps0, ratio=ratio, count=int(count))
+    return EpsilonLadder(eps0=eps0, ratio=ratio, count=count)
 
 
 @dataclass(frozen=True)
@@ -375,6 +374,7 @@ class Problem:
     small_exponent: float = 1.0
 
     def __post_init__(self):
+        check_count("dim", self.dim, 1)
         if self.dim not in (1, 2, 3):
             raise ValidationError("dim", f"space dimension must be 1, 2 or 3, got {self.dim}")
         if not (self.horizon > 0.0) or not math.isfinite(self.horizon):

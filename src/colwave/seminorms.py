@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnsupportedOrderError, ValidationError
+from .errors import InsufficientDataError, UnsupportedOrderError, ValidationError, check_count
 from .nets import EpsilonLadder, InitialDatum
 
 #: Highest derivative order entering the seminorms.  Finite differences of
@@ -30,7 +30,7 @@ MAX_SEMINORM_ORDER = 2
 #: mu values at or below this are treated as exact zeros in rate fits.
 UNDERFLOW_FLOOR = 1e-300
 
-#: Default classification thresholds on fitted decay slopes.
+#: Classification thresholds on fitted decay slopes (see ``classify``).
 NEGLIGIBLE_SLOPE = 6.0
 BOUNDED_SLOPE_TOL = 0.05
 MODERATE_SLOPE_MAX = 20.0
@@ -58,6 +58,8 @@ class SpaceTimeGrid:
     margin_cells: int = 2
 
     def __post_init__(self):
+        check_count("dim", self.dim, 1)
+        check_count("margin_cells", self.margin_cells, 2)
         if self.dim not in (1, 2, 3):
             raise ValidationError("dim", f"space dimension must be 1, 2 or 3, got {self.dim}")
         for name in ("horizon", "spatial_extent", "dx", "dt"):
@@ -66,8 +68,6 @@ class SpaceTimeGrid:
                 raise ValidationError(name, "must be positive and finite")
         if self.support_radius < 0.0:
             raise ValidationError("support_radius", "must be nonnegative")
-        if self.margin_cells < 2:
-            raise ValidationError("margin_cells", "need at least 2 margin cells")
         if self.spatial_extent < self.support_radius + self.horizon - 1e-12:
             raise ValidationError(
                 "spatial_extent",
@@ -269,17 +269,15 @@ class ValuationEstimate:
         return math.isinf(self.slope)
 
 
-def fit_decay_exponent(
-    eps_values: np.ndarray, mu_values, floor: float = UNDERFLOW_FLOOR
-) -> ValuationEstimate:
+def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
     """Least-squares slope of log mu against log eps.
 
-    Entries at or below ``floor`` are excluded; if none survive the net is
-    reported as negligible via the +inf sentinel.
+    Entries at or below ``UNDERFLOW_FLOOR`` are excluded; if none survive
+    the net is reported as negligible via the +inf sentinel.
     """
     eps = np.asarray(eps_values, dtype=float)
     mu = np.asarray(mu_values, dtype=float)
-    usable = mu > floor
+    usable = mu > UNDERFLOW_FLOOR
     if not usable.any():
         return ValuationEstimate(math.inf, -math.inf, 0.0, 0)
     if usable.sum() < 3:
@@ -354,6 +352,12 @@ def valuation(net: Net, n: int) -> ValuationEstimate:
     return fit_decay_exponent(net.ladder.values, mus)
 
 
+def _valuations(net: Net, n: int) -> list[ValuationEstimate]:
+    """``[valuation(net, k) for k in 0..n]`` bit for bit, one derivative stack per entry."""
+    table = _seminorm_table(net, n)
+    return [fit_decay_exponent(net.ladder.values, table[:, k]) for k in range(n + 1)]
+
+
 def _pseudo_seminorm(est: ValuationEstimate) -> float:
     """exp(-slope) of a fitted estimate; 0 for the negligible sentinel."""
     if est.is_negligible_sentinel:
@@ -368,18 +372,21 @@ def ultra_pseudo_seminorm(net_u: Net, net_v: Net, n: int) -> float:
     return _pseudo_seminorm(valuation(net_u - net_v, n))
 
 
+def _metric(estimates: list[ValuationEstimate]) -> float:
+    """sum_n 2^(-n-1) min(p_n, 1) over the fitted nu_0, nu_1, ... in ``estimates``."""
+    total = 0.0
+    for n, est in enumerate(estimates):
+        total += 2.0 ** (-n - 1) * min(_pseudo_seminorm(est), 1.0)
+    return total
+
+
 def ultra_metric(net_u: Net, net_v: Net, n_terms: int) -> float:
     """Truncated ultra-metric sum_{n<n_terms} 2^(-n-1) min(p_n, 1)."""
     if not (1 <= n_terms <= MAX_SEMINORM_ORDER + 1):
         raise UnsupportedOrderError(
             f"n_terms must lie in [1, {MAX_SEMINORM_ORDER + 1}], got {n_terms}"
         )
-    table = _seminorm_table(net_u - net_v, n_terms - 1)
-    total = 0.0
-    for n in range(n_terms):
-        est = fit_decay_exponent(net_u.ladder.values, table[:, n])
-        total += 2.0 ** (-n - 1) * min(_pseudo_seminorm(est), 1.0)
-    return total
+    return _metric(_valuations(net_u - net_v, n_terms - 1))
 
 
 class NetClass(Enum):
@@ -389,29 +396,19 @@ class NetClass(Enum):
     NOT_MODERATE = "not_moderate"
 
 
-def classify(
-    net: Net,
-    *,
-    negligible_slope: float = NEGLIGIBLE_SLOPE,
-    bounded_tol: float = BOUNDED_SLOPE_TOL,
-    moderate_bound: float = MODERATE_SLOPE_MAX,
-) -> NetClass:
+def classify(net: Net) -> NetClass:
     """Finite-ladder surrogate of negligible / bounded-type / moderate.
 
     The true definitions quantify over all exponents and all eps; here a
     net counts as negligible when every fitted slope at the tested orders
-    is at least ``negligible_slope``, and analogously for the others.
+    is at least ``NEGLIGIBLE_SLOPE``, and analogously for the others.
     """
-    table = _seminorm_table(net, MAX_SEMINORM_ORDER)
-    slopes = [
-        fit_decay_exponent(net.ladder.values, table[:, n]).slope
-        for n in range(MAX_SEMINORM_ORDER + 1)
-    ]
-    if all(s >= negligible_slope for s in slopes):
+    slopes = [est.slope for est in _valuations(net, MAX_SEMINORM_ORDER)]
+    if all(s >= NEGLIGIBLE_SLOPE for s in slopes):
         return NetClass.NEGLIGIBLE_AT_TESTED_ORDER
-    if all(s >= -bounded_tol for s in slopes):
+    if all(s >= -BOUNDED_SLOPE_TOL for s in slopes):
         return NetClass.BOUNDED_TYPE
-    if all(s >= -moderate_bound for s in slopes):
+    if all(s >= -MODERATE_SLOPE_MAX for s in slopes):
         return NetClass.MODERATE
     return NetClass.NOT_MODERATE
 

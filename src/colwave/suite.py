@@ -1,9 +1,9 @@
 """Every check in one place: the preset suite and the config checks.
 
-The eight self-contained preset checks (``CHECKS``, one per headline claim)
-back the acceptance tests and ``colwave demo`` through ``run_check``.  The
-six config checks (``CONFIG_CHECKS``) back ``colwave check``: each measures
-the config's net, solved once by the caller, and returns its CSV rows.
+The eight preset checks (``CHECKS``, one per headline claim) back the
+acceptance tests and ``colwave demo`` through ``run_check``; they share the
+1D nets of ``preset_nets``.  The six config checks (``CONFIG_CHECKS``) back
+``colwave check`` and share the config's net.  The caller solves each once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .seminorms import (
 )
 from .semilinear import SolveReport, picard_solve, residual_sup, solve_net
 from .verify import (
+    ORACLE_TOL,
     RATE_MARGIN,
     check_association,
     check_contraction,
@@ -48,6 +49,7 @@ if TYPE_CHECKING:
 RESIDUAL_C = 1200.0
 
 _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=1)
+Preset = tuple[Problem, Net, list[SolveReport], Field]
 
 
 @dataclass
@@ -91,7 +93,7 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
     )
 
 
-def _preset_net(b: float) -> tuple[Problem, Net, list[SolveReport], Field]:
+def _preset_net(b: float) -> Preset:
     """The 1D bump preset for exponent b on the 8-entry ladder, and its linear part."""
     prob = _bump_problem(1, b=b)
     grid = SpaceTimeGrid.covering(1, prob.horizon, prob.support_radius, dx=0.02, dt=0.01)
@@ -99,11 +101,16 @@ def _preset_net(b: float) -> tuple[Problem, Net, list[SolveReport], Field]:
     return prob, net, reports, solve_linear(prob.u0, prob.u1, None, grid, _QUAD_1D)
 
 
+def preset_nets() -> dict[float, Preset]:
+    """The preset for each b in {0.5, 1, 2}, keyed by b: one ``solve_net`` call each."""
+    return {b: _preset_net(b) for b in (0.5, 1.0, 2.0)}
+
+
 # ---------------------------------------------------------------------------
 # 1. linear kernels
 # ---------------------------------------------------------------------------
 
-def check_linear_kernels() -> CheckResult:
+def check_linear_kernels(nets: dict[float, Preset]) -> CheckResult:
     """Translation-average identity in 1D; plateau means u(t,0)=t in 1D/2D/3D."""
     t0 = time.time()
     quad = QuadratureSpec(angular_points=16, polar_points=12)
@@ -133,10 +140,10 @@ def check_linear_kernels() -> CheckResult:
 # 2. cone support
 # ---------------------------------------------------------------------------
 
-def check_cone_support() -> CheckResult:
+def check_cone_support(nets: dict[float, Preset]) -> CheckResult:
     """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
     tol = 1e-8
-    prob1, net1, reports1, lin1 = _preset_net(1.0)
+    prob1, net1, reports1, lin1 = nets[1.0]
     worst = max(check_support(f, prob1.support_radius, tol).max_outside
                 for f in (lin1, *net1.fields))
     conv = all(r.converged for r in reports1)
@@ -184,7 +191,7 @@ def _residual_problem(dim: int) -> Problem:
     )
 
 
-def check_residual_convergence() -> CheckResult:
+def check_residual_convergence(nets: dict[float, Preset]) -> CheckResult:
     """Wave-operator defect within budget; second-order under 1D refinement."""
     t0 = time.time()
     tol = 1e-12
@@ -227,7 +234,7 @@ def check_residual_convergence() -> CheckResult:
 # 4. blow-up oracle
 # ---------------------------------------------------------------------------
 
-def check_lifespan_oracle() -> CheckResult:
+def check_lifespan_oracle(nets: dict[float, Preset]) -> CheckResult:
     """ODE oracle value and the 1/(1 - eps t) wave solution in 1D and 3D."""
     ode_exact = oracle_lifespan(0.5, 1.0) == 2.0
     rep1 = check_wave_oracle(1)
@@ -246,12 +253,12 @@ def check_lifespan_oracle() -> CheckResult:
 # 5. contraction factor
 # ---------------------------------------------------------------------------
 
-def check_contraction_factor() -> CheckResult:
+def check_contraction_factor(nets: dict[float, Preset]) -> CheckResult:
     """Valuation gap >= b - 0.1 and metric ratio <= exp(-(b - 0.1)) for b in {0.5, 1}."""
     details = []
     ok = True
     for b in (0.5, 1.0):
-        prob, net, _, lin = _preset_net(b)
+        prob, net, _, lin = nets[b]
         rep = check_contraction(prob, net, lin, _QUAD_1D)
         gap = min(rep.slope_gaps.values())
         details.append(f"b={b}: gap={gap:.2f}, ratio={rep.metric_ratio:.3f}")
@@ -263,12 +270,11 @@ def check_contraction_factor() -> CheckResult:
 # 6. association with the linear solution
 # ---------------------------------------------------------------------------
 
-def check_linear_association() -> CheckResult:
+def check_linear_association(nets: dict[float, Preset]) -> CheckResult:
     """mu_0 difference decay rate >= b - 0.1 for b in {0.5, 1, 2}."""
     details = []
     ok = True
-    for b in (0.5, 1.0, 2.0):
-        prob, net, _, lin = _preset_net(b)
+    for b, (prob, net, _, lin) in nets.items():
         rep = check_association(prob, net, lin)
         details.append(f"b={b}: rate={rep.fitted_rate.slope:.3f}")
         ok = ok and rep.ok
@@ -285,7 +291,7 @@ def _tiny_grid() -> SpaceTimeGrid:
     )
 
 
-def check_ultrametric_calculus() -> CheckResult:
+def check_ultrametric_calculus(nets: dict[float, Preset]) -> CheckResult:
     """Metric axioms on random triples; exact fits; planted classifications."""
     grid = _tiny_grid()
     ladder = make_ladder(0.5, 0.5, 8)
@@ -355,9 +361,9 @@ def check_ultrametric_calculus() -> CheckResult:
 # 8. Picard increment scaling
 # ---------------------------------------------------------------------------
 
-def check_picard_scaling() -> CheckResult:
+def check_picard_scaling(nets: dict[float, Preset]) -> CheckResult:
     """Successive-increment ratios scale like eps (log-log slope 1 +/- 0.15)."""
-    _, _, reports, _ = _preset_net(1.0)
+    _, _, reports, _ = nets[1.0]
     eps_used = []
     ratios = []
     for rep in reports:
@@ -387,11 +393,11 @@ CHECKS = {
 }
 
 
-def run_check(name: str) -> tuple[CheckResult, float]:
-    """Run one preset check, print its pass/fail line; returns it and its seconds."""
+def run_check(name: str, nets: dict[float, Preset]) -> tuple[CheckResult, float]:
+    """Run one preset check on ``nets``, print its pass/fail line; returns it and its seconds."""
     t0 = time.time()
     try:
-        result = CHECKS[name]()
+        result = CHECKS[name](nets)
     except Exception as exc:  # a crashed check is a failed check
         result = CheckResult(name, False, f"error: {exc}")
     seconds = time.time() - t0
@@ -400,8 +406,9 @@ def run_check(name: str) -> tuple[CheckResult, float]:
 
 
 def run_suite() -> list[tuple[CheckResult, float]]:
-    """Run every preset check, printing one line each."""
-    return [run_check(name) for name in CHECKS]
+    """Solve the preset nets once, then run every preset check, printing one line each."""
+    nets = preset_nets()
+    return [run_check(name, nets) for name in CHECKS]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +476,7 @@ def _oracle(cfg: ExperimentConfig, solved: Solved | None, threads: int) -> Check
     return CheckResult(
         "oracle", ok,
         f"oracle ok={ok} ode_defect={fmt(ode.max_analytic_defect)} "
-        f"wave_errs={[f'{e:.2e}' for _, e in wave.per_eps]} (tol {fmt(wave.tol)})",
+        f"wave_errs={[f'{e:.2e}' for _, e in wave.per_eps]} (tol {fmt(ORACLE_TOL)})",
         "eps,max_error", wave.per_eps,
     )
 

@@ -23,12 +23,12 @@ from .seminorms import (
     NetClass,
     SpaceTimeGrid,
     ValuationEstimate,
+    _metric,
     _seminorm_table,
+    _valuations,
     classify,
     fit_decay_exponent,
     seminorm,
-    ultra_metric,
-    valuation,
 )
 from .semilinear import (
     DEFAULT_MAX_ITER,
@@ -43,6 +43,23 @@ RATE_MARGIN = 0.1
 
 #: Association surrogate: the last mu_0 difference must drop below this.
 ASSOCIATION_THRESHOLD = 0.1
+
+#: Contraction check: amplitude of the bump that perturbs the solved net.
+CONTRACTION_PERTURBATION = 0.1
+
+#: Uniqueness check: the second solve starts eps**this * bump off u_lin.
+UNIQUENESS_SEED_EXPONENT = 8.0
+
+#: Wave oracle: compare on |x| + t <= ORACLE_INNER_RADIUS, within ORACLE_TOL.
+ORACLE_INNER_RADIUS = 0.5
+ORACLE_TOL = 1e-4
+ORACLE_QUAD = QuadratureSpec(angular_points=8, polar_points=8, time_points_per_dt=2)
+#: Its plateau outer radius, horizon and default dx, in 1D and in 2D/3D.
+#: There grid volume is expensive, so the horizon stays near the comparison
+#: cap t = ORACLE_INNER_RADIUS, and a wide plateau transition keeps the
+#: trilinear reading of the sampled source accurate.
+ORACLE_GEOMETRY_1D = (0.65, 1.0, 0.02)
+ORACLE_GEOMETRY_2D_3D = (1.1, 0.5, 0.16)
 
 
 # ---------------------------------------------------------------------------
@@ -63,23 +80,21 @@ def check_association(
     net: Net,
     linear: Field,
     tol: float = DEFAULT_TOL,
-    threshold: float = ASSOCIATION_THRESHOLD,
-    rate_margin: float = RATE_MARGIN,
 ) -> AssociationReport:
     """Decay of mu_0(u_eps - v) of a solved net against its linear part v.
 
     ``associated`` is the finite-ladder surrogate: the history decreases
     (5% slack, plus ``10 * tol`` for the solve tolerance of ``net``) down
-    to below ``threshold``; ``strong_rate_ok`` asks the fitted rate to
-    reach the nominal exponent within ``rate_margin``; ``ok`` is both.
+    to below ``ASSOCIATION_THRESHOLD``; ``strong_rate_ok`` asks the fitted
+    rate to reach b within ``RATE_MARGIN``; ``ok`` is both.
     """
     mu0 = [seminorm(f - linear, 0) for f in net.fields]
     fitted = fit_decay_exponent(net.ladder.values, mu0)
     non_increasing = all(
         mu0[j + 1] <= mu0[j] * 1.05 + 10.0 * tol for j in range(len(mu0) - 1)
     )
-    associated = non_increasing and mu0[-1] <= threshold
-    strong = fitted.slope >= problem.small_exponent - rate_margin
+    associated = non_increasing and mu0[-1] <= ASSOCIATION_THRESHOLD
+    strong = fitted.slope >= problem.small_exponent - RATE_MARGIN
     return AssociationReport(mu0_history=mu0, fitted_rate=fitted, associated=associated,
                              strong_rate_ok=strong, ok=associated and strong)
 
@@ -109,19 +124,17 @@ def check_contraction(
     net_u: Net,
     u_lin: Field,
     quad: QuadratureSpec,
-    perturbation_scale: float = 0.1,
-    rate_margin: float = RATE_MARGIN,
 ) -> ContractionReport:
     """Fitted valuation gain of one map application on a perturbed net.
 
     U is the solved net and ``u_lin`` its linear part; V = U + (smooth
-    bump x scale); the gap nu_n(F(U)-F(V)) - nu_n(U-V) should reach the
-    small-factor exponent b, and the truncated-metric ratio should not
-    exceed exp(-(b - margin)).
+    bump x ``CONTRACTION_PERTURBATION``); the gap nu_n(F(U)-F(V)) -
+    nu_n(U-V) should reach the small-factor exponent b, and the
+    truncated-metric ratio should not exceed exp(-(b - RATE_MARGIN)).
     """
     b = problem.small_exponent
     ladder, grid = net_u.ladder, u_lin.grid
-    pert = perturbation_scale * np.broadcast_to(_bump_pattern(problem, grid), grid.shape)
+    pert = CONTRACTION_PERTURBATION * np.broadcast_to(_bump_pattern(problem, grid), grid.shape)
     net_v = Net(ladder, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
 
     def mapped(net: Net) -> Net:
@@ -130,18 +143,16 @@ def check_contraction(
             for eps, f in zip(ladder.values, net.fields)
         ))
 
-    net_fu, net_fv = mapped(net_u), mapped(net_v)
-
-    gaps: dict[int, float] = {}
-    for n in range(MAX_SEMINORM_ORDER + 1):
-        nu_before = valuation(net_u - net_v, n).slope
-        nu_after = valuation(net_fu - net_fv, n).slope
-        gaps[n] = math.inf if math.isinf(nu_after) else nu_after - nu_before
-    d_before = ultra_metric(net_u, net_v, MAX_SEMINORM_ORDER + 1)
-    d_after = ultra_metric(net_fu, net_fv, MAX_SEMINORM_ORDER + 1)
+    before = _valuations(net_u - net_v, MAX_SEMINORM_ORDER)
+    after = _valuations(mapped(net_u) - mapped(net_v), MAX_SEMINORM_ORDER)
+    gaps = {
+        n: math.inf if math.isinf(nu_after.slope) else nu_after.slope - nu_before.slope
+        for n, (nu_before, nu_after) in enumerate(zip(before, after))
+    }
+    d_before, d_after = _metric(before), _metric(after)
     ratio = d_after / d_before if d_before > 0.0 else 0.0
-    ok = all(g >= b - rate_margin for g in gaps.values()) and ratio <= math.exp(
-        -(b - rate_margin)
+    ok = all(g >= b - RATE_MARGIN for g in gaps.values()) and ratio <= math.exp(
+        -(b - RATE_MARGIN)
     ) + 1e-12
     return ContractionReport(
         slope_gaps=gaps, kappa_bound=math.exp(-b), metric_ratio=ratio, ok=ok
@@ -166,14 +177,13 @@ def check_uniqueness_surrogate(
     quad: QuadratureSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed_exponent: float = 8.0,
     data_perturbation: float = 0.0,
     threads: int = 1,
 ) -> UniquenessReport:
     """Two solves from different seeds must land on the same fixed point.
 
     ``net_a`` is the first solve, from the default seed; the second solve
-    (``tol``, ``max_iter``) starts from u_lin + eps**seed_exponent * bump.
+    (``tol``, ``max_iter``) starts from u_lin + eps**UNIQUENESS_SEED_EXPONENT * bump.
     The iteration damps such a perturbation below measurement, so the
     check passes when the difference net classifies as negligible or all
     its seminorms stay below 10 * tol.  A nonzero ``data_perturbation``
@@ -191,7 +201,7 @@ def check_uniqueness_surrogate(
     u_lin_b = solve_linear(problem_b.u0, problem_b.u1, None, grid, quad)
     pattern = _bump_pattern(problem, grid)
     seeds = [
-        Field(grid, u_lin_b.samples + float(eps) ** seed_exponent * pattern)
+        Field(grid, u_lin_b.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
         for eps in ladder.values
     ]
     net_b, _ = solve_net(
@@ -282,56 +292,38 @@ def cubic_oracle_problem(
 class WaveOracleReport:
     per_eps: list[tuple[float, float]]
     ok: bool
-    tol: float
 
 
 def check_wave_oracle(
     dim: int,
     eps_values=(0.1, 0.05, 0.025),
     *,
-    inner_radius: float = 0.5,
-    outer_radius: float | None = None,
-    horizon: float | None = None,
     dx: float | None = None,
-    quad: QuadratureSpec | None = None,
-    tol: float = 1e-4,
-    picard_tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> WaveOracleReport:
     """Solver against 1/(1 - eps t) on the inner backward cone.
 
-    Compares on nodes with |x| + t <= inner_radius, where the plateau
-    problem coincides with the constant-data blow-up solution.  The
-    comparison region caps at t = inner_radius, so the default horizon
-    stays close to that in 3D where grid volume is expensive; in 3D the
-    default plateau transition is kept wide because the sampled source is
-    read by trilinear interpolation, whose error grows with the curvature
-    of the transition profile.
+    Compares on nodes with |x| + t <= ORACLE_INNER_RADIUS, where the
+    plateau problem coincides with the constant-data blow-up solution.
     """
-    if quad is None:
-        quad = QuadratureSpec(angular_points=8, polar_points=8, time_points_per_dt=2)
+    outer_radius, horizon, default_dx = ORACLE_GEOMETRY_1D if dim == 1 else ORACLE_GEOMETRY_2D_3D
     if dx is None:
-        dx = 0.02 if dim == 1 else 0.16
-    if horizon is None:
-        horizon = 1.0 if dim == 1 else 0.5
-    if outer_radius is None:
-        outer_radius = 0.65 if dim == 1 else 1.1
+        dx = default_dx
     per_eps: list[tuple[float, float]] = []
     for eps in eps_values:
-        problem = cubic_oracle_problem(dim, float(eps), horizon, inner_radius, outer_radius)
+        problem = cubic_oracle_problem(dim, float(eps), horizon, ORACLE_INNER_RADIUS, outer_radius)
         grid = SpaceTimeGrid.covering(dim, horizon, outer_radius, dx=dx, dt=dx / 2.0)
-        field, report = picard_solve(problem, float(eps), grid, quad, picard_tol, max_iter)
+        field, report = picard_solve(problem, float(eps), grid, ORACLE_QUAD)
         if not report.converged:
             per_eps.append((float(eps), math.inf))
             continue
         radius = grid.node_radius[None]
         times = grid.times[(slice(None),) + (None,) * dim]
-        region = radius + times <= inner_radius + 1e-12
+        region = radius + times <= ORACLE_INNER_RADIUS + 1e-12
         exact = 1.0 / (1.0 - float(eps) * times) * np.ones(grid.shape)
         err = float(np.max(np.abs((field.samples - exact)[region])))
         per_eps.append((float(eps), err))
-    ok = all(math.isfinite(e) and e <= tol for _, e in per_eps)
-    return WaveOracleReport(per_eps=per_eps, ok=ok, tol=tol)
+    ok = all(math.isfinite(e) and e <= ORACLE_TOL for _, e in per_eps)
+    return WaveOracleReport(per_eps=per_eps, ok=ok)
 
 
 # ---------------------------------------------------------------------------

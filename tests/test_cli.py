@@ -259,12 +259,34 @@ def test_no_checks_selected_is_config_error(tmp_path, capsys):
 )
 def test_boolean_number_rejected(tmp_path, capsys, name):
     # bool is an int in Python, so JSON true must be refused explicitly
+    assert_field_rejected(tmp_path, capsys, name, True)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tol", float("inf")),
+        ("residual_constant", float("inf")),
+        ("ladder.count", 3.5),
+        ("quad.time_points_per_dt", 1.5),
+        ("quad.polar_points", 8.0),
+        ("problem.dim", 1.0),
+        ("grid.margin_cells", 2.5),
+    ],
+)
+def test_bad_number_rejected(tmp_path, capsys, name, value):
+    # non-finite values and non-integral counts are config errors naming the
+    # field, not a crash, a silently truncated count or a check that cannot fail
+    assert_field_rejected(tmp_path, capsys, name, value)
+
+
+def assert_field_rejected(tmp_path, capsys, name, value):
     path, doc = base_config(tmp_path)
     *parents, key = name.split(".")
     target = doc
     for part in parents:
         target = target[part]
-    target[key] = True
+    target[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=name):
         load_config(path)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colwave.errors import UnsupportedOrderError, ValidationError
+from colwave.linwave import QuadratureSpec
 from colwave.nets import (
+    EpsilonLadder,
     InitialDatum,
     NonlinearitySpec,
     Problem,
@@ -17,6 +19,7 @@ from colwave.nets import (
     nonlinearity_derivative,
     power_number,
 )
+from colwave.seminorms import SpaceTimeGrid
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +47,23 @@ def test_make_ladder_rejects_bad_ratio():
         (dict(eps0=0.0, ratio=0.5, count=3), "eps0"),
         (dict(eps0=1.5, ratio=0.5, count=3), "eps0"),
         (dict(eps0=0.5, ratio=0.5, count=2), "count"),
+        (dict(eps0=0.5, ratio=0.5, count=3.7), "count"),
     ],
 )
 def test_ladder_validation(kwargs, name):
     with pytest.raises(ValidationError, match=name):
         make_ladder(**kwargs)
+
+
+def test_counts_accept_numpy_integers():
+    # counts are validated as integers, and numpy integers are integers
+    n = np.int64
+    assert len(EpsilonLadder(count=n(4))) == 4
+    assert QuadratureSpec(n(8), n(6), n(2)).polar_points == 6
+    grid = SpaceTimeGrid.covering(n(2), 0.2, 0.2, dx=0.1, margin_cells=n(3))
+    assert grid.spatial_shape == (15, 15)
+    zero = InitialDatum("zero")
+    assert Problem(n(3), 0.5, 0.2, zero, zero, NonlinearitySpec("zero")).dim == 3
 
 
 def test_power_number_values():

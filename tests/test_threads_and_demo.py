@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import colwave.cli as cli
+import colwave.suite as suite
+import colwave.verify as verify
 from colwave.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, main
 from colwave.errors import ConfigError
 from colwave.linwave import QuadratureSpec
@@ -59,6 +61,22 @@ def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
     fake_fail = [(CheckResult("a", True, "fine"), 0.1), (CheckResult("b", False, "bad"), 0.1)]
     monkeypatch.setattr(cli, "run_suite", lambda: fake_fail)
     assert main(["demo"]) == EXIT_CHECK_FAILED
+
+
+def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
+    # the preset checks share the three preset nets instead of re-solving them
+    solves = []
+
+    def counted(problem, *args, **kwargs):
+        solves.append(problem.small_exponent)
+        return solve_net(problem, *args, **kwargs)
+
+    for module in (suite, verify):
+        monkeypatch.setattr(module, "solve_net", counted)
+    results = suite.run_suite()
+    assert [r.name for r, _ in results] == list(suite.CHECKS)
+    assert all(r.ok for r, _ in results)
+    assert solves == [0.5, 1.0, 2.0]
 
 
 def test_solver_failure_exit(tmp_path):

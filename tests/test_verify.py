@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import colwave.seminorms as seminorms
 import colwave.verify as verify
 from colwave.errors import LifespanExceededError, ValidationError
 from colwave.linwave import QuadratureSpec, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
-from colwave.seminorms import MAX_SEMINORM_ORDER, Net, SpaceTimeGrid, seminorm
-from colwave.semilinear import solve_net
+from colwave.seminorms import (
+    MAX_SEMINORM_ORDER,
+    Field,
+    Net,
+    SpaceTimeGrid,
+    seminorm,
+    ultra_metric,
+    valuation,
+)
+from colwave.semilinear import apply_fixed_point_map, solve_net
 from colwave.verify import (
     check_association,
     check_contraction,
@@ -143,6 +152,46 @@ def test_contraction_gap_b_half():
     rep = check_contraction(prob, *solved(prob), QUAD)
     assert rep.ok
     assert rep.metric_ratio <= math.exp(-0.4) + 1e-12
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0])
+def test_contraction_matches_per_order_reference(monkeypatch, b):
+    # the gaps and the metric ratio come from one seminorm table per
+    # difference net; they must equal per-order valuations and the
+    # ultra-metric of freshly formed differences bit for bit
+    prob = bump_problem(b=b)
+    net_u, u_lin = solved(prob)
+    grid = u_lin.grid
+    pert = verify.CONTRACTION_PERTURBATION * verify._bump_pattern(prob, grid)
+    net_v = Net(LADDER, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
+
+    def mapped(net):
+        return Net(LADDER, tuple(
+            apply_fixed_point_map(prob, float(eps), f, grid, QUAD, u_lin)
+            for eps, f in zip(LADDER.values, net.fields)
+        ))
+
+    net_fu, net_fv = mapped(net_u), mapped(net_v)
+    gaps = {
+        n: valuation(net_fu - net_fv, n).slope - valuation(net_u - net_v, n).slope
+        for n in range(MAX_SEMINORM_ORDER + 1)
+    }
+    n_terms = MAX_SEMINORM_ORDER + 1
+    ratio = ultra_metric(net_fu, net_fv, n_terms) / ultra_metric(net_u, net_v, n_terms)
+
+    stacks = []
+
+    def recording_orders(field, n):
+        stacks.append(n)
+        return orders(field, n)
+
+    orders = seminorms._seminorm_orders
+    monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
+    rep = check_contraction(prob, net_u, u_lin, QUAD)
+    assert rep.slope_gaps == gaps
+    assert rep.metric_ratio == ratio
+    # one derivative stack per entry of each of the two difference nets
+    assert stacks == [MAX_SEMINORM_ORDER] * (2 * len(LADDER))
 
 
 # ---------------------------------------------------------------------------
