@@ -266,9 +266,10 @@ def _cmd_solve_linear(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _solve_net(cfg: ExperimentConfig, threads: int):
+def _solve_net(cfg: ExperimentConfig, threads: int, linear_part=None):
     return solve_net(
-        cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter, threads=threads
+        cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter, threads=threads,
+        linear_part=linear_part,
     )
 
 
@@ -309,7 +310,7 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     solved = None
     if set(names) != {"oracle"}:  # the oracle solves its own plateau problems
         linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
-        solved = Solved(*_solve_net(cfg, args.threads), linear)
+        solved = Solved(*_solve_net(cfg, args.threads, linear), linear)
     blocks = []
     all_ok = True
     for name in names:

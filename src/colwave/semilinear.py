@@ -104,14 +104,18 @@ def solve_net(
     max_iter: int = DEFAULT_MAX_ITER,
     threads: int = 1,
     seeds: list[Field | None] | None = None,
+    linear_part: Field | None = None,
 ) -> tuple[Net, list[SolveReport]]:
     """One Picard solve per ladder entry, sharing the linear part.
 
     Entries are independent; a diverging entry is recorded with
     ``converged=False`` (its field is the last finite iterate) and the
-    remaining entries still run.
+    remaining entries still run.  ``linear_part`` lets callers reuse a
+    precomputed L(u0,u1,0).
     """
-    u_lin = solve_linear(problem.u0, problem.u1, None, grid, quad)
+    u_lin = linear_part if linear_part is not None else solve_linear(
+        problem.u0, problem.u1, None, grid, quad
+    )
 
     def run(j: int) -> tuple[Field, SolveReport]:
         eps = float(ladder.values[j])

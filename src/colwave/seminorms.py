@@ -352,9 +352,13 @@ def valuation(net: Net, n: int) -> ValuationEstimate:
     return fit_decay_exponent(net.ladder.values, mus)
 
 
-def _valuations(net: Net, n: int) -> list[ValuationEstimate]:
-    """``[valuation(net, k) for k in 0..n]`` bit for bit, one derivative stack per entry."""
-    table = _seminorm_table(net, n)
+def _valuations(net: Net, n: int, table: np.ndarray | None = None) -> list[ValuationEstimate]:
+    """``[valuation(net, k) for k in 0..n]`` bit for bit, one derivative stack per entry.
+
+    ``table`` reuses a ``_seminorm_table(net, n)`` the caller already holds.
+    """
+    if table is None:
+        table = _seminorm_table(net, n)
     return [fit_decay_exponent(net.ladder.values, table[:, k]) for k in range(n + 1)]
 
 
@@ -403,7 +407,12 @@ def classify(net: Net) -> NetClass:
     net counts as negligible when every fitted slope at the tested orders
     is at least ``NEGLIGIBLE_SLOPE``, and analogously for the others.
     """
-    slopes = [est.slope for est in _valuations(net, MAX_SEMINORM_ORDER)]
+    return _class_of(_valuations(net, MAX_SEMINORM_ORDER))
+
+
+def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
+    """The class ``classify`` gives a net whose fitted nu_0..nu_n are ``estimates``."""
+    slopes = [est.slope for est in estimates]
     if all(s >= NEGLIGIBLE_SLOPE for s in slopes):
         return NetClass.NEGLIGIBLE_AT_TESTED_ORDER
     if all(s >= -BOUNDED_SLOPE_TOL for s in slopes):

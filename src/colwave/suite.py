@@ -93,17 +93,21 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
     )
 
 
-def _preset_net(b: float) -> Preset:
-    """The 1D bump preset for exponent b on the 8-entry ladder, and its linear part."""
-    prob = _bump_problem(1, b=b)
-    grid = SpaceTimeGrid.covering(1, prob.horizon, prob.support_radius, dx=0.02, dt=0.01)
-    net, reports = solve_net(prob, make_ladder(0.5, 0.5, 8), grid, _QUAD_1D)
-    return prob, net, reports, solve_linear(prob.u0, prob.u1, None, grid, _QUAD_1D)
-
-
 def preset_nets() -> dict[float, Preset]:
-    """The preset for each b in {0.5, 1, 2}, keyed by b: one ``solve_net`` call each."""
-    return {b: _preset_net(b) for b in (0.5, 1.0, 2.0)}
+    """The 1D bump preset for each b in {0.5, 1, 2} on the 8-entry ladder, keyed by b.
+
+    One ``solve_net`` call each; the presets differ only in b, so they
+    share one grid and one linear part.
+    """
+    problems = [_bump_problem(1, b=b) for b in (0.5, 1.0, 2.0)]
+    first = problems[0]
+    grid = SpaceTimeGrid.covering(1, first.horizon, first.support_radius, dx=0.02, dt=0.01)
+    linear = solve_linear(first.u0, first.u1, None, grid, _QUAD_1D)
+    ladder = make_ladder(0.5, 0.5, 8)
+    return {
+        p.small_exponent: (p, *solve_net(p, ladder, grid, _QUAD_1D, linear_part=linear), linear)
+        for p in problems
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +464,8 @@ def _association(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckRe
 
 def _uniqueness(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
     rep = check_uniqueness_surrogate(
-        cfg.problem, solved.net, cfg.quad, cfg.tol, cfg.max_iter, threads=threads
+        cfg.problem, solved.net, cfg.quad, cfg.tol, cfg.max_iter, threads=threads,
+        linear_part=solved.linear,
     )
     cls = rep.classification.value if rep.classification else "n/a"
     return CheckResult(

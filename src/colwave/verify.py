@@ -23,10 +23,10 @@ from .seminorms import (
     NetClass,
     SpaceTimeGrid,
     ValuationEstimate,
+    _class_of,
     _metric,
     _seminorm_table,
     _valuations,
-    classify,
     fit_decay_exponent,
     seminorm,
 )
@@ -179,6 +179,7 @@ def check_uniqueness_surrogate(
     max_iter: int = DEFAULT_MAX_ITER,
     data_perturbation: float = 0.0,
     threads: int = 1,
+    linear_part: Field | None = None,
 ) -> UniquenessReport:
     """Two solves from different seeds must land on the same fixed point.
 
@@ -188,7 +189,9 @@ def check_uniqueness_surrogate(
     check passes when the difference net classifies as negligible or all
     its seminorms stay below 10 * tol.  A nonzero ``data_perturbation``
     instead changes the u0 amplitude of the second problem, which is a
-    genuinely different problem and must fail the check.
+    genuinely different problem and must fail the check.  ``linear_part``
+    reuses a precomputed L(u0,u1,0) of ``problem``; it also serves the
+    second solve when ``data_perturbation`` is 0.
     """
     ladder, grid = net_a.ladder, net_a.fields[0].grid
     problem_b = problem
@@ -198,20 +201,24 @@ def check_uniqueness_surrogate(
             raise ValidationError("data_perturbation", "cannot perturb a zero datum")
         problem_b = replace(problem, u0=replace(u0, amplitude=u0.amplitude + data_perturbation))
 
-    u_lin_b = solve_linear(problem_b.u0, problem_b.u1, None, grid, quad)
+    u_lin_b = linear_part
+    if u_lin_b is None or data_perturbation != 0.0:
+        u_lin_b = solve_linear(problem_b.u0, problem_b.u1, None, grid, quad)
     pattern = _bump_pattern(problem, grid)
     seeds = [
         Field(grid, u_lin_b.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
         for eps in ladder.values
     ]
     net_b, _ = solve_net(
-        problem_b, ladder, grid, quad, tol, max_iter, threads=threads, seeds=seeds
+        problem_b, ladder, grid, quad, tol, max_iter, threads=threads, seeds=seeds,
+        linear_part=u_lin_b,
     )
 
     diff = net_a - net_b
-    mu_max = dict(enumerate(_seminorm_table(diff, MAX_SEMINORM_ORDER).max(axis=0).tolist()))
+    table = _seminorm_table(diff, MAX_SEMINORM_ORDER)
+    mu_max = dict(enumerate(table.max(axis=0).tolist()))
     try:
-        cls = classify(diff)
+        cls = _class_of(_valuations(diff, MAX_SEMINORM_ORDER, table))
     except InsufficientDataError:
         cls = None
     if cls is NetClass.NEGLIGIBLE_AT_TESTED_ORDER:

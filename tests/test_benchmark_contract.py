@@ -61,3 +61,18 @@ def test_workload_call_binds(name, args, kwargs):
     for part in name.split("."):
         fn = getattr(fn, part)
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_picard_sweep_is_one_sourced_solve(linear_solves):
+    # the tracer's ``semilinear.sweeps`` counts the ``solve_linear`` calls
+    # with a source under ``picard_solve``; each sweep must make exactly one
+    problem = colwave.Problem(
+        dim=1, horizon=0.5, support_radius=0.4,
+        u0=colwave.InitialDatum("gaussian_bump", outer_radius=0.4, amplitude=1.0),
+        u1=colwave.InitialDatum("zero"), f=colwave.NonlinearitySpec("sine"), small_exponent=1.0,
+    )
+    grid = colwave.SpaceTimeGrid.covering(1, 0.5, 0.4, dx=0.05, dt=0.025)
+    quad = colwave.QuadratureSpec(angular_points=8, polar_points=8)
+    _, report = colwave.picard_solve(problem, 0.5, grid, quad, tol=1e-10)
+    assert report.converged and report.iterations > 1
+    assert sum(h is not None for h in linear_solves) == report.iterations

@@ -228,6 +228,22 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
     assert len(solves) == 2
 
 
+def test_check_uniqueness_evaluates_data_terms_once(tmp_path, capsys, linear_solves):
+    # the config net, its uniqueness re-solve and both of their Picard
+    # loops share the one linear part the check command builds
+    path, doc = base_config(tmp_path, checks=["uniqueness"])
+    doc["problem"].update(dim=3, horizon=0.3, support_radius=0.3)
+    doc["problem"]["u0"]["outer_radius"] = 0.3
+    doc["problem"]["f"] = {"kind": "sine"}
+    doc["ladder"]["count"] = 4
+    doc["grid"] = {"dx": 0.1, "dt": 0.05}
+    doc["quad"]["polar_points"] = 4
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == EXIT_OK
+    assert "uniqueness ok=True" in capsys.readouterr().out
+    assert [h for h in linear_solves if h is None] == [None]
+
+
 def test_check_flag_overrides_config(tmp_path, capsys):
     path, doc = base_config(tmp_path, checks=[])
     path.write_text(json.dumps(doc))

@@ -1,13 +1,16 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colwave.linwave as linwave
 from colwave.errors import ValidationError
 from colwave.linwave import (
+    TIME_FFT_LAGS,
     QuadratureSpec,
     _data_terms_at,
     _line_rule,
@@ -21,8 +24,9 @@ from colwave.linwave import (
     operator_norm_probe,
     solve_linear,
 )
-from colwave.nets import InitialDatum, ZERO_DATUM
+from colwave.nets import InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
 from colwave.seminorms import Field, SpaceTimeGrid, constant_field
+from colwave.semilinear import solve_net
 
 QUAD = QuadratureSpec(angular_points=16, polar_points=12)
 GAUSS = InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0)
@@ -321,13 +325,15 @@ def edge_source(grid, radius=0.4):
 
 
 @pytest.mark.parametrize("tp", [1, 2])
-@pytest.mark.parametrize("dim,dx", [(1, 0.1), (2, 0.15), (3, 0.2)])
+@pytest.mark.parametrize("dim,dx", [(1, 0.1), (2, 0.15), (3, 0.2), (1, 0.025)])
 def test_duhamel_matches_reference(dim, dx, tp):
     # the sharp cutoff puts the source on its level radius, which the
     # interpolation stencil reaches sqrt(dim) cells past: a support test
     # that allows only one cell drops real contributions here
     quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
     grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dx / 2)
+    # dx 0.025 sums its lags by the FFT along time, the other grids level by level
+    assert (grid.n_time * tp >= TIME_FFT_LAGS) == (dx == 0.025)
     h = edge_source(grid)
     field = solve_linear(ZERO_DATUM, ZERO_DATUM, h, grid, quad)
     pts = grid.spatial_points
@@ -341,6 +347,48 @@ def test_duhamel_matches_reference(dim, dx, tp):
         t = float(rng.uniform(0.0, grid.horizon))
         ref = reference_duhamel(h, x[None], t, quad)[0]
         assert abs(duhamel(h, x, t, quad) - ref) <= 1e-13 * peak
+
+
+def test_stencil_spectra_built_once_per_grid(monkeypatch):
+    # every sweep of every entry, on every thread, reuses one build
+    calls = []
+
+    def counted(grid, quad, x, s):
+        calls.append((grid, quad))
+        return lag_weights(grid, quad, x, s)
+
+    lag_weights = linwave._lag_weights
+    monkeypatch.setattr(linwave, "_lag_weights", counted)
+    linwave._cached_spectra.cache_clear()
+    prob = Problem(dim=2, horizon=0.3, support_radius=0.3,
+                   u0=InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=1.0),
+                   u1=ZERO_DATUM, f=NonlinearitySpec("sine"), small_exponent=1.0)
+    grid = SpaceTimeGrid.covering(2, 0.3, 0.3, dx=0.1, dt=0.05)
+    quad = QuadratureSpec(angular_points=8, polar_points=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching often
+    try:
+        _, reports = solve_net(prob, make_ladder(0.5, 0.5, 4), grid, quad, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(r.iterations for r in reports) > 4
+    assert calls == [(grid, quad)]
+    other = QuadratureSpec(angular_points=8, polar_points=4, time_points_per_dt=2)
+    solve_net(prob, make_ladder(0.5, 0.5, 3), grid, other)
+    assert calls == [(grid, quad), (grid, other)]
+
+
+@pytest.mark.parametrize("tp", [1, 4])
+def test_stencil_spectra_read_only(tp):
+    grid = SpaceTimeGrid.covering(1, 0.6, 0.4, dx=0.05, dt=0.025)
+    quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
+    s_hat, s_time = linwave._stencil_spectra(grid, quad)
+    assert (s_time is None) == (grid.n_time * tp < TIME_FFT_LAGS)
+    for arr in (s_hat, s_time):
+        if arr is not None:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,14 @@ def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
     assert solves == [0.5, 1.0, 2.0]
 
 
+def test_preset_nets_share_one_linear_part(linear_solves):
+    # the three presets differ only in b: one data-term evaluation serves all
+    nets = suite.preset_nets()
+    assert [h for h in linear_solves if h is None] == [None]
+    linears = [linear for _, _, _, linear in nets.values()]
+    assert all(linear is linears[0] for linear in linears)
+
+
 def test_solver_failure_exit(tmp_path):
     doc = {
         "problem": {

@@ -13,12 +13,14 @@ from colwave.seminorms import (
     Field,
     Net,
     SpaceTimeGrid,
+    classify,
     seminorm,
     ultra_metric,
     valuation,
 )
 from colwave.semilinear import apply_fixed_point_map, solve_net
 from colwave.verify import (
+    UniquenessReport,
     check_association,
     check_contraction,
     check_uniqueness_surrogate,
@@ -236,6 +238,45 @@ def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturb
     }
     assert rep.mu_max == expected
     assert all(type(v) is float for v in rep.mu_max.values())
+
+
+@pytest.mark.parametrize(
+    "data_perturbation, ok, reason",
+    [(0.0, True, "all seminorms below 10*tol"), (0.5, False, "difference not negligible")],
+)
+def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbation, ok, reason):
+    # mu_max and the class come from one seminorm table of the difference
+    # net: one derivative stack per entry, and the report classify gives
+    prob = Problem(
+        dim=3, horizon=0.3, support_radius=0.3,
+        u0=InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=1.0),
+        u1=InitialDatum("zero"), f=NonlinearitySpec("sine"), small_exponent=1.0,
+    )
+    grid = SpaceTimeGrid.covering(3, 0.3, 0.3, dx=0.1, dt=0.05)
+    quad = QuadratureSpec(angular_points=8, polar_points=4)
+    ladder = make_ladder(0.5, 0.5, 4)
+    net, _ = solve_net(prob, ladder, grid, quad)
+    seeded, stacks = [], []
+
+    def recording_solve_net(*args, **kwargs):
+        result = solve_net(*args, **kwargs)
+        seeded.append(result[0])
+        return result
+
+    def recording_orders(field, n):
+        stacks.append(n)
+        return orders(field, n)
+
+    orders = seminorms._seminorm_orders
+    monkeypatch.setattr(verify, "solve_net", recording_solve_net)
+    monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
+    rep = check_uniqueness_surrogate(prob, net, quad, data_perturbation=data_perturbation)
+    assert stacks == [MAX_SEMINORM_ORDER] * len(ladder)
+    monkeypatch.undo()
+    (net_b,) = seeded
+    diff = net - net_b
+    mu_max = {n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)}
+    assert rep == UniquenessReport(classify(diff), mu_max, ok, reason)
 
 
 @pytest.mark.parametrize("orders", [(0, 1, 2), (2, 0), (1,)])
