@@ -34,8 +34,8 @@ and applies them all through one zero-padded spatial FFT, while
 depend only on ``(grid, quad)`` and are built once for them and cached
 read-only, so every Picard sweep of a solve and every thread of
 ``solve_net`` reuses one build.  The lag sum is a causal convolution in
-time: from ``TIME_FFT_LAGS`` lags on (the measured crossover) it runs as
-one zero-padded FFT along time, below that level by level.  The two
+time: from ``TIME_FFT_LEVELS`` time levels on (the measured crossover) it
+runs as one zero-padded FFT along time, below that level by level.  The two
 agree to rounding, and each is deterministic.  Past the box the
 source is zero at the nodes: the interpolant falls to zero over the cell
 beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
@@ -60,12 +60,16 @@ from .seminorms import Field, SpaceTimeGrid, datum_seminorm, seminorm
 #: Upper bound on quadrature points evaluated in one numpy batch.
 _CHUNK = 1 << 21
 
-#: Lag count ``n_time * time_points_per_dt`` from which ``_source_levels``
-#: sums the lags by one FFT along time instead of level by level.  Measured
-#: per apply on a 2-vCPU host: in 1D the time FFT wins from 10 lags (100
-#: lags: 3.3 -> 1.4 ms); with one step per dt it wins from about 30 lags in
-#: 2D (25^2 nodes) and 40 in 3D (19^3 nodes, 62.6 -> 60.9 ms).
-TIME_FFT_LAGS = 40
+#: Time-level count ``n_time`` from which ``_source_levels`` sums the lags
+#: by one FFT along time instead of level by level.  The level loop costs
+#: about ``n_time / 2`` products per lag and only reads every
+#: ``time_points_per_dt``-th convolution entry, the FFT about ``log(lags)``,
+#: so the crossover is counted in levels, not lags.  Measured per apply on a
+#: 2-vCPU host: with one step per dt the FFT wins from about 30 levels in 2D
+#: (25^2 nodes) and 40 in 3D (19^3 nodes, 62.6 -> 60.9 ms); with 2-4 steps
+#: per dt the loop still wins at 20 levels (2D 47^2 nodes, 4 steps: 11.6
+#: against 20.9 ms) and loses at 60 (2D 51^2, 2 steps: 44.6 against 37.8).
+TIME_FFT_LEVELS = 40
 _SPECTRA_LOCK = threading.Lock()
 
 _BINARY_MAGIC = b"CWF1"
@@ -280,7 +284,7 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     stencils = np.roll(np.pad(stencils, [(0, 0)] + [(0, half)] * d), -half, axis=axes)
     s_hat = np.conj(np.fft.rfftn(stencils, axes=axes))
     s_hat.flags.writeable = False
-    if lags < TIME_FFT_LAGS:
+    if grid.n_time < TIME_FFT_LEVELS:
         return s_hat, None
     # zero padding to 2 * lags >= 2 * lags - 1 keeps the time convolution linear
     s_time = np.fft.fft(s_hat, n=2 * lags, axis=0)
@@ -291,10 +295,10 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
 def _stencil_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     """Conjugated spatial spectra of the lag stencils S_1..S_lags, read-only.
 
-    Also their spectrum along time, zero-padded, when the lag count reaches
-    ``TIME_FFT_LAGS`` (else None).  Built once per ``(grid, quad)``: the
-    cache holds one grid's spectra, and the lock makes concurrent solves on
-    one grid share a single build.
+    Also their spectrum along time, zero-padded, when the level count
+    reaches ``TIME_FFT_LEVELS`` (else None).  Built once per
+    ``(grid, quad)``: the cache holds one grid's spectra, and the lock makes
+    concurrent solves on one grid share a single build.
     """
     with _SPECTRA_LOCK:
         return _cached_spectra(grid, quad)
@@ -309,8 +313,8 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     The lag-k stencil S_k holds the origin-node weights of radius k*ds;
     every node sees the same stencil, so each sum is a spatial correlation,
     applied through one zero-padded FFT.  The lag sum is a causal
-    convolution in time: level by level below ``TIME_FFT_LAGS`` lags, else
-    all levels at once through one zero-padded FFT along time.
+    convolution in time: level by level below ``TIME_FFT_LEVELS`` levels,
+    else all levels at once through one zero-padded FFT along time.
     """
     grid = h.grid
     tp = quad.time_points_per_dt

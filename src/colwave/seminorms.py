@@ -1,10 +1,17 @@
 """Numerical sharp-topology calculus on sampled nets.
 
 Seminorms mu_n take the sup over the light cone K0 = {|x| <= t + r} of all
-finite-difference derivatives of total order <= n.  Decay exponents nu_n
-are least-squares slopes of log mu_n against log eps over the ladder; the
-ultra-pseudo-seminorms are p_n = exp(-nu_n) and the truncated ultra-metric
-is d(U, V) = sum_n 2^(-n-1) min(p_n(U - V), 1).
+finite-difference derivatives of total order <= n, centred inside and
+second-order one-sided on the first and last node of an axis, as
+``np.gradient(..., edge_order=2)`` gives them.  Only the nodes of the
+inflated cone are evaluated: first derivatives are whole-box arrays read
+there, and second derivatives gather ``np.gradient``'s stencils at those
+nodes alone, in its operation order, so every value is bit-identical to
+differencing the whole box.
+
+Decay exponents nu_n are least-squares slopes of log mu_n against log eps
+over the ladder; the ultra-pseudo-seminorms are p_n = exp(-nu_n) and the
+truncated ultra-metric is d(U, V) = sum_n 2^(-n-1) min(p_n(U - V), 1).
 
 All classifications here are finite-ladder surrogates of the asymptotic
 definitions: a fitted slope can only witness behaviour down to the
@@ -149,9 +156,36 @@ class SpaceTimeGrid:
         expand = (slice(None),) + (None,) * self.dim
         return self.node_radius[None] <= bound[expand]
 
+    @cached_property
+    def cone_nodes(self) -> "ConeNodes":
+        """Flat indices of ``cone_mask(CONE_INFLATION_CELLS)`` and their stencil subsets."""
+        mask = self.cone_mask(CONE_INFLATION_CELLS)
+        flat = np.flatnonzero(mask)
+        axes = []
+        for a, c in enumerate(np.unravel_index(flat, mask.shape)):
+            last = mask.shape[a] - 1
+            stride = math.prod(mask.shape[a + 1 :])
+            axes.append((stride, flat[(c > 0) & (c < last)], flat[c == 0], flat[c == last]))
+        for arr in (flat, *(x for ax in axes for x in ax[1:])):
+            arr.flags.writeable = False
+        return ConeNodes(flat, tuple(axes))
+
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Full space-time meshgrid (T, X[, Y[, Z]]) in grid shape."""
         return tuple(np.meshgrid(self.times, *([self.axis] * self.dim), indexing="ij"))
+
+
+@dataclass(frozen=True, eq=False)
+class ConeNodes:
+    """Flat indices of the inflated-cone nodes, split per axis for the FD stencils.
+
+    ``axes[a]`` is ``(stride, interior, first, last)``: the flat stride of
+    axis ``a`` and the cone nodes strictly inside that axis, on its first
+    node and on its last node.
+    """
+
+    flat: np.ndarray
+    axes: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @dataclass(eq=False)
@@ -297,38 +331,56 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
     return ValuationEstimate(slope, intercept, stderr, m)
 
 
-def _derivative_stack(field: Field, n: int):
-    """FD partial-derivative arrays of total order <= n, one group per order."""
-    spacings = (field.grid.dt,) + (field.grid.dx,) * field.grid.dim
-    axes = range(field.grid.dim + 1)
-    yield [field.samples]
-    if n == 0:
-        return
-    firsts = [np.gradient(field.samples, spacings[a], axis=a, edge_order=2) for a in axes]
-    yield firsts
-    if n == 1:
-        return
-    yield (
-        np.gradient(firsts[i], spacings[j], axis=j, edge_order=2)
-        for i in axes
-        for j in axes
-        if j >= i
-    )
+def _sup_abs(values: np.ndarray) -> float:
+    """Largest absolute value; 0.0 for no values."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _cone_derivative_sup(f: np.ndarray, h: float, stencil) -> float:
+    """Sup over the cone nodes of ``np.gradient(f, h, edge_order=2)`` along one axis.
+
+    ``f`` is flat and ``stencil`` is one ``ConeNodes.axes`` entry.  The
+    gathers repeat ``np.gradient``'s formulas in its operation order, so
+    every value is bit for bit the whole-box one.
+    """
+    s, inner, first, last = stencil
+    centred = (f.take(inner + s) - f.take(inner - s)) / (2.0 * h)
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    head = a * f.take(first) + b * f.take(first + s) + c * f.take(first + 2 * s)
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    tail = a * f.take(last - 2 * s) + b * f.take(last - s) + c * f.take(last)
+    return max(_sup_abs(centred), _sup_abs(head), _sup_abs(tail))
 
 
 def _seminorm_orders(field: Field, n: int) -> list[float]:
-    """[mu_0, ..., mu_n] of one field from a single derivative-stack pass."""
+    """[mu_0, ..., mu_n] of one field, each derivative read at the cone nodes only.
+
+    First derivatives are whole-box ``np.gradient`` arrays, because the
+    second-derivative stencils of cone nodes read their neighbours; second
+    derivatives are gathered at the cone nodes alone.
+    """
     if not (0 <= n <= MAX_SEMINORM_ORDER):
         raise UnsupportedOrderError(
             f"seminorm order must lie in [0, {MAX_SEMINORM_ORDER}], got {n}"
         )
-    mask = field.grid.cone_mask(CONE_INFLATION_CELLS)
-    mus = []
-    best = 0.0
-    for group in _derivative_stack(field, n):
-        for arr in group:
-            best = max(best, float(np.max(np.abs(arr[mask]))))
-        mus.append(best)
+    grid = field.grid
+    cone = grid.cone_nodes
+    spacings = (grid.dt,) + (grid.dx,) * grid.dim
+    axes = range(grid.dim + 1)
+    mus = [_sup_abs(field.samples.take(cone.flat))]
+    if n == 0:
+        return mus
+    firsts = [np.gradient(field.samples, spacings[a], axis=a, edge_order=2).ravel() for a in axes]
+    mus.append(max(mus[0], *(_sup_abs(d.take(cone.flat)) for d in firsts)))
+    if n == 1:
+        return mus
+    seconds = (
+        _cone_derivative_sup(firsts[i], spacings[j], cone.axes[j])
+        for i in axes
+        for j in axes
+        if j >= i
+    )
+    mus.append(max(mus[1], *seconds))
     return mus
 
 

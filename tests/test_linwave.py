@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import colwave.linwave as linwave
 from colwave.errors import ValidationError
 from colwave.linwave import (
-    TIME_FFT_LAGS,
+    TIME_FFT_LEVELS,
     QuadratureSpec,
     _data_terms_at,
     _line_rule,
@@ -332,8 +332,9 @@ def test_duhamel_matches_reference(dim, dx, tp):
     # that allows only one cell drops real contributions here
     quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
     grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dx / 2)
-    # dx 0.025 sums its lags by the FFT along time, the other grids level by level
-    assert (grid.n_time * tp >= TIME_FFT_LAGS) == (dx == 0.025)
+    # dx 0.025 (48 levels) sums its lags by the FFT along time, the other
+    # grids level by level, whatever their sub-steps
+    assert (grid.n_time >= TIME_FFT_LEVELS) == (dx == 0.025)
     h = edge_source(grid)
     field = solve_linear(ZERO_DATUM, ZERO_DATUM, h, grid, quad)
     pts = grid.spatial_points
@@ -380,10 +381,12 @@ def test_stencil_spectra_built_once_per_grid(monkeypatch):
 
 @pytest.mark.parametrize("tp", [1, 4])
 def test_stencil_spectra_read_only(tp):
-    grid = SpaceTimeGrid.covering(1, 0.6, 0.4, dx=0.05, dt=0.025)
+    # tp 1 keeps 24 levels (level loop), tp 4 has 48 (FFT along time)
+    grid = SpaceTimeGrid.covering(1, 0.6, 0.4, dx=0.05, dt=0.025 if tp == 1 else 0.0125)
     quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
     s_hat, s_time = linwave._stencil_spectra(grid, quad)
-    assert (s_time is None) == (grid.n_time * tp < TIME_FFT_LAGS)
+    assert (s_time is None) == (tp == 1)
+    assert (s_time is None) == (grid.n_time < TIME_FFT_LEVELS)
     for arr in (s_hat, s_time):
         if arr is not None:
             assert not arr.flags.writeable

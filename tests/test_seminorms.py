@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import colwave.seminorms as seminorms
 from colwave.errors import InsufficientDataError, UnsupportedOrderError, ValidationError
 from colwave.nets import InitialDatum, make_ladder
 from colwave.seminorms import (
@@ -313,6 +314,16 @@ def reference_seminorm(field, n):
     return max(float(np.max(np.abs(a[mask]))) for a in arrays)
 
 
+def reference_class(slopes):
+    if all(s >= 6.0 for s in slopes):
+        return NetClass.NEGLIGIBLE_AT_TESTED_ORDER
+    if all(s >= -0.05 for s in slopes):
+        return NetClass.BOUNDED_TYPE
+    if all(s >= -20.0 for s in slopes):
+        return NetClass.MODERATE
+    return NetClass.NOT_MODERATE
+
+
 def calculus_nets():
     g = SpaceTimeGrid.covering(2, 0.3, 0.25, dx=0.05, dt=0.025)
     T, X, Y = g.meshes()
@@ -354,18 +365,114 @@ def test_classify_and_ultra_metric_match_per_order_fits():
             for n in range(3)
         ]
         assert slopes == [valuation(net, n).slope for n in range(3)]
-        if all(s >= 6.0 for s in slopes):
-            expected = NetClass.NEGLIGIBLE_AT_TESTED_ORDER
-        elif all(s >= -0.05 for s in slopes):
-            expected = NetClass.BOUNDED_TYPE
-        elif all(s >= -20.0 for s in slopes):
-            expected = NetClass.MODERATE
-        else:
-            expected = NetClass.NOT_MODERATE
-        assert classify(net) is expected
+        assert classify(net) is reference_class(slopes)
     for a, b in ((u, v), (v, u), (u, u)):
         for n_terms in (1, 2, 3):
             expected = 0.0
             for n in range(n_terms):
                 expected += 2.0 ** (-n - 1) * min(ultra_pseudo_seminorm(a, b, n), 1.0)
             assert ultra_metric(a, b, n_terms) == expected
+
+
+# ---------------------------------------------------------------------------
+# cones that reach the box edge: the one-sided stencils of the cone gather
+# ---------------------------------------------------------------------------
+
+def edge_grid(dim, horizon, radius, dx):
+    """Grid with ``spatial_extent == support_radius + horizon``.
+
+    Its inflated cone holds the first and last node of every axis, which
+    covering grids (``margin_cells >= 2``) never reach in space.
+    """
+    return SpaceTimeGrid(dim=dim, horizon=horizon, support_radius=radius,
+                         spatial_extent=radius + horizon, dx=dx, dt=dx / 2)
+
+
+EDGE_GRIDS = {
+    1: edge_grid(1, 0.4, 0.3, 0.05),
+    2: edge_grid(2, 0.3, 0.25, 0.05),
+    3: edge_grid(3, 0.4, 0.8, 0.1),  # 9x25^3, the benchmark's calculus shape
+}
+
+
+def edge_fields(g):
+    """Fields whose largest derivatives sit on the box edges, plus noise."""
+    T, *X = g.meshes()
+    rng = np.random.default_rng(g.dim)
+    fields = [Field(g, rng.standard_normal(g.shape))]
+    for a in range(g.dim):
+        for sign in (1.0, -1.0):
+            # steep along axis a, so the one-sided second difference at its
+            # first (sign -1) or last (sign +1) node is the sup
+            fields.append(Field(g, np.exp(sign * 4.0 * X[a]) * (1.0 + T + 0.1 * X[a - 1])))
+    return fields
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_edge_cone_reaches_first_and_last_nodes(dim):
+    g = EDGE_GRIDS[dim]
+    assert g.spatial_extent == g.support_radius + g.horizon
+    cone = g.cone_nodes
+    assert np.array_equal(cone.flat, np.flatnonzero(g.cone_mask()))
+    for stride, inner, first, last in cone.axes:
+        assert len(first) and len(last) and len(inner)
+        assert len(inner) + len(first) + len(last) == len(cone.flat)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_edge_cone_seminorms_match_references(dim):
+    for f in edge_fields(EDGE_GRIDS[dim]):
+        expected = [reference_seminorm(f, n) for n in range(MAX_SEMINORM_ORDER + 1)]
+        assert seminorms._seminorm_orders(f, MAX_SEMINORM_ORDER) == expected
+        assert [seminorm(f, n) for n in range(MAX_SEMINORM_ORDER + 1)] == expected
+
+
+def test_edge_cone_planted_net_matches_per_order_fits():
+    # planted powers on a field that is nonzero up to the box edge, as the
+    # benchmark plants them on a solved linear field
+    g = EDGE_GRIDS[3]
+    assert g.shape == (9, 25, 25, 25)
+    T, X, Y, Z = g.meshes()
+    base = np.cos(2.0 * X) * np.exp(Y) * (1.0 + T * Z) + 0.5 * np.sin(3.0 * Z - T)
+    u = Net(LADDER, tuple(Field(g, float(e) ** 1.7 * 1.3 * base) for e in LADDER.values))
+    v = Net(LADDER, tuple(
+        Field(g, float(e) ** 8.0 * 0.7 * np.roll(base, 2, axis=1)) for e in LADDER.values
+    ))
+    ref = {}
+    for name, net in (("u", u), ("v", v), ("u-v", u - v), ("v-u", v - u)):
+        mus = np.array([[reference_seminorm(f, n) for n in range(3)] for f in net.fields])
+        ests = [fit_decay_exponent(LADDER.values, mus[:, n]) for n in range(3)]
+        ref[name] = (mus, ests)
+    mus, ests = ref["u"]
+    assert valuation_table(u) == [
+        (float(e), mu, n, ests[n].slope, ests[n].stderr)
+        for n in range(3)
+        for e, mu in zip(LADDER.values, mus[:, n])
+    ]
+    for name, net, cls in (("u", u, NetClass.BOUNDED_TYPE),
+                           ("v", v, NetClass.NEGLIGIBLE_AT_TESTED_ORDER)):
+        assert classify(net) is reference_class([est.slope for est in ref[name][1]]) is cls
+    for a, b, name in ((u, v, "u-v"), (v, u, "v-u")):
+        for n_terms in (1, 2, 3):
+            expected = 0.0
+            for n, est in enumerate(ref[name][1][:n_terms]):
+                expected += 2.0 ** (-n - 1) * min(math.exp(-est.slope), 1.0)
+            assert ultra_metric(a, b, n_terms) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seminorm_orders_difference_the_box_once_per_axis(dim, monkeypatch):
+    # only the dim + 1 first derivatives run np.gradient on the whole box;
+    # a whole-box second-derivative stack would make (dim + 1)(dim + 4)/2
+    # calls, 14 in 3D
+    calls = []
+    gradient = np.gradient
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["axis"])
+        return gradient(*args, **kwargs)
+
+    f = edge_fields(EDGE_GRIDS[dim])[0]
+    monkeypatch.setattr(np, "gradient", counted)
+    seminorms._seminorm_orders(f, MAX_SEMINORM_ORDER)
+    assert calls == list(range(dim + 1))
