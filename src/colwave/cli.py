@@ -31,7 +31,7 @@ from .linwave import (
 )
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
-from .semilinear import reports_to_csv, solve_net
+from .semilinear import DEFAULT_MAX_ITER, DEFAULT_TOL, reports_to_csv, solve_net
 from .suite import CHECK_NAMES, CONFIG_CHECKS, RESIDUAL_C, Solved, fmt, run_suite, write_csv
 from .verify import oracle_lifespan
 
@@ -47,59 +47,18 @@ class ExperimentConfig:
     ladder: EpsilonLadder
     grid: SpaceTimeGrid
     quad: QuadratureSpec
-    tol: float = 1e-10
-    max_iter: int = 50
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     outputs: str = "out"
     checks: list[str] = field(default_factory=list)
     residual_constant: float = RESIDUAL_C
 
     def to_dict(self) -> dict:
-        doc = {
-            "problem": {
-                "dim": self.problem.dim,
-                "horizon": self.problem.horizon,
-                "support_radius": self.problem.support_radius,
-                "u0": _datum_dict(self.problem.u0),
-                "u1": _datum_dict(self.problem.u1),
-                "f": _nonlinearity_dict(self.problem.f),
-                "small_exponent": self.problem.small_exponent,
-            },
-            "ladder": {
-                "eps0": self.ladder.eps0,
-                "ratio": self.ladder.ratio,
-                "count": self.ladder.count,
-            },
-            "grid": {
-                "spatial_extent": self.grid.spatial_extent,
-                "dx": self.grid.dx,
-                "dt": self.grid.dt,
-                "margin_cells": self.grid.margin_cells,
-            },
-            "quad": asdict(self.quad),
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "outputs": self.outputs,
-            "checks": list(self.checks),
-            "residual_constant": self.residual_constant,
-        }
+        """Every dataclass field but the grid's three that come from the problem."""
+        doc = asdict(self)
+        for key in ("dim", "horizon", "support_radius"):
+            del doc["grid"][key]
         return doc
-
-
-def _datum_dict(d: InitialDatum) -> dict:
-    out = {"kind": d.kind}
-    if d.kind != "zero":
-        out["outer_radius"] = d.outer_radius
-        out["amplitude"] = d.amplitude
-    if d.kind == "plateau_bump":
-        out["inner_radius"] = d.inner_radius
-    return out
-
-
-def _nonlinearity_dict(f: NonlinearitySpec) -> dict:
-    out = {"kind": f.kind}
-    if f.kind == "polynomial":
-        out["coefficients"] = list(f.coefficients)
-    return out
 
 
 def _need(doc: dict, key: str, path: str):
@@ -188,10 +147,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             margin_cells=gdoc.get("margin_cells", 2),
         )
     quad = _build("quad", QuadratureSpec, **_object(doc, "quad", default={}))
-    tol = doc.get("tol", 1e-10)
+    tol = doc.get("tol", DEFAULT_TOL)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ConfigError("tol", "must be a positive number")
-    max_iter = doc.get("max_iter", 50)
+    max_iter = doc.get("max_iter", DEFAULT_MAX_ITER)
     if not (isinstance(max_iter, int) and max_iter >= 1):
         raise ConfigError("max_iter", "must be a positive integer")
     checks = doc.get("checks", [])
@@ -310,7 +269,7 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     solved = None
     if set(names) != {"oracle"}:  # the oracle solves its own plateau problems
         linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
-        solved = Solved(*_solve_net(cfg, args.threads, linear), linear)
+        solved = Solved(cfg.problem, *_solve_net(cfg, args.threads, linear), linear)
     blocks = []
     all_ok = True
     for name in names:

@@ -439,6 +439,8 @@ class SupportReport:
 
 def check_support(field: Field, r: float, tol: float = 1e-10) -> SupportReport:
     """Max |field| over nodes with |x| > t + r + 2 dx."""
+    if not math.isfinite(r):
+        raise ValidationError("r", f"must be finite, got {r}")
     grid = field.grid
     bound = grid.times + r + 2.0 * grid.dx
     expand = (slice(None),) + (None,) * grid.dim

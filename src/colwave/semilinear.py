@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count
 from .linwave import QuadratureSpec, solve_linear
 from .nets import EpsilonLadder, Problem, ZERO_DATUM
 from .seminorms import CONE_INFLATION_CELLS, Field, Net, SpaceTimeGrid
@@ -56,29 +56,20 @@ def picard_solve(
     """
     if not (0.0 < eps <= 1.0):
         raise ValidationError("eps", f"must lie in (0, 1], got {eps}")
-    if not (tol > 0.0):
-        raise ValidationError("tol", "must be positive")
-    if max_iter < 1:
-        raise ValidationError("max_iter", "must be at least 1")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError("tol", f"must be positive and finite, got {tol}")
+    check_count("max_iter", max_iter, 1)
     if grid.dim != problem.dim:
         raise ValidationError("grid", "grid dimension does not match the problem")
 
-    u_lin = linear_part if linear_part is not None else solve_linear(
-        problem.u0, problem.u1, None, grid, quad
-    )
+    u_lin = _linear(problem, grid, quad, linear_part)
     factor = problem.small_factor(eps)
     mask = grid.cone_mask(CONE_INFLATION_CELLS)
     u = seed if seed is not None else u_lin
     history: list[float] = []
     converged = False
     for k in range(1, max_iter + 1):
-        source = problem.f.value(u.samples)
-        if not np.all(np.isfinite(source)):
-            raise DivergenceError(k, field=u, increments=history)
-        g = solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, source), grid, quad)
-        nxt = u_lin.samples + factor * g.samples
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(k, field=u, increments=history)
+        nxt = _map(problem, factor, u, u_lin, quad, k, history)
         inc = float(np.max(np.abs((nxt - u.samples)[mask])))
         u = Field(grid, nxt)
         history.append(inc)
@@ -113,9 +104,7 @@ def solve_net(
     remaining entries still run.  ``linear_part`` lets callers reuse a
     precomputed L(u0,u1,0).
     """
-    u_lin = linear_part if linear_part is not None else solve_linear(
-        problem.u0, problem.u1, None, grid, quad
-    )
+    u_lin = _linear(problem, grid, quad, linear_part)
 
     def run(j: int) -> tuple[Field, SolveReport]:
         eps = float(ladder.values[j])
@@ -154,15 +143,46 @@ def apply_fixed_point_map(
     quad: QuadratureSpec,
     linear_part: Field | None = None,
 ) -> Field:
-    """One application of F(u) = L(u0,u1,0) + eps**b L(0,0,f(u))."""
-    u_lin = linear_part if linear_part is not None else solve_linear(
-        problem.u0, problem.u1, None, grid, quad
-    )
-    source = problem.f.value(field.samples)
+    """One application of F(u) = L(u0,u1,0) + eps**b L(0,0,f(u)).
+
+    The same map ``picard_solve`` iterates; an overflowing f(u) or F(u)
+    raises DivergenceError.
+    """
+    u_lin = _linear(problem, grid, quad, linear_part)
+    return Field(grid, _map(problem, problem.small_factor(eps), field, u_lin, quad, 1, []))
+
+
+def _linear(
+    problem: Problem, grid: SpaceTimeGrid, quad: QuadratureSpec, given: Field | None
+) -> Field:
+    """``given``, or else the linear part L(u0,u1,0) of ``problem``."""
+    return given if given is not None else solve_linear(problem.u0, problem.u1, None, grid, quad)
+
+
+def _map(
+    problem: Problem,
+    factor: float,
+    u: Field,
+    u_lin: Field,
+    quad: QuadratureSpec,
+    iterate: int,
+    history: list[float],
+) -> np.ndarray:
+    """Samples of F(u) = u_lin + factor * L(0,0,f(u)).
+
+    Raises DivergenceError(``iterate``) carrying ``u`` and ``history`` when
+    f(u) or F(u) is not finite.
+    """
+    grid = u_lin.grid
+    source = problem.f.value(u.samples)
     if not np.all(np.isfinite(source)):
-        raise DivergenceError(1, field=field)
+        raise DivergenceError(iterate, field=u, increments=history)
     g = solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, source), grid, quad)
-    return Field(grid, u_lin.samples + problem.small_factor(eps) * g.samples)
+    with np.errstate(over="ignore"):  # overflow to inf is the divergence signal
+        nxt = u_lin.samples + factor * g.samples
+    if not np.all(np.isfinite(nxt)):
+        raise DivergenceError(iterate, field=u, increments=history)
+    return nxt
 
 
 def residual_mask(grid: SpaceTimeGrid) -> np.ndarray:

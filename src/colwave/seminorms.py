@@ -73,8 +73,8 @@ class SpaceTimeGrid:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValidationError(name, "must be positive and finite")
-        if self.support_radius < 0.0:
-            raise ValidationError("support_radius", "must be nonnegative")
+        if not (0.0 <= self.support_radius < math.inf):
+            raise ValidationError("support_radius", "must be nonnegative and finite")
         if self.spatial_extent < self.support_radius + self.horizon - 1e-12:
             raise ValidationError(
                 "spatial_extent",

@@ -49,7 +49,15 @@ if TYPE_CHECKING:
 RESIDUAL_C = 1200.0
 
 _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=1)
-Preset = tuple[Problem, Net, list[SolveReport], Field]
+
+
+class Solved(NamedTuple):
+    """A solved net: its problem, the net, its per-entry solve reports and its linear part."""
+
+    problem: Problem
+    net: Net
+    reports: list[SolveReport]
+    linear: Field
 
 
 @dataclass
@@ -93,7 +101,7 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
     )
 
 
-def preset_nets() -> dict[float, Preset]:
+def preset_nets() -> dict[float, Solved]:
     """The 1D bump preset for each b in {0.5, 1, 2} on the 8-entry ladder, keyed by b.
 
     One ``solve_net`` call each; the presets differ only in b, so they
@@ -105,7 +113,9 @@ def preset_nets() -> dict[float, Preset]:
     linear = solve_linear(first.u0, first.u1, None, grid, _QUAD_1D)
     ladder = make_ladder(0.5, 0.5, 8)
     return {
-        p.small_exponent: (p, *solve_net(p, ladder, grid, _QUAD_1D, linear_part=linear), linear)
+        p.small_exponent: Solved(
+            p, *solve_net(p, ladder, grid, _QUAD_1D, linear_part=linear), linear
+        )
         for p in problems
     }
 
@@ -114,7 +124,7 @@ def preset_nets() -> dict[float, Preset]:
 # 1. linear kernels
 # ---------------------------------------------------------------------------
 
-def check_linear_kernels(nets: dict[float, Preset]) -> CheckResult:
+def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
     """Translation-average identity in 1D; plateau means u(t,0)=t in 1D/2D/3D."""
     t0 = time.time()
     quad = QuadratureSpec(angular_points=16, polar_points=12)
@@ -144,7 +154,7 @@ def check_linear_kernels(nets: dict[float, Preset]) -> CheckResult:
 # 2. cone support
 # ---------------------------------------------------------------------------
 
-def check_cone_support(nets: dict[float, Preset]) -> CheckResult:
+def check_cone_support(nets: dict[float, Solved]) -> CheckResult:
     """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
     tol = 1e-8
     prob1, net1, reports1, lin1 = nets[1.0]
@@ -195,7 +205,7 @@ def _residual_problem(dim: int) -> Problem:
     )
 
 
-def check_residual_convergence(nets: dict[float, Preset]) -> CheckResult:
+def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
     """Wave-operator defect within budget; second-order under 1D refinement."""
     t0 = time.time()
     tol = 1e-12
@@ -238,7 +248,7 @@ def check_residual_convergence(nets: dict[float, Preset]) -> CheckResult:
 # 4. blow-up oracle
 # ---------------------------------------------------------------------------
 
-def check_lifespan_oracle(nets: dict[float, Preset]) -> CheckResult:
+def check_lifespan_oracle(nets: dict[float, Solved]) -> CheckResult:
     """ODE oracle value and the 1/(1 - eps t) wave solution in 1D and 3D."""
     ode_exact = oracle_lifespan(0.5, 1.0) == 2.0
     rep1 = check_wave_oracle(1)
@@ -257,7 +267,7 @@ def check_lifespan_oracle(nets: dict[float, Preset]) -> CheckResult:
 # 5. contraction factor
 # ---------------------------------------------------------------------------
 
-def check_contraction_factor(nets: dict[float, Preset]) -> CheckResult:
+def check_contraction_factor(nets: dict[float, Solved]) -> CheckResult:
     """Valuation gap >= b - 0.1 and metric ratio <= exp(-(b - 0.1)) for b in {0.5, 1}."""
     details = []
     ok = True
@@ -274,7 +284,7 @@ def check_contraction_factor(nets: dict[float, Preset]) -> CheckResult:
 # 6. association with the linear solution
 # ---------------------------------------------------------------------------
 
-def check_linear_association(nets: dict[float, Preset]) -> CheckResult:
+def check_linear_association(nets: dict[float, Solved]) -> CheckResult:
     """mu_0 difference decay rate >= b - 0.1 for b in {0.5, 1, 2}."""
     details = []
     ok = True
@@ -295,7 +305,7 @@ def _tiny_grid() -> SpaceTimeGrid:
     )
 
 
-def check_ultrametric_calculus(nets: dict[float, Preset]) -> CheckResult:
+def check_ultrametric_calculus(nets: dict[float, Solved]) -> CheckResult:
     """Metric axioms on random triples; exact fits; planted classifications."""
     grid = _tiny_grid()
     ladder = make_ladder(0.5, 0.5, 8)
@@ -365,7 +375,7 @@ def check_ultrametric_calculus(nets: dict[float, Preset]) -> CheckResult:
 # 8. Picard increment scaling
 # ---------------------------------------------------------------------------
 
-def check_picard_scaling(nets: dict[float, Preset]) -> CheckResult:
+def check_picard_scaling(nets: dict[float, Solved]) -> CheckResult:
     """Successive-increment ratios scale like eps (log-log slope 1 +/- 0.15)."""
     _, _, reports, _ = nets[1.0]
     eps_used = []
@@ -397,7 +407,7 @@ CHECKS = {
 }
 
 
-def run_check(name: str, nets: dict[float, Preset]) -> tuple[CheckResult, float]:
+def run_check(name: str, nets: dict[float, Solved]) -> tuple[CheckResult, float]:
     """Run one preset check on ``nets``, print its pass/fail line; returns it and its seconds."""
     t0 = time.time()
     try:
@@ -418,14 +428,6 @@ def run_suite() -> list[tuple[CheckResult, float]]:
 # ---------------------------------------------------------------------------
 # config checks
 # ---------------------------------------------------------------------------
-
-class Solved(NamedTuple):
-    """A config's net, its per-entry solve reports and its linear part."""
-
-    net: Net
-    reports: list[SolveReport]
-    linear: Field
-
 
 def _support(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
     radius = cfg.problem.support_radius

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, LifespanExceededError, ValidationError
-from .linwave import QuadratureSpec, solve_linear
+from .linwave import QuadratureSpec
 from .nets import InitialDatum, NonlinearitySpec, Problem
 from .seminorms import (
     MAX_SEMINORM_ORDER,
@@ -33,6 +33,7 @@ from .seminorms import (
 from .semilinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _linear,
     apply_fixed_point_map,
     picard_solve,
     solve_net,
@@ -201,9 +202,7 @@ def check_uniqueness_surrogate(
             raise ValidationError("data_perturbation", "cannot perturb a zero datum")
         problem_b = replace(problem, u0=replace(u0, amplitude=u0.amplitude + data_perturbation))
 
-    u_lin_b = linear_part
-    if u_lin_b is None or data_perturbation != 0.0:
-        u_lin_b = solve_linear(problem_b.u0, problem_b.u1, None, grid, quad)
+    u_lin_b = _linear(problem_b, grid, quad, linear_part if data_perturbation == 0.0 else None)
     pattern = _bump_pattern(problem, grid)
     seeds = [
         Field(grid, u_lin_b.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
@@ -234,6 +233,9 @@ def check_uniqueness_surrogate(
 
 def oracle_lifespan(eps: float, t: float) -> float:
     """Exact value 1/(1 - eps t) of the cubic test solution."""
+    for name, value in (("eps", eps), ("t", t)):
+        if not math.isfinite(value):
+            raise ValidationError(name, f"must be finite, got {value}")
     if eps * t >= 1.0:
         raise LifespanExceededError(
             f"eps*t = {eps * t} reaches the blow-up time of 1/(1 - eps t)"

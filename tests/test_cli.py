@@ -21,6 +21,7 @@ from colwave.cli import (
     parse_config,
 )
 from colwave.errors import ConfigError
+from colwave.seminorms import SpaceTimeGrid
 
 
 def base_config(tmp_path, **overrides):
@@ -117,6 +118,29 @@ def test_module_entry_point_runs_from_source():
 
 def test_oracle_lifespan_exit(capsys):
     assert main(["oracle", "--eps", "0.5", "--t", "2.0"]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("eps, t, name", [("nan", "1", "eps"), ("0.5", "-inf", "t")])
+def test_oracle_non_finite_input_exit(capsys, eps, t, name):
+    # used to print nan / 0.0 and exit 0
+    assert main(["oracle", "--eps", eps, f"--t={t}"]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: {name}: must be finite" in captured.err
+
+
+def test_explicit_spatial_extent_builds_grid_directly(tmp_path):
+    path, doc = base_config(tmp_path, grid={"spatial_extent": 1.0, "dx": 0.05, "dt": 0.025})
+    path.write_text(json.dumps(doc))
+    expected = SpaceTimeGrid(
+        dim=1, horizon=0.5, support_radius=0.4, spatial_extent=1.0, dx=0.05, dt=0.025
+    )
+    assert load_config(path).grid == expected
+
+
+def test_spatial_extent_short_of_cone_rejected(tmp_path, capsys):
+    # support_radius + horizon is 0.9
+    assert_field_rejected(tmp_path, capsys, "grid.spatial_extent", 0.8)
 
 
 def test_solve_linear_outputs(tmp_path, capsys):

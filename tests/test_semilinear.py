@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from colwave.linwave import QuadratureSpec, check_support, solve_linear
+from colwave.errors import DivergenceError, ValidationError
+from colwave import linwave
+from colwave.linwave import QuadratureSpec, check_support, field_from_binary, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
-from colwave.seminorms import NetClass, SpaceTimeGrid, classify, sampled_field, valuation
+from colwave.seminorms import (
+    Field,
+    NetClass,
+    SpaceTimeGrid,
+    classify,
+    sampled_field,
+    seminorm,
+    valuation,
+)
 from colwave.semilinear import (
     apply_fixed_point_map,
     picard_solve,
@@ -16,7 +26,7 @@ from colwave.semilinear import (
     solve_net,
 )
 from colwave.suite import RESIDUAL_C, _residual_problem
-from colwave.verify import cubic_oracle_problem, m1_membership
+from colwave.verify import check_uniqueness_surrogate, cubic_oracle_problem, m1_membership
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)
@@ -103,6 +113,127 @@ def test_validation_errors():
         picard_solve(prob, 1.5, grid, QUAD)
     with pytest.raises(Exception, match="max_iter"):
         picard_solve(prob, 0.5, grid, QUAD, max_iter=0)
+
+
+def small_3d_problem(f=NonlinearitySpec("sine")):
+    prob = Problem(
+        dim=3, horizon=0.3, support_radius=0.3,
+        u0=InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=1.0),
+        u1=InitialDatum("zero"), f=f, small_exponent=1.0,
+    )
+    grid = SpaceTimeGrid.covering(3, 0.3, 0.3, dx=0.1, dt=0.05)
+    return prob, grid, QuadratureSpec(angular_points=8, polar_points=4)
+
+
+def map_case(dim, f=NonlinearitySpec("sine")):
+    if dim == 1:
+        prob = bump_problem()
+        prob = Problem(prob.dim, prob.horizon, prob.support_radius, prob.u0, prob.u1, f)
+        return prob, grid_for(prob, dx=0.05), QUAD
+    return small_3d_problem(f)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fixed_point_map_is_one_picard_sweep(dim):
+    # apply_fixed_point_map and the Picard loop evaluate one map: a single
+    # sweep from seed u gives F(u) bit for bit
+    prob, grid, quad = map_case(dim)
+    lin = solve_linear(prob.u0, prob.u1, None, grid, quad)
+    tmesh = grid.meshes()[0]
+    u = Field(grid, lin.samples + 0.3 * np.cos(3.0 * tmesh) * lin.samples)
+    mapped = apply_fixed_point_map(prob, 0.25, u, grid, quad, lin)
+    swept, report = picard_solve(prob, 0.25, grid, quad, max_iter=1, seed=u, linear_part=lin)
+    assert report.iterations == 1
+    assert np.array_equal(mapped.samples, swept.samples)
+    assert np.array_equal(apply_fixed_point_map(prob, 0.25, u, grid, quad).samples, mapped.samples)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fixed_point_map_overflow_is_divergence(dim):
+    prob, grid, quad = map_case(dim, NonlinearitySpec("polynomial", (0.0, 0.0, 1.0)))
+    huge = Field(grid, np.full(grid.shape, 1e200))
+    with pytest.raises(DivergenceError) as mapped:
+        apply_fixed_point_map(prob, 0.25, huge, grid, quad)
+    with pytest.raises(DivergenceError) as swept:
+        picard_solve(prob, 0.25, grid, quad, seed=huge)
+    assert mapped.value.iterate == swept.value.iterate == 1
+    assert mapped.value.field is huge and swept.value.field is huge
+
+
+def test_fixed_point_map_overflowing_result_is_divergence():
+    # f(u) is finite but u_lin + eps**b L(0,0,f(u)) overflows
+    prob, grid, quad = map_case(1, NonlinearitySpec("polynomial", (1.0,)))
+    top = Field(grid, np.full(grid.shape, np.finfo(float).max))
+    u = Field(grid, np.full(grid.shape, 1e300))
+    with pytest.raises(DivergenceError) as mapped:
+        apply_fixed_point_map(prob, 1.0, u, grid, quad, top)
+    with pytest.raises(DivergenceError) as swept:
+        picard_solve(prob, 1.0, grid, quad, seed=u, linear_part=top)
+    assert mapped.value.field is u and swept.value.field is u
+
+
+def _coarse():
+    prob = bump_problem()
+    return prob, grid_for(prob, dx=0.05)
+
+
+def _grid_nan_radius(tmp_path):
+    # its cone would be empty, so the seminorm of a field of ones would be 0.0
+    grid = SpaceTimeGrid(dim=1, horizon=0.5, support_radius=math.nan, spatial_extent=1.0,
+                         dx=0.1, dt=0.05)
+    return seminorm(Field(grid, np.ones(grid.shape)), 0)
+
+
+def _dump_nan_radius(tmp_path):
+    # a dump header is read back through the same constructor
+    header = linwave._BINARY_HEADER.pack(1, 1, 2, 11, 21, 0.5, math.nan, 1.0, 0.1, 0.05)
+    path = tmp_path / "nan.bin"
+    path.write_bytes(linwave._BINARY_MAGIC + header + np.ones(11 * 21).astype("<f8").tobytes())
+    return field_from_binary(path)
+
+
+def _support_nan_radius(tmp_path):
+    # no node would be inspected
+    prob, grid = _coarse()
+    return check_support(solve_linear(prob.u0, prob.u1, None, grid, QUAD), math.nan)
+
+
+def _picard_inf_tol(tmp_path):
+    # one sweep would report convergence
+    prob, grid = _coarse()
+    return picard_solve(prob, 0.5, grid, QUAD, tol=math.inf)
+
+
+def _solve_net_inf_tol(tmp_path):
+    prob, grid = _coarse()
+    return solve_net(prob, LADDER, grid, QUAD, tol=math.inf)
+
+
+def _uniqueness_inf_tol(tmp_path):
+    prob, grid = _coarse()
+    net, _ = solve_net(prob, make_ladder(0.5, 0.5, 3), grid, QUAD)
+    return check_uniqueness_surrogate(prob, net, QUAD, tol=math.inf)
+
+
+def _picard_fractional_max_iter(tmp_path):
+    prob, grid = _coarse()
+    return picard_solve(prob, 0.5, grid, QUAD, max_iter=2.5)
+
+
+@pytest.mark.parametrize("call", [
+    _grid_nan_radius,
+    _dump_nan_radius,
+    _support_nan_radius,
+    _picard_inf_tol,
+    _solve_net_inf_tol,
+    _uniqueness_inf_tol,
+    _picard_fractional_max_iter,
+], ids=lambda call: call.__name__.lstrip("_"))
+def test_bad_library_inputs_rejected(tmp_path, call):
+    # each of these inputs once made a check pass without checking anything,
+    # or failed with a bare TypeError
+    with pytest.raises(ValidationError):
+        call(tmp_path)
 
 
 # ---------------------------------------------------------------------------
