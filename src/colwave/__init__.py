@@ -16,15 +16,10 @@ from .errors import (
 )
 from .nets import (
     EpsilonLadder,
-    GeneralizedNumber,
     InitialDatum,
     NonlinearitySpec,
     Problem,
-    eval_datum,
-    datum_derivative,
-    eval_nonlinearity,
     make_ladder,
-    power_number,
 )
 from .seminorms import (
     Field,
@@ -66,15 +61,10 @@ __all__ = [
     "UnsupportedOrderError",
     "ValidationError",
     "EpsilonLadder",
-    "GeneralizedNumber",
     "InitialDatum",
     "NonlinearitySpec",
     "Problem",
-    "eval_datum",
-    "datum_derivative",
-    "eval_nonlinearity",
     "make_ladder",
-    "power_number",
     "Field",
     "Net",
     "NetClass",

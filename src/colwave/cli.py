@@ -32,7 +32,16 @@ from .linwave import (
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
 from .semilinear import DEFAULT_MAX_ITER, DEFAULT_TOL, reports_to_csv, solve_net
-from .suite import CHECK_NAMES, CONFIG_CHECKS, RESIDUAL_C, Solved, fmt, run_suite, write_csv
+from .suite import (
+    CHECK_NAMES,
+    CONFIG_CHECKS,
+    RESIDUAL_C,
+    SUPPORT_TOL,
+    Solved,
+    fmt,
+    run_suite,
+    write_csv,
+)
 from .verify import oracle_lifespan
 
 EXIT_OK = 0
@@ -215,7 +224,7 @@ def _cmd_solve_linear(cfg: ExperimentConfig, args) -> int:
     fld = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
     field_to_csv(fld, os.path.join(out, "linear_field.csv"))
     field_to_binary(fld, os.path.join(out, "linear_field.bin"))
-    rep = check_support(fld, cfg.problem.support_radius, tol=1e-8)
+    rep = check_support(fld, cfg.problem.support_radius, tol=SUPPORT_TOL)
     block = (
         f"solve-linear ok\n  grid shape {fld.grid.shape}\n"
         f"  support max_outside={fmt(rep.max_outside)}"

@@ -152,12 +152,10 @@ def _mean_rule(dim: int, quad: QuadratureSpec):
 
 
 def _feature_scale(datum: InitialDatum) -> float:
-    """Finest length scale of the datum profile, for 1D panel sizing."""
+    """Finest length scale of a nonzero datum profile, for 1D panel sizing."""
     if datum.kind == "plateau_bump":
         return datum.outer_radius - datum.inner_radius
-    if datum.kind == "gaussian_bump":
-        return datum.outer_radius / 2.0
-    return math.inf
+    return datum.outer_radius / 2.0
 
 
 def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
@@ -167,7 +165,7 @@ def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
     the panels are those of |t|.
     """
     width = _feature_scale(datum) / 2.0
-    panels = 1 if not math.isfinite(width) else min(512, max(1, math.ceil(2.0 * abs(t) / width)))
+    panels = min(512, max(1, math.ceil(2.0 * abs(t) / width)))
     return _gauss_panels(-t, t, quad.polar_points, panels)
 
 
@@ -441,6 +439,8 @@ def check_support(field: Field, r: float, tol: float = 1e-10) -> SupportReport:
     """Max |field| over nodes with |x| > t + r + 2 dx."""
     if not math.isfinite(r):
         raise ValidationError("r", f"must be finite, got {r}")
+    if not (0.0 <= tol < math.inf):
+        raise ValidationError("tol", f"must be nonnegative and finite, got {tol}")
     grid = field.grid
     bound = grid.times + r + 2.0 * grid.dx
     expand = (slice(None),) + (None,) * grid.dim

@@ -1,10 +1,10 @@
-"""Epsilon ladders, generalized numbers, and closed-form problem data.
+"""Epsilon ladders and closed-form problem data.
 
 A net is a family indexed by a geometric ladder of regularization
 parameters ``eps_j = eps0 * ratio**j``.  Initial data and nonlinearities
-are specified in closed form so that values and derivatives up to total
-order two are exact, which keeps every downstream quadrature and
-finite-difference check honest.
+are specified in closed form, the data with exact gradients and Hessians,
+which keeps every downstream quadrature and finite-difference check
+honest.
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedOrderError, ValidationError, check_count
+from .errors import ValidationError, check_count
 
 DATUM_KINDS = ("plateau_bump", "gaussian_bump", "zero")
 NONLINEARITY_KINDS = ("polynomial", "sine", "exp_minus_one", "zero")
-
-#: Highest total derivative order available on initial data.  The linear
-#: kernels consume at most first derivatives of the data and the
-#: operator-norm probe at most second.
-MAX_DATUM_ORDER = 2
 
 # Transition arguments this close to the flat ends are rounded onto them;
 # the true values there differ from 0/1 by less than exp(-1e6).
@@ -62,39 +57,6 @@ class EpsilonLadder:
 def make_ladder(eps0: float, ratio: float, count: int) -> EpsilonLadder:
     """Build the geometric ladder ``eps_j = eps0 * ratio**j``."""
     return EpsilonLadder(eps0=eps0, ratio=ratio, count=count)
-
-
-@dataclass(frozen=True)
-class GeneralizedNumber:
-    """A real number per ladder entry; the sampled stand-in for a scalar net."""
-
-    ladder: EpsilonLadder
-    values: tuple[float, ...]
-    nominal_exponent: float | None = None
-
-    def __post_init__(self):
-        if len(self.values) != len(self.ladder):
-            raise ValidationError("values", "one value per ladder entry required")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValidationError("values", "all values must be finite")
-
-    def __mul__(self, other: "GeneralizedNumber") -> "GeneralizedNumber":
-        if not isinstance(other, GeneralizedNumber):
-            return NotImplemented
-        if other.ladder != self.ladder:
-            raise ValidationError("ladder", "operands must share one ladder")
-        exp = None
-        if self.nominal_exponent is not None and other.nominal_exponent is not None:
-            exp = self.nominal_exponent + other.nominal_exponent
-        vals = tuple(a * b for a, b in zip(self.values, other.values))
-        return GeneralizedNumber(self.ladder, vals, exp)
-
-
-def power_number(ladder: EpsilonLadder, b: float) -> GeneralizedNumber:
-    """The net ``eps_j**b``, e.g. the small factor multiplying the nonlinearity."""
-    if not math.isfinite(b):
-        raise ValidationError("b", "exponent must be finite")
-    return GeneralizedNumber(ladder, tuple(float(e**b) for e in ladder.values), b)
 
 
 def _transition(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,41 +208,6 @@ class InitialDatum:
             hess = np.where(flat[..., None, None], 0.0, hess)
         return hess
 
-    def derivative(self, points: np.ndarray, multi_index: tuple[int, ...]) -> np.ndarray:
-        """Closed-form partial derivative for a multi-index of total order <= 2."""
-        order = sum(multi_index)
-        if order > MAX_DATUM_ORDER or any(k < 0 for k in multi_index):
-            raise UnsupportedOrderError(
-                f"datum derivatives available up to total order {MAX_DATUM_ORDER}, "
-                f"got multi-index {multi_index}"
-            )
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != len(multi_index):
-            raise ValidationError("multi_index", "length must equal the point dimension")
-        if order == 0:
-            return self.value(pts)
-        if order == 1:
-            axis = multi_index.index(1)
-            return self.gradient(pts)[..., axis]
-        if 2 in multi_index:
-            i = multi_index.index(2)
-            j = i
-        else:
-            i, j = [k for k, m in enumerate(multi_index) if m == 1]
-        return self.hessian(pts)[..., i, j]
-
-
-def eval_datum(datum: InitialDatum, x) -> float:
-    """Datum value at a single point ``x`` (scalar allowed in 1D)."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(datum.value(pts))
-
-
-def datum_derivative(datum: InitialDatum, x, multi_index: tuple[int, ...]) -> float:
-    """Closed-form datum derivative at a single point."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(datum.derivative(pts, tuple(multi_index)))
-
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -329,31 +256,8 @@ class NonlinearitySpec:
                 return np.expm1(u)
             return np.zeros_like(u)
 
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "polynomial":
-                out = np.zeros_like(u)
-                for k in reversed(range(len(self.coefficients))):
-                    out = out * u + (k + 1) * self.coefficients[k]
-                return out
-            if self.kind == "sine":
-                return np.cos(u)
-            if self.kind == "exp_minus_one":
-                return np.exp(u)
-            return np.zeros_like(u)
-
-
-def eval_nonlinearity(spec: NonlinearitySpec, u: float) -> float:
-    return float(spec.value(u))
-
-
-def nonlinearity_derivative(spec: NonlinearitySpec, u: float) -> float:
-    return float(spec.derivative(u))
-
 
 ZERO_DATUM = InitialDatum("zero")
-ZERO_NONLINEARITY = NonlinearitySpec("zero")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def picard_solve(
         iterations=len(history),
         increment_history=history,
         converged=converged,
-        final_increment=history[-1] if history else math.inf,
+        final_increment=history[-1],
     )
     return u, report
 

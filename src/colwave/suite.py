@@ -48,6 +48,9 @@ if TYPE_CHECKING:
 #: and 370 in 3D); fixed here with at least 2x headroom.
 RESIDUAL_C = 1200.0
 
+#: Largest |u| allowed outside the 2-cell inflated cone |x| <= t + r + 2 dx.
+SUPPORT_TOL = 1e-8
+
 _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=1)
 
 
@@ -156,9 +159,8 @@ def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
 
 def check_cone_support(nets: dict[float, Solved]) -> CheckResult:
     """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
-    tol = 1e-8
     prob1, net1, reports1, lin1 = nets[1.0]
-    worst = max(check_support(f, prob1.support_radius, tol).max_outside
+    worst = max(check_support(f, prob1.support_radius, SUPPORT_TOL).max_outside
                 for f in (lin1, *net1.fields))
     conv = all(r.converged for r in reports1)
 
@@ -168,13 +170,13 @@ def check_cone_support(nets: dict[float, Solved]) -> CheckResult:
         grid = SpaceTimeGrid.covering(dim, prob.horizon, prob.support_radius, dx=dx, dt=dx / 2)
         field, rep = picard_solve(prob, 0.25, grid, quad23)
         conv = conv and rep.converged
-        worst = max(worst, check_support(field, prob.support_radius, tol).max_outside)
+        worst = max(worst, check_support(field, prob.support_radius, SUPPORT_TOL).max_outside)
 
-    ok = conv and worst <= tol
+    ok = conv and worst <= SUPPORT_TOL
     return CheckResult(
         "cone_support",
         ok,
-        f"max_outside={worst:.2e} (tol 1e-08) over "
+        f"max_outside={worst:.2e} (tol {fmt(SUPPORT_TOL)}) over "
         "1d-linear, 1d-semilinear-net, 2d-semilinear, 3d-semilinear",
     )
 
@@ -431,15 +433,15 @@ def run_suite() -> list[tuple[CheckResult, float]]:
 
 def _support(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
     radius = cfg.problem.support_radius
-    cases = [("linear", check_support(solved.linear, radius, 1e-8))]
+    cases = [("linear", check_support(solved.linear, radius, SUPPORT_TOL))]
     cases += [
-        (f"eps={fmt(r.eps)}", check_support(f, radius, 1e-8))
+        (f"eps={fmt(r.eps)}", check_support(f, radius, SUPPORT_TOL))
         for f, r in zip(solved.net.fields, solved.reports)
     ]
     worst = max(rep.max_outside for _, rep in cases)
     ok = all(rep.ok for _, rep in cases) and all(r.converged for r in solved.reports)
     return CheckResult(
-        "support", ok, f"support ok={ok} max_outside={fmt(worst)} (tol 1e-08)",
+        "support", ok, f"support ok={ok} max_outside={fmt(worst)} (tol {fmt(SUPPORT_TOL)})",
         "case,max_outside,ok", [(label, rep.max_outside, rep.ok) for label, rep in cases],
     )
 

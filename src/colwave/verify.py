@@ -89,6 +89,8 @@ def check_association(
     to below ``ASSOCIATION_THRESHOLD``; ``strong_rate_ok`` asks the fitted
     rate to reach b within ``RATE_MARGIN``; ``ok`` is both.
     """
+    if not (0.0 < tol < math.inf):
+        raise ValidationError("tol", f"must be positive and finite, got {tol}")
     mu0 = [seminorm(f - linear, 0) for f in net.fields]
     fitted = fit_decay_exponent(net.ladder.values, mu0)
     non_increasing = all(

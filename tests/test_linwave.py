@@ -523,6 +523,10 @@ def test_support_zero_and_constant_fields():
     assert check_support(constant_field(grid, 0.0), 0.2).max_outside == 0.0
     report = check_support(constant_field(grid, 1.0), 0.2, tol=0.5)
     assert not report.ok and report.max_outside == 1.0
+    assert check_support(constant_field(grid, 0.0), 0.2, tol=0.0).ok
+    for tol in (-1e-8, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            check_support(constant_field(grid, 0.0), 0.2, tol=tol)
 
 
 # ---------------------------------------------------------------------------

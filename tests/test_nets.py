@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colwave.errors import UnsupportedOrderError, ValidationError
+import colwave
+from colwave.errors import ValidationError
 from colwave.linwave import QuadratureSpec
-from colwave.nets import (
-    EpsilonLadder,
-    InitialDatum,
-    NonlinearitySpec,
-    Problem,
-    datum_derivative,
-    eval_datum,
-    eval_nonlinearity,
-    make_ladder,
-    nonlinearity_derivative,
-    power_number,
-)
-from colwave.seminorms import SpaceTimeGrid
+from colwave.nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem, make_ladder
+from colwave.seminorms import SpaceTimeGrid, power_net
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+def test_export_list_resolves():
+    # ``from colwave import *`` fails on any stale name in __all__
+    assert len(set(colwave.__all__)) == len(colwave.__all__)
+    for name in colwave.__all__:
+        assert hasattr(colwave, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -66,23 +67,29 @@ def test_counts_accept_numpy_integers():
     assert Problem(n(3), 0.5, 0.2, zero, zero, NonlinearitySpec("zero")).dim == 3
 
 
+_POWER_GRID = SpaceTimeGrid.covering(1, 0.1, 0.1, dx=0.05)
+
+
+def _entries(net):
+    # without a pattern every entry of power_net is the constant eps_j**b
+    return tuple(float(f.samples[0, 0]) for f in net.fields)
+
+
 def test_power_number_values():
     lad = make_ladder(1.0, 0.1, 3)
-    assert power_number(lad, 1.0).values == (1.0, 0.1, 0.01)
-    assert power_number(lad, 0.0).values == (1.0, 1.0, 1.0)
-    squares = power_number(make_ladder(0.5, 0.5, 3), 2.0)
-    assert squares.values[:2] == (0.25, 0.0625)
-    assert squares.nominal_exponent == 2.0
+    assert _entries(power_net(_POWER_GRID, lad, 1.0)) == (1.0, 0.1, 0.01)
+    assert _entries(power_net(_POWER_GRID, lad, 0.0)) == (1.0, 1.0, 1.0)
+    squares = power_net(_POWER_GRID, make_ladder(0.5, 0.5, 3), 2.0)
+    assert _entries(squares)[:2] == (0.25, 0.0625)
 
 
 @given(b1=st.floats(-3, 3), b2=st.floats(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_power_number_multiplicative(b1, b2):
     lad = make_ladder(0.5, 0.5, 6)
-    prod = power_number(lad, b1) * power_number(lad, b2)
-    expected = power_number(lad, b1 + b2)
-    assert prod.nominal_exponent == pytest.approx(b1 + b2)
-    for a, b in zip(prod.values, expected.values):
+    prod = power_net(_POWER_GRID, lad, b1) * power_net(_POWER_GRID, lad, b2)
+    expected = power_net(_POWER_GRID, lad, b1 + b2)
+    for a, b in zip(_entries(prod), _entries(expected)):
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -92,13 +99,13 @@ def test_power_number_multiplicative(b1, b2):
 
 def test_plateau_values():
     d = InitialDatum("plateau_bump", outer_radius=1.0, inner_radius=0.5, amplitude=1.0)
-    assert eval_datum(d, 0.0) == 1.0
-    assert eval_datum(d, 2.0) == 0.0
+    assert d.value([0.0]) == 1.0
+    assert d.value([2.0]) == 0.0
     # exactly the amplitude on the closed inner ball
     for x in (0.0, 0.3, 0.49, 0.5):
-        assert eval_datum(d, x) == 1.0
+        assert d.value([x]) == 1.0
     # strictly between 0 and amplitude on the open annulus
-    mid = eval_datum(d, 0.75)
+    mid = d.value([0.75])
     assert 0.0 < mid < 1.0
 
 
@@ -161,17 +168,6 @@ def test_datum_hessian_matches_gradient_differences(dim):
         np.testing.assert_allclose(hess[:, :, j], fd, rtol=2e-4, atol=1e-6)
 
 
-def test_datum_derivative_dispatch():
-    d = InitialDatum("gaussian_bump", outer_radius=1.0, amplitude=1.0)
-    x = np.array([0.3, -0.2])
-    assert datum_derivative(d, x, (0, 0)) == eval_datum(d, x)
-    assert datum_derivative(d, x, (1, 0)) == pytest.approx(d.gradient(x[None])[0, 0])
-    assert datum_derivative(d, x, (1, 1)) == pytest.approx(d.hessian(x[None])[0, 0, 1])
-    assert datum_derivative(d, x, (0, 2)) == pytest.approx(d.hessian(x[None])[0, 1, 1])
-    with pytest.raises(UnsupportedOrderError):
-        datum_derivative(d, x, (2, 1))
-
-
 def test_datum_validation():
     with pytest.raises(ValidationError, match="kind"):
         InitialDatum("box")
@@ -189,17 +185,14 @@ def test_datum_validation():
 
 def test_polynomial_value():
     f = NonlinearitySpec("polynomial", (0.0, 0.0, 2.0))  # 2 u^3
-    assert eval_nonlinearity(f, 2.0) == 16.0
-    assert eval_nonlinearity(f, 0.0) == 0.0
-    assert nonlinearity_derivative(f, 2.0) == pytest.approx(24.0)
+    assert f.value(2.0) == 16.0
+    assert f.value(0.0) == 0.0
 
 
 def test_sine_and_exp():
-    assert eval_nonlinearity(NonlinearitySpec("sine"), 0.0) == 0.0
-    assert eval_nonlinearity(NonlinearitySpec("exp_minus_one"), 1.0) == pytest.approx(
-        math.e - 1.0, rel=1e-12
-    )
-    assert eval_nonlinearity(NonlinearitySpec("zero"), 3.0) == 0.0
+    assert NonlinearitySpec("sine").value(0.0) == 0.0
+    assert NonlinearitySpec("exp_minus_one").value(1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert NonlinearitySpec("zero").value(3.0) == 0.0
 
 
 def test_constant_term_rejected():
@@ -221,26 +214,14 @@ def test_nonlinearity_validation():
 )
 @settings(max_examples=20, deadline=None)
 def test_f_vanishes_at_zero(kind):
-    assert eval_nonlinearity(NonlinearitySpec(kind), 0.0) == 0.0
+    assert NonlinearitySpec(kind).value(0.0) == 0.0
 
 
 @given(coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_polynomial_vanishes_at_zero(coeffs):
     f = NonlinearitySpec("polynomial", tuple(coeffs))
-    assert eval_nonlinearity(f, 0.0) == 0.0
-
-
-def test_nonlinearity_derivative_matches_finite_differences():
-    h = 1e-6
-    for spec in (
-        NonlinearitySpec("polynomial", (1.0, -0.5, 2.0)),
-        NonlinearitySpec("sine"),
-        NonlinearitySpec("exp_minus_one"),
-    ):
-        for u in (-1.2, 0.0, 0.7):
-            fd = (eval_nonlinearity(spec, u + h) - eval_nonlinearity(spec, u - h)) / (2 * h)
-            assert nonlinearity_derivative(spec, u) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    assert f.value(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from colwave.linwave import QuadratureSpec, check_support, field_from_binary, so
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
     Field,
+    Net,
     NetClass,
     SpaceTimeGrid,
     classify,
@@ -26,7 +27,12 @@ from colwave.semilinear import (
     solve_net,
 )
 from colwave.suite import RESIDUAL_C, _residual_problem
-from colwave.verify import check_uniqueness_surrogate, cubic_oracle_problem, m1_membership
+from colwave.verify import (
+    check_association,
+    check_uniqueness_surrogate,
+    cubic_oracle_problem,
+    m1_membership,
+)
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)
@@ -198,6 +204,20 @@ def _support_nan_radius(tmp_path):
     return check_support(solve_linear(prob.u0, prob.u1, None, grid, QUAD), math.nan)
 
 
+def _support_inf_tol(tmp_path):
+    # a field of ones would have its support accepted
+    prob, grid = _coarse()
+    return check_support(Field(grid, np.ones(grid.shape)), prob.support_radius, tol=math.inf)
+
+
+def _association_inf_tol(tmp_path):
+    # a net whose mu_0 history grows would pass as associated
+    prob, grid = _coarse()
+    lin = solve_linear(prob.u0, prob.u1, None, grid, QUAD)
+    net = Net(make_ladder(0.5, 0.5, 4), [lin * (1.0 + 0.01 * (j + 1)) for j in range(4)])
+    return check_association(prob, net, lin, tol=math.inf)
+
+
 def _picard_inf_tol(tmp_path):
     # one sweep would report convergence
     prob, grid = _coarse()
@@ -224,6 +244,8 @@ def _picard_fractional_max_iter(tmp_path):
     _grid_nan_radius,
     _dump_nan_radius,
     _support_nan_radius,
+    _support_inf_tol,
+    _association_inf_tol,
     _picard_inf_tol,
     _solve_net_inf_tol,
     _uniqueness_inf_tol,
