@@ -14,14 +14,22 @@ largest outer radius of the nonzero data, and are exactly 0.0 elsewhere:
 every rule point lies within |t| of its target (x - t*d with |d| <= 1,
 line offsets in [-t, t]), and both bump kinds vanish, value and gradient,
 on a band just inside outer_radius (``nets._FLAT_CLIP``), far wider than
-the rounding in |x - t*d|.  Each datum's radial profile is evaluated
-once per rule point, giving the value and the gradient together.
-``solve_linear`` evaluates them only on the nodes of the nonnegative
-orthant and fills every other node by reflection.  That is exact: the
-data are radial, every rule maps onto itself under each coordinate
-reflection (``angular_points`` is even, the Gauss-Legendre nodes are
-symmetric), and the grid axis is exactly antisymmetric, so the result is
-mirror-symmetric bit for bit and the t = 0 level is u0 at the nodes.
+the rounding in |x - t*d|.  For the same reason each datum's radial
+profile is evaluated only at the rule points with rho < outer_radius, and
+only to the derivative order read (the value, and for u0 the first
+derivative from the same pass); the other points contribute exactly 0.0.
+The gradient term's sum over the d components stays ``np.einsum``: it
+adds 3D terms as (p0 + p2) + p1, which a hand-written sum would not
+repeat, so the fields are bit for bit those of evaluating every rule
+point.  The mean rules are built once per ``(dim, quad)`` and the
+Gauss-Legendre rules once per node count, cached read-only.
+``solve_linear`` evaluates the data terms only on the nodes of the
+nonnegative orthant and fills every other node by reflection.  That is
+exact: the data are radial, every rule maps onto itself under each
+coordinate reflection (``angular_points`` is even, the Gauss-Legendre
+nodes are symmetric), and the grid axis is exactly antisymmetric, so the
+result is mirror-symmetric bit for bit and the t = 0 level is u0 at the
+nodes.
 Axis swaps are not symmetries of the rules and are not used.
 
 The Duhamel source integral is a composite trapezoid over grid time
@@ -104,9 +112,18 @@ class QuadratureSpec:
 # quadrature rules
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once, read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(a: float, b: float, nodes: int, panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+    x0, w0 = _leggauss(nodes)
     edges = np.linspace(a, b, panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
@@ -115,16 +132,18 @@ def _gauss_panels(a: float, b: float, nodes: int, panels: int):
     return xs, ws
 
 
+@functools.lru_cache(maxsize=16)
 def _mean_rule(dim: int, quad: QuadratureSpec):
     """Directions and weights for the normalized sphere/disk means.
 
     Returns (scaled_dirs, weights) with sum(weights) == 1 such that the
     mean of g over the radius-t surface/disk is
-    ``sum_q weights[q] * g(x - t * scaled_dirs[q])``.
+    ``sum_q weights[q] * g(x - t * scaled_dirs[q])``.  Built once per
+    ``(dim, quad)``; both arrays are read-only.
     """
     theta = np.arange(quad.angular_points) * (2.0 * math.pi / quad.angular_points)
     if dim == 3:
-        c, wc = np.polynomial.legendre.leggauss(quad.polar_points)
+        c, wc = _leggauss(quad.polar_points)
         s = np.sqrt(1.0 - c**2)
         dirs = np.stack(
             [
@@ -135,8 +154,7 @@ def _mean_rule(dim: int, quad: QuadratureSpec):
             axis=-1,
         )
         weights = np.repeat(wc / 2.0, quad.angular_points) / quad.angular_points
-        return dirs, weights
-    if dim == 2:
+    elif dim == 2:
         phi, wp = _gauss_panels(0.0, math.pi / 2.0, quad.polar_points, 1)
         sp = np.sin(phi)
         dirs = np.stack(
@@ -147,8 +165,11 @@ def _mean_rule(dim: int, quad: QuadratureSpec):
             axis=-1,
         )
         weights = np.repeat(wp * sp, quad.angular_points) / quad.angular_points
-        return dirs, weights
-    raise ValidationError("dim", f"mean rule defined for dim 2 or 3, got {dim}")
+    else:
+        raise ValidationError("dim", f"mean rule defined for dim 2 or 3, got {dim}")
+    dirs.flags.writeable = False
+    weights.flags.writeable = False
+    return dirs, weights
 
 
 def _feature_scale(datum: InitialDatum) -> float:
@@ -180,18 +201,22 @@ def _data_terms_at(
     t: float,
     pts: np.ndarray,
     quad: QuadratureSpec,
+    radius: np.ndarray | None = None,
 ) -> np.ndarray:
     """Homogeneous part of the solution at time t for targets pts (M, dim).
 
     Every rule point lies within |t| of its target, so only targets with
     |x| < |t| + R, R the largest outer radius of the nonzero data, are
-    evaluated; all others are exactly 0.0.
+    evaluated; all others are exactly 0.0.  ``radius`` is |x| of the
+    targets, computed here when not given.
     """
     out = np.zeros(pts.shape[0])
     radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
     if not radii:
         return out
-    live = np.flatnonzero(np.sqrt(np.sum(pts * pts, axis=-1)) < abs(t) + max(radii))
+    if radius is None:
+        radius = np.sqrt(np.sum(pts * pts, axis=-1))
+    live = np.flatnonzero(radius < abs(t) + max(radii))
     pts = pts[live]
     m = len(live)
     if t == 0.0:
@@ -210,19 +235,33 @@ def _data_terms_at(
                 out[live[lo : lo + chunk]] += 0.5 * (vals @ w)
         return out
     sd, wq = _mean_rule(dim, quad)
+    tsd = t * sd
     chunk = max(1, _CHUNK // len(wq))
     for lo in range(0, m, chunk):
         sub = pts[lo : lo + chunk]
-        q = sub[:, None, :] - t * sd[None, :, :]
-        rho = np.sqrt(np.sum(q * q, axis=-1))
+        q = [sub[:, k, None] - tsd[:, k] for k in range(dim)]  # (m, Q) each
+        rho2 = q[0] * q[0]
+        for qk in q[1:]:
+            rho2 += qk * qk
+        rho = np.sqrt(rho2)
         acc = np.zeros(len(sub))
+        # a profile and its gradient are exactly 0.0 from outer_radius on:
+        # evaluate the pairs inside it and leave the rest zero
         if u0.kind != "zero":
-            # value and gradient from one profile pass, as in InitialDatum
-            v0, f1, _ = u0._radial(rho)
-            g0 = (f1 / np.where(rho > 0.0, rho, 1.0))[..., None] * q
-            acc += (v0 - t * np.einsum("mqd,qd->mq", g0, sd)) @ wq
+            inside = np.flatnonzero(rho < u0.outer_radius)
+            r = rho.take(inside)
+            v0, f1 = u0._radial(r, 1)
+            qi = np.stack([qk.take(inside) for qk in q], axis=-1)
+            g0 = (f1 / np.where(r > 0.0, r, 1.0))[:, None] * qi
+            # einsum keeps numpy's order of the d-sum, so fields stay bit-identical
+            kern = np.zeros(rho.shape)
+            kern.put(inside, v0 - t * np.einsum("pd,pd->p", g0, sd[inside % len(wq)]))
+            acc += kern @ wq
         if u1.kind != "zero":
-            acc += t * (u1._radial(rho)[0] @ wq)
+            inside = np.flatnonzero(rho < u1.outer_radius)
+            kern = np.zeros(rho.shape)
+            kern.put(inside, u1._radial(rho.take(inside), 0)[0])
+            acc += t * (kern @ wq)
         out[live[lo : lo + chunk]] = acc
     return out
 
@@ -367,9 +406,10 @@ def solve_linear(
         half = len(grid.axis) // 2
         orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
         pts = np.stack([m.ravel() for m in orthant], axis=-1)
+        radius = np.sqrt(np.sum(pts * pts, axis=-1))
         mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
         for n in range(grid.n_time + 1):
-            vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad)
+            vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad, radius)
             out[n] = vals.reshape(orthant[0].shape)[mirror]
     if h is not None:
         out[1:] += _source_levels(h, quad)
@@ -494,16 +534,16 @@ def field_to_csv(field: Field, path) -> None:
     """Rows (t, x[, y[, z]], value) in C order, 17 significant digits."""
     grid = field.grid
     names = ["t", "x", "y", "z"][: grid.dim + 1]
-    # every coordinate is a grid time or an axis value: format those once
-    times = np.array([f"{v:.17g}," for v in grid.times], dtype=object)
-    axis = np.array([f"{v:.17g}," for v in grid.axis], dtype=object)
-    idx = np.indices(grid.shape).reshape(grid.dim + 1, -1)
-    prefix = times[idx[0]]
-    for k in range(1, grid.dim + 1):
-        prefix = prefix + axis[idx[k]]
+    # every coordinate is a grid time or an axis value: format the spatial
+    # prefixes once per grid, then write one string per time level
+    axis = [f"{v:.17g}," for v in grid.axis]
+    spatial = ["".join(c) for c in itertools.product(axis, repeat=grid.dim)]
+    levels = field.samples.reshape(len(grid.times), -1)
     with open(path, "w") as fh:
         fh.write(",".join(names + ["value"]) + "\n")
-        fh.writelines(f"{p}{v:.17g}\n" for p, v in zip(prefix, field.samples.ravel().tolist()))
+        for t, level in zip(grid.times.tolist(), levels):
+            head = f"{t:.17g},"
+            fh.write("".join([f"{head}{p}{v:.17g}\n" for p, v in zip(spatial, level.tolist())]))
 
 
 def field_to_binary(field: Field, path) -> None:

@@ -59,54 +59,54 @@ def make_ladder(eps0: float, ratio: float, count: int) -> EpsilonLadder:
     return EpsilonLadder(eps0=eps0, ratio=ratio, count=count)
 
 
-def _transition(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transition(s: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """Smooth step that is exactly 1 for s <= 0 and 0 for s >= 1.
 
     Built as phi(1-s) / (phi(1-s) + phi(s)) with phi(t) = exp(-1/t); all
     derivatives vanish at both ends, so gluing to the flat pieces stays
-    smooth.  Returns (h, h', h'').
+    smooth.  Returns (h, h', h'')[: order + 1].
     """
     s = np.asarray(s, dtype=float)
-    h = np.where(s <= _FLAT_CLIP, 1.0, 0.0)
-    h1 = np.zeros_like(s)
-    h2 = np.zeros_like(s)
+    out = (np.where(s <= _FLAT_CLIP, 1.0, 0.0),) + tuple(np.zeros_like(s) for _ in range(order))
     mid = (s > _FLAT_CLIP) & (s < 1.0 - _FLAT_CLIP)
     if np.any(mid):
         sm = s[mid]
         t = 1.0 - sm
         a = np.exp(-1.0 / t)
         b = np.exp(-1.0 / sm)
-        da = -a / t**2
-        db = b / sm**2
-        dda = a * (1.0 / t**4 - 2.0 / t**3)
-        ddb = b * (1.0 / sm**4 - 2.0 / sm**3)
         d = a + b
-        n1 = da * b - a * db
-        n2 = dda * b - a * ddb
-        h[mid] = a / d
-        h1[mid] = n1 / d**2
-        h2[mid] = (n2 * d - 2.0 * n1 * (da + db)) / d**3
-    return h, h1, h2
+        out[0][mid] = a / d
+        if order >= 1:
+            da = -a / t**2
+            db = b / sm**2
+            n1 = da * b - a * db
+            out[1][mid] = n1 / d**2
+        if order >= 2:
+            dda = a * (1.0 / t**4 - 2.0 / t**3)
+            ddb = b * (1.0 / sm**4 - 2.0 / sm**3)
+            n2 = dda * b - a * ddb
+            out[2][mid] = (n2 * d - 2.0 * n1 * (da + db)) / d**3
+    return out
 
 
-def _bump(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bump(u: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """g(u) = exp(1 - 1/u) for u > 0, 0 otherwise, with dg/du, d2g/du2.
 
     Evaluated in u = 1 - |x|^2/r^2 this is the standard compactly
-    supported bell profile.
+    supported bell profile.  Returns (g, g', g'')[: order + 1].
     """
     u = np.asarray(u, dtype=float)
-    g = np.zeros_like(u)
-    g1 = np.zeros_like(u)
-    g2 = np.zeros_like(u)
+    out = tuple(np.zeros_like(u) for _ in range(order + 1))
     pos = u > _FLAT_CLIP
     if np.any(pos):
         up = u[pos]
         gp = np.exp(1.0 - 1.0 / up)
-        g[pos] = gp
-        g1[pos] = gp / up**2
-        g2[pos] = gp * (1.0 / up**4 - 2.0 / up**3)
-    return g, g1, g2
+        out[0][pos] = gp
+        if order >= 1:
+            out[1][pos] = gp / up**2
+        if order >= 2:
+            out[2][pos] = gp * (1.0 / up**4 - 2.0 / up**3)
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,47 +144,52 @@ class InitialDatum:
                 )
 
     # -- radial profile -------------------------------------------------
-    def _radial(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Profile F(rho) with dF/drho and d2F/drho2."""
+    def _radial(self, rho: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """Profile F(rho), dF/drho, d2F/drho2, up to derivative ``order``.
+
+        Returns ``order + 1`` arrays; each is the same bit for bit whatever
+        the order, so callers ask only for the derivatives they read.
+        """
         rho = np.asarray(rho, dtype=float)
         if self.kind == "zero":
-            z = np.zeros_like(rho)
-            return z, z.copy(), z.copy()
+            return tuple(np.zeros_like(rho) for _ in range(order + 1))
         if self.kind == "plateau_bump":
             width = self.outer_radius - self.inner_radius
             s = (rho - self.inner_radius) / width
-            h, h1, h2 = _transition(s)
-            return (
-                self.amplitude * h,
-                self.amplitude * h1 / width,
-                self.amplitude * h2 / width**2,
-            )
+            h = _transition(s, order)
+            out = (self.amplitude * h[0],)
+            if order >= 1:
+                out += (self.amplitude * h[1] / width,)
+            if order >= 2:
+                out += (self.amplitude * h[2] / width**2,)
+            return out
         # gaussian_bump: function of w = rho^2 through u = 1 - w/r^2
         r2 = self.outer_radius**2
         u = 1.0 - rho**2 / r2
-        g, g1, g2 = _bump(u)
-        # chain rule in w: dg/dw = -g1/r^2, d2g/dw2 = g2/r^4
-        dgdw = -g1 / r2
-        d2gdw2 = g2 / r2**2
-        # F'(rho) = 2 rho dg/dw ; F''(rho) = 2 dg/dw + 4 rho^2 d2g/dw2
-        return (
-            self.amplitude * g,
-            self.amplitude * 2.0 * rho * dgdw,
-            self.amplitude * (2.0 * dgdw + 4.0 * rho**2 * d2gdw2),
-        )
+        g = _bump(u, order)
+        out = (self.amplitude * g[0],)
+        if order >= 1:
+            # chain rule in w: dg/dw = -g1/r^2, d2g/dw2 = g2/r^4
+            dgdw = -g[1] / r2
+            # F'(rho) = 2 rho dg/dw ; F''(rho) = 2 dg/dw + 4 rho^2 d2g/dw2
+            out += (self.amplitude * 2.0 * rho * dgdw,)
+        if order >= 2:
+            d2gdw2 = g[2] / r2**2
+            out += (self.amplitude * (2.0 * dgdw + 4.0 * rho**2 * d2gdw2),)
+        return out
 
     # -- pointwise evaluation -------------------------------------------
     def value(self, points: np.ndarray) -> np.ndarray:
         """Datum value at ``points`` of shape (..., d)."""
         pts = np.asarray(points, dtype=float)
         rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        return self._radial(rho)[0]
+        return self._radial(rho, 0)[0]
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Spatial gradient at ``points``; shape (..., d)."""
         pts = np.asarray(points, dtype=float)
         rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        _, f1, _ = self._radial(rho)
+        _, f1 = self._radial(rho, 1)
         # radial direction; at rho == 0 the profile is flat so 0 is exact
         safe = np.where(rho > 0.0, rho, 1.0)
         return (f1 / safe)[..., None] * pts
@@ -194,7 +199,7 @@ class InitialDatum:
         pts = np.asarray(points, dtype=float)
         d = pts.shape[-1]
         rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        _, f1, f2 = self._radial(rho)
+        _, f1, f2 = self._radial(rho, 2)
         safe = np.where(rho > 0.0, rho, 1.0)
         unit = pts / safe[..., None]
         outer = unit[..., :, None] * unit[..., None, :]

@@ -158,6 +158,132 @@ def test_data_terms_match_reference(dim, dx, horizon, u0, u1):
         assert np.all(level[radius >= data_reach(u0, u1, t)] == 0.0)
 
 
+def whole_array_data_terms(u0, u1, dim, t, pts, quad):
+    """The data-term kernel on whole (targets, rule points) arrays.
+
+    Every profile is evaluated to order 2 at every pair of a live target,
+    from one (m, Q, d) stack, in the kernel's chunks: the operations the
+    kernel must reproduce bit for bit on the pairs inside each support.
+    """
+    def value(datum, x):
+        return datum._radial(np.sqrt(np.sum(x * x, axis=-1)), 2)[0]
+
+    out = np.zeros(pts.shape[0])
+    radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
+    if not radii:
+        return out
+    live = np.flatnonzero(np.sqrt(np.sum(pts * pts, axis=-1)) < abs(t) + max(radii))
+    pts = pts[live]
+    if t == 0.0:
+        if u0.kind != "zero":
+            out[live] = value(u0, pts)
+        return out
+    if dim == 1:
+        if u0.kind != "zero":
+            out[live] = 0.5 * (value(u0, pts + t) + value(u0, pts - t))
+        if u1.kind != "zero":
+            offs, w = _line_rule(t, u1, quad)
+            chunk = max(1, linwave._CHUNK // len(offs))
+            for lo in range(0, len(live), chunk):
+                vals = value(u1, pts[lo : lo + chunk, None, :] + offs[None, :, None])
+                out[live[lo : lo + chunk]] += 0.5 * (vals @ w)
+        return out
+    sd, wq = _mean_rule(dim, quad)
+    chunk = max(1, linwave._CHUNK // len(wq))
+    for lo in range(0, len(live), chunk):
+        q = pts[lo : lo + chunk, None, :] - t * sd[None, :, :]
+        rho = np.sqrt(np.sum(q * q, axis=-1))
+        acc = np.zeros(len(q))
+        if u0.kind != "zero":
+            v0, f1, _ = u0._radial(rho, 2)
+            g0 = (f1 / np.where(rho > 0.0, rho, 1.0))[..., None] * q
+            acc += (v0 - t * np.einsum("mqd,qd->mq", g0, sd)) @ wq
+        if u1.kind != "zero":
+            acc += t * (u1._radial(rho, 2)[0] @ wq)
+        out[live[lo : lo + chunk]] = acc
+    return out
+
+
+def band_targets(dim, radii, rng):
+    """Random targets, the origin, and targets on and around each radius."""
+    dirs = rng.standard_normal((40, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = [rng.uniform(-1.0, 1.0, (60, dim)), np.zeros((1, dim))]
+    for r in radii:
+        near = (np.nextafter(r, 0.0), r, np.nextafter(r, 2.0 * r), r * (1.0 - 5e-7), r + 0.02)
+        for scale in near:
+            pts.append(scale * dirs[:8])
+            dirs = np.roll(dirs, 8, axis=0)
+    return np.concatenate(pts)
+
+
+BIT_DATA = [
+    (PLATEAU, GAUSS),
+    (GAUSS_NEG, PLATEAU_SMALL),
+    (InitialDatum("plateau_bump", outer_radius=0.5, inner_radius=0.1, amplitude=-0.7), GAUSS_NEG),
+    (GAUSS, ZERO_DATUM),
+    (ZERO_DATUM, InitialDatum("gaussian_bump", outer_radius=0.45, amplitude=-1.5)),
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "data", BIT_DATA, ids=["plateau_gauss", "negative", "neg_plateau", "u0", "u1"]
+)
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["whole", "chunked"])
+def test_data_terms_bit_identical_to_whole_array_formula(monkeypatch, dim, data, chunk):
+    # the kernel evaluates only the pairs inside each datum's support, each
+    # profile only to the order it reads: values and signs of zero stay equal
+    if chunk is not None:
+        monkeypatch.setattr(linwave, "_CHUNK", chunk)
+    u0, u1 = data
+    radii = [d.outer_radius for d in data if d.kind != "zero"]
+    rng = np.random.default_rng(dim)
+    for quad in (DATA_QUAD, QUAD):
+        for t in (-0.45, -0.1, 0.0, 0.1, 0.3, 0.45):
+            band = [r + abs(t) for r in radii] + [r - abs(t) for r in radii if r > abs(t)]
+            pts = band_targets(dim, radii + band, rng)
+            got = _data_terms_at(u0, u1, dim, t, pts, quad)
+            ref = whole_array_data_terms(u0, u1, dim, t, pts, quad)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            hoisted = _data_terms_at(u0, u1, dim, t, pts, quad, np.sqrt(np.sum(pts * pts, axis=-1)))
+            assert np.array_equal(hoisted, got)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mean_rule_cached_read_only(dim):
+    rule = _mean_rule(dim, DATA_QUAD)
+    assert all(a is b for a, b in zip(rule, _mean_rule(dim, DATA_QUAD)))
+    nodes = linwave._leggauss(7)
+    assert all(a is b for a, b in zip(nodes, linwave._leggauss(7)))
+    for arr in rule + nodes:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_solve_linear_builds_each_gauss_rule_once(monkeypatch, dim):
+    calls = []
+
+    def counted(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
+
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    linwave._leggauss.cache_clear()
+    _mean_rule.cache_clear()
+    linwave._cached_spectra.cache_clear()
+    grid = SpaceTimeGrid.covering(dim, 0.4, 0.4, dx=0.1, dt=0.05)
+    h = constant_field(grid, 1.0)
+    quad = QuadratureSpec(angular_points=8, polar_points=5)
+    solve_linear(GAUSS_NEG, PLATEAU_SMALL, h, grid, quad)
+    solve_linear(PLATEAU_SMALL, GAUSS_NEG, None, grid, quad)
+    assert calls == [5]
+
+
 # ---------------------------------------------------------------------------
 # data terms on one orthant, mirrored
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import colwave
 from colwave.errors import ValidationError
 from colwave.linwave import QuadratureSpec
-from colwave.nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem, make_ladder
+from colwave.nets import (
+    _FLAT_CLIP,
+    EpsilonLadder,
+    InitialDatum,
+    NonlinearitySpec,
+    Problem,
+    make_ladder,
+)
 from colwave.seminorms import SpaceTimeGrid, power_net
 
 
@@ -130,6 +137,44 @@ def test_datum_support(dim):
         radii = 0.8 + rng.uniform(0.0, 5.0, size=(100, 1))
         assert np.all(d.value(dirs * radii) == 0.0)
         assert np.all(d.gradient(dirs * radii) == 0.0)
+
+
+def flat_band_radii(datum):
+    """Dense radii through the datum, with the _FLAT_CLIP band edges and their neighbours."""
+    if datum.kind == "zero":
+        return np.linspace(0.0, 1.0, 101)
+    if datum.kind == "plateau_bump":
+        width = datum.outer_radius - datum.inner_radius
+        edges = [datum.inner_radius + width * s for s in (_FLAT_CLIP, 1.0 - _FLAT_CLIP)]
+    else:
+        edges = [datum.outer_radius * math.sqrt(1.0 - _FLAT_CLIP)]
+    edges.append(datum.outer_radius)
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 2.0 * e)]
+    dense = np.linspace(0.0, 1.5 * datum.outer_radius, 4001)
+    return np.concatenate([dense, edges, near, [0.0, -0.0]])
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        InitialDatum("plateau_bump", outer_radius=0.8, inner_radius=0.3, amplitude=1.0),
+        InitialDatum("plateau_bump", outer_radius=1.3, inner_radius=0.1, amplitude=-0.5),
+        InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0),
+        InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=-2.0),
+        InitialDatum("zero"),
+    ],
+    ids=["plateau", "plateau_neg", "gaussian", "gaussian_neg", "zero"],
+)
+def test_radial_orders_are_leading_entries(datum):
+    # a lower order computes less, never a different value
+    rho = flat_band_radii(datum)
+    full = datum._radial(rho, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        part = datum._radial(rho, order)
+        assert len(part) == order + 1
+        for a, b in zip(part, full):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
