@@ -30,7 +30,6 @@ from .seminorms import (
     classify,
     seminorm,
     ultra_metric,
-    ultra_pseudo_seminorm,
     valuation,
 )
 from .linwave import (
@@ -73,7 +72,6 @@ __all__ = [
     "classify",
     "seminorm",
     "ultra_metric",
-    "ultra_pseudo_seminorm",
     "valuation",
     "QuadratureSpec",
     "check_support",

@@ -4,10 +4,12 @@ Seminorms mu_n take the sup over the light cone K0 = {|x| <= t + r} of all
 finite-difference derivatives of total order <= n, centred inside and
 second-order one-sided on the first and last node of an axis, as
 ``np.gradient(..., edge_order=2)`` gives them.  Only the nodes of the
-inflated cone are evaluated: first derivatives are whole-box arrays read
-there, and second derivatives gather ``np.gradient``'s stencils at those
-nodes alone, in its operation order, so every value is bit-identical to
-differencing the whole box.
+inflated cone are evaluated.  Each first derivative is one flat strided
+difference, with the faces of its axis patched one-sided, into a buffer
+shared by every entry of a net; it is read at the cone nodes, and its
+second derivatives gather ``np.gradient``'s stencils at those nodes alone.
+Every step keeps ``np.gradient``'s operation order, so every value is
+bit-identical to differencing the whole box.
 
 Decay exponents nu_n are least-squares slopes of log mu_n against log eps
 over the ladder; the ultra-pseudo-seminorms are p_n = exp(-nu_n) and the
@@ -307,10 +309,17 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
     """Least-squares slope of log mu against log eps.
 
     Entries at or below ``UNDERFLOW_FLOOR`` are excluded; if none survive
-    the net is reported as negligible via the +inf sentinel.
+    the net is reported as negligible via the +inf sentinel.  ``eps`` must
+    be positive and finite, ``mu`` free of NaN, and both of one length.
     """
     eps = np.asarray(eps_values, dtype=float)
     mu = np.asarray(mu_values, dtype=float)
+    if eps.shape != mu.shape:
+        raise ValidationError("mu", f"{mu.shape} values for eps of shape {eps.shape}")
+    if not np.all((eps > 0.0) & np.isfinite(eps)):
+        raise ValidationError("eps", "every eps must be positive and finite")
+    if np.isnan(mu).any():
+        raise ValidationError("mu", "values must not be NaN")
     usable = mu > UNDERFLOW_FLOOR
     if not usable.any():
         return ValuationEstimate(math.inf, -math.inf, 0.0, 0)
@@ -352,12 +361,41 @@ def _cone_derivative_sup(f: np.ndarray, h: float, stencil) -> float:
     return max(_sup_abs(centred), _sup_abs(head), _sup_abs(tail))
 
 
-def _seminorm_orders(field: Field, n: int) -> list[float]:
+def _gradient_into(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, h, axis=axis, edge_order=2)`` written into ``out``, flat.
+
+    ``out`` is a float buffer of ``f.size`` elements; the axis needs at
+    least 3 nodes.  The centred difference runs once over the flattened
+    array: with ``s`` the flat stride of the axis, the nodes ``k - s`` and
+    ``k + s`` are the axis neighbours of every node ``k`` strictly inside
+    the axis.  The nodes on the first and last face of the axis are then
+    overwritten with the one-sided formulas, in ``np.gradient``'s operation
+    order, so every value is bit for bit ``np.gradient``'s.
+    """
+    f = np.ascontiguousarray(f)  # reshape(-1) of a strided view would copy
+    flat = f.reshape(-1)
+    s = math.prod(f.shape[axis + 1 :])
+    inner = out[s:-s]
+    np.subtract(flat[2 * s :], flat[: -2 * s], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    d = out.reshape(f.shape)
+    lead = (slice(None),) * axis
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    d[lead + (0,)] = a * f[lead + (0,)] + b * f[lead + (1,)] + c * f[lead + (2,)]
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    d[lead + (-1,)] = a * f[lead + (-3,)] + b * f[lead + (-2,)] + c * f[lead + (-1,)]
+    return out
+
+
+def _seminorm_orders(field: Field, n: int, buf: np.ndarray | None = None) -> list[float]:
     """[mu_0, ..., mu_n] of one field, each derivative read at the cone nodes only.
 
-    First derivatives are whole-box ``np.gradient`` arrays, because the
-    second-derivative stencils of cone nodes read their neighbours; second
-    derivatives are gathered at the cone nodes alone.
+    Each first derivative spans the whole box, because the
+    second-derivative stencils of cone nodes read their neighbours.  They
+    are taken one axis at a time into ``buf``, a float buffer of the box's
+    size (allocated here when not given).  Each is read at the cone nodes,
+    and its second derivatives are gathered there, before the next axis
+    overwrites it.
     """
     if not (0 <= n <= MAX_SEMINORM_ORDER):
         raise UnsupportedOrderError(
@@ -365,21 +403,23 @@ def _seminorm_orders(field: Field, n: int) -> list[float]:
         )
     grid = field.grid
     cone = grid.cone_nodes
+    samples = np.ascontiguousarray(field.samples)
     spacings = (grid.dt,) + (grid.dx,) * grid.dim
     axes = range(grid.dim + 1)
-    mus = [_sup_abs(field.samples.take(cone.flat))]
+    mus = [_sup_abs(samples.take(cone.flat))]
     if n == 0:
         return mus
-    firsts = [np.gradient(field.samples, spacings[a], axis=a, edge_order=2).ravel() for a in axes]
-    mus.append(max(mus[0], *(_sup_abs(d.take(cone.flat)) for d in firsts)))
+    if buf is None:
+        buf = np.empty(samples.size)
+    firsts, seconds = [], []
+    for i in axes:
+        d = _gradient_into(samples, spacings[i], i, buf)
+        firsts.append(_sup_abs(d.take(cone.flat)))
+        if n == 2:
+            seconds += [_cone_derivative_sup(d, spacings[j], cone.axes[j]) for j in axes[i:]]
+    mus.append(max(mus[0], *firsts))
     if n == 1:
         return mus
-    seconds = (
-        _cone_derivative_sup(firsts[i], spacings[j], cone.axes[j])
-        for i in axes
-        for j in axes
-        if j >= i
-    )
     mus.append(max(mus[1], *seconds))
     return mus
 
@@ -394,14 +434,17 @@ def seminorm(field: Field, n: int) -> float:
 
 
 def _seminorm_table(net: Net, n: int) -> np.ndarray:
-    """(J, n + 1) table of mu_0..mu_n for every ladder entry."""
-    return np.array([_seminorm_orders(f, n) for f in net.fields])
+    """(J, n + 1) table of mu_0..mu_n for every ladder entry.
+
+    All entries take their first derivatives in one buffer.
+    """
+    buf = np.empty(math.prod(net.grid.shape))
+    return np.array([_seminorm_orders(f, n, buf) for f in net.fields])
 
 
 def valuation(net: Net, n: int) -> ValuationEstimate:
     """Fitted decay exponent of mu_n along the ladder."""
-    mus = [seminorm(f, n) for f in net.fields]
-    return fit_decay_exponent(net.ladder.values, mus)
+    return fit_decay_exponent(net.ladder.values, _seminorm_table(net, n)[:, n])
 
 
 def _valuations(net: Net, n: int, table: np.ndarray | None = None) -> list[ValuationEstimate]:
@@ -421,11 +464,6 @@ def _pseudo_seminorm(est: ValuationEstimate) -> float:
     if est.slope < -700.0:  # exp would overflow; the net is wildly non-moderate
         return math.inf
     return math.exp(-est.slope)
-
-
-def ultra_pseudo_seminorm(net_u: Net, net_v: Net, n: int) -> float:
-    """p_n(U - V) = exp(-nu_n(U - V)); 0 for the negligible sentinel."""
-    return _pseudo_seminorm(valuation(net_u - net_v, n))
 
 
 def _metric(estimates: list[ValuationEstimate]) -> float:

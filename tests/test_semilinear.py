@@ -13,6 +13,7 @@ from colwave.seminorms import (
     NetClass,
     SpaceTimeGrid,
     classify,
+    fit_decay_exponent,
     sampled_field,
     seminorm,
     valuation,
@@ -240,6 +241,31 @@ def _picard_fractional_max_iter(tmp_path):
     return picard_solve(prob, 0.5, grid, QUAD, max_iter=2.5)
 
 
+def _fit_length_mismatch(tmp_path):
+    # a bare IndexError
+    return fit_decay_exponent(LADDER.values, LADDER.values[:-1])
+
+
+def _fit_nan_mu(tmp_path):
+    # the NaN entry would be dropped from the fit
+    mu = LADDER.values.copy()
+    mu[2] = math.nan
+    return fit_decay_exponent(LADDER.values, mu)
+
+
+def _fit_nonpositive_eps(tmp_path):
+    # a NaN slope and a RuntimeWarning
+    eps = LADDER.values.copy()
+    eps[-1] = 0.0
+    return fit_decay_exponent(eps, LADDER.values)
+
+
+def _fit_infinite_eps(tmp_path):
+    eps = LADDER.values.copy()
+    eps[0] = math.inf
+    return fit_decay_exponent(eps, LADDER.values)
+
+
 @pytest.mark.parametrize("call", [
     _grid_nan_radius,
     _dump_nan_radius,
@@ -250,10 +276,14 @@ def _picard_fractional_max_iter(tmp_path):
     _solve_net_inf_tol,
     _uniqueness_inf_tol,
     _picard_fractional_max_iter,
+    _fit_length_mismatch,
+    _fit_nan_mu,
+    _fit_nonpositive_eps,
+    _fit_infinite_eps,
 ], ids=lambda call: call.__name__.lstrip("_"))
 def test_bad_library_inputs_rejected(tmp_path, call):
     # each of these inputs once made a check pass without checking anything,
-    # or failed with a bare TypeError
+    # failed with a bare TypeError or IndexError, or fitted a NaN slope
     with pytest.raises(ValidationError):
         call(tmp_path)
 

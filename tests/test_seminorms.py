@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from colwave.seminorms import (
     sampled_field,
     seminorm,
     ultra_metric,
-    ultra_pseudo_seminorm,
     valuation,
     valuation_table,
 )
@@ -199,15 +199,23 @@ def test_fit_stderr_positive_for_noisy_data():
 # ultra-pseudo-seminorms and the metric
 # ---------------------------------------------------------------------------
 
+def pseudo_seminorm(net_u, net_v, n):
+    """p_n(U - V) = exp(-nu_n(U - V)); 0 for the negligible sentinel."""
+    return seminorms._pseudo_seminorm(valuation(net_u - net_v, n))
+
+
 def test_ultra_pseudo_seminorm_values():
     g = small_grid()
     u = power_net(g, LADDER, 1.0)
     zero = Net(LADDER, tuple(constant_field(g, 0.0) for _ in range(len(LADDER))))
     ones = power_net(g, LADDER, 0.0)
-    assert ultra_pseudo_seminorm(u, u, 0) == 0.0
+    assert pseudo_seminorm(u, u, 0) == 0.0
+    assert ultra_metric(u, u, 1) == 0.0
     for n in range(3):
-        assert ultra_pseudo_seminorm(u, zero, n) == pytest.approx(math.exp(-1.0), rel=1e-9)
-    assert ultra_pseudo_seminorm(ones, zero, 0) == pytest.approx(1.0, rel=1e-12)
+        assert pseudo_seminorm(u, zero, n) == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert ultra_metric(u, zero, 1) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-9)
+    assert pseudo_seminorm(ones, zero, 0) == pytest.approx(1.0, rel=1e-12)
+    assert ultra_metric(ones, zero, 1) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_ultra_metric_values():
@@ -265,8 +273,8 @@ def test_pseudo_seminorm_subadditive():
         for f, e in zip(w.fields, LADDER.values)
     ))
     for n in range(3):
-        lhs = ultra_pseudo_seminorm(u + v, w + w, n)
-        rhs = max(ultra_pseudo_seminorm(u, w, n), ultra_pseudo_seminorm(v, w, n))
+        lhs = pseudo_seminorm(u + v, w + w, n)
+        rhs = max(pseudo_seminorm(u, w, n), pseudo_seminorm(v, w, n))
         assert lhs <= rhs + 1e-12
 
 
@@ -370,7 +378,7 @@ def test_classify_and_ultra_metric_match_per_order_fits():
         for n_terms in (1, 2, 3):
             expected = 0.0
             for n in range(n_terms):
-                expected += 2.0 ** (-n - 1) * min(ultra_pseudo_seminorm(a, b, n), 1.0)
+                expected += 2.0 ** (-n - 1) * min(pseudo_seminorm(a, b, n), 1.0)
             assert ultra_metric(a, b, n_terms) == expected
 
 
@@ -460,19 +468,70 @@ def test_edge_cone_planted_net_matches_per_order_fits():
             assert ultra_metric(a, b, n_terms) == expected
 
 
+def test_seminorm_table_peak_allocation():
+    # the first derivatives share one buffer per net and the rest is read at
+    # the cone nodes, so an 8-entry table never holds 2 whole-box arrays;
+    # whole-box np.gradient arrays took about 5
+    g = SpaceTimeGrid.covering(3, 0.4, 0.6, dx=0.1, dt=0.05)
+    assert g.shape == (9, 25, 25, 25)
+    T, X, Y, Z = g.meshes()
+    base = np.cos(2.0 * X) * np.exp(Y) * (1.0 + T * Z) + 0.5 * np.sin(3.0 * Z - T)
+    net = Net(LADDER, tuple(Field(g, float(e) ** 1.7 * base) for e in LADDER.values))
+    g.cone_nodes  # built once per grid, before the measurement
+    tracemalloc.start()
+    try:
+        seminorms._seminorm_table(net, MAX_SEMINORM_ORDER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * base.nbytes
+
+
+# ---------------------------------------------------------------------------
+# first derivatives as flat strided differences, against np.gradient
+# ---------------------------------------------------------------------------
+
+def strided_copies(a):
+    """Arrays equal to ``a`` as transposed, reversed and step-2 views (1D: the last two)."""
+    return [a.T.copy().T, a[::-1].copy()[::-1], np.repeat(a, 2, axis=-1)[..., ::2]]
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (11,), (3, 3), (4, 7), (5, 3, 6), (3, 4, 5, 3), (6, 5, 3, 7)], ids=str
+)
+@pytest.mark.parametrize("decades", [0, 150, 307])
+def test_gradient_into_matches_np_gradient(shape, decades):
+    rng = np.random.default_rng(len(shape) + decades)
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
+    a.flat[::5] *= -0.0  # signed zeros: the one-sided faces must keep their sign
+    if decades == 307:  # differences overflow, and inf - inf gives NaN on the faces
+        a.flat[1::4] = np.copysign(1.7e308, a.flat[1::4])
+    views = [a, a.T, a[::-1], *strided_copies(a)]
+    for f in views:
+        for h in (0.05, 0.1, 1.0 / 3.0, 7.0):
+            for axis in range(f.ndim):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = np.gradient(f, h, axis=axis, edge_order=2)
+                    out = np.full(f.size, np.nan)
+                    got = seminorms._gradient_into(f, h, axis, out)
+                assert got is out
+                got = got.reshape(f.shape)
+                assert np.array_equal(got, expected, equal_nan=decades == 307)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_seminorm_orders_difference_the_box_once_per_axis(dim, monkeypatch):
-    # only the dim + 1 first derivatives run np.gradient on the whole box;
-    # a whole-box second-derivative stack would make (dim + 1)(dim + 4)/2
-    # calls, 14 in 3D
-    calls = []
-    gradient = np.gradient
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["axis"])
-        return gradient(*args, **kwargs)
-
-    f = edge_fields(EDGE_GRIDS[dim])[0]
-    monkeypatch.setattr(np, "gradient", counted)
-    seminorms._seminorm_orders(f, MAX_SEMINORM_ORDER)
-    assert calls == list(range(dim + 1))
+def test_seminorms_of_strided_samples_match_contiguous_copy(dim):
+    g = EDGE_GRIDS[dim]
+    base = edge_fields(g)[1].samples
+    contiguous = [float(e) ** 1.5 * base for e in LADDER.values]
+    strided = [strided_copies(c)[j % 3] for j, c in enumerate(contiguous)]
+    for a, b in zip(contiguous, strided):
+        assert np.array_equal(a, b) and not b.flags.c_contiguous
+    net_c = Net(LADDER, tuple(Field(g, c) for c in contiguous))
+    net_s = Net(LADDER, tuple(Field(g, c) for c in strided))
+    for fc, fs in zip(net_c.fields, net_s.fields):
+        assert not fs.samples.flags.c_contiguous
+        for n in range(MAX_SEMINORM_ORDER + 1):
+            assert seminorm(fs, n) == seminorm(fc, n)
+    assert valuation_table(net_s) == valuation_table(net_c)

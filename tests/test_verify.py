@@ -183,9 +183,9 @@ def test_contraction_matches_per_order_reference(monkeypatch, b):
 
     stacks = []
 
-    def recording_orders(field, n):
+    def recording_orders(field, n, buf=None):
         stacks.append(n)
-        return orders(field, n)
+        return orders(field, n, buf)
 
     orders = seminorms._seminorm_orders
     monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
@@ -263,9 +263,9 @@ def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbatio
         seeded.append(result[0])
         return result
 
-    def recording_orders(field, n):
+    def recording_orders(field, n, buf=None):
         stacks.append(n)
-        return orders(field, n)
+        return orders(field, n, buf)
 
     orders = seminorms._seminorm_orders
     monkeypatch.setattr(verify, "solve_net", recording_solve_net)
