@@ -535,3 +535,26 @@ def test_seminorms_of_strided_samples_match_contiguous_copy(dim):
         for n in range(MAX_SEMINORM_ORDER + 1):
             assert seminorm(fs, n) == seminorm(fc, n)
     assert valuation_table(net_s) == valuation_table(net_c)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seminorm_orders_difference_the_box_once_per_axis(dim, monkeypatch):
+    # only the dim + 1 first derivatives difference the whole box; a
+    # whole-box second-derivative stack would make (dim + 1)(dim + 4)/2
+    # passes, 14 in 3D, and np.gradient is not called at all
+    calls = []
+    gradient_into = seminorms._gradient_into
+
+    def counted(f, h, axis, out):
+        assert f.shape == EDGE_GRIDS[dim].shape and out.size == f.size
+        calls.append(axis)
+        return gradient_into(f, h, axis, out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.gradient called on the seminorm path")
+
+    f = edge_fields(EDGE_GRIDS[dim])[0]
+    monkeypatch.setattr(seminorms, "_gradient_into", counted)
+    monkeypatch.setattr(np, "gradient", forbidden)
+    seminorms._seminorm_orders(f, MAX_SEMINORM_ORDER)
+    assert calls == list(range(dim + 1))
