@@ -35,12 +35,10 @@ from .seminorms import (
 from .linwave import (
     QuadratureSpec,
     check_support,
-    duhamel,
     linear_value,
-    operator_norm_probe,
     solve_linear,
 )
-from .semilinear import SolveReport, picard_solve, residual, residual_sup, solve_net
+from .semilinear import SolveReport, picard_solve, residual_sup, solve_net
 from .verify import (
     check_association,
     check_contraction,
@@ -75,13 +73,10 @@ __all__ = [
     "valuation",
     "QuadratureSpec",
     "check_support",
-    "duhamel",
     "linear_value",
-    "operator_norm_probe",
     "solve_linear",
     "SolveReport",
     "picard_solve",
-    "residual",
     "residual_sup",
     "solve_net",
     "check_association",

@@ -37,10 +37,9 @@ levels refined by ``time_points_per_dt``; the sampled source is read off
 the grid by multilinear interpolation (linear in time between levels).
 At a fixed time lag the inner integral is the same node stencil around
 every target, so ``solve_linear`` builds one stencil per lag at the origin
-and applies them all through one zero-padded spatial FFT, while
-``duhamel`` builds the stencils at its own point.  The stencil spectra
-depend only on ``(grid, quad)`` and are built once for them and cached
-read-only, so every Picard sweep of a solve and every thread of
+and applies them all through one zero-padded spatial FFT.  The stencil
+spectra depend only on ``(grid, quad)`` and are built once for them and
+cached read-only, so every Picard sweep of a solve and every thread of
 ``solve_net`` reuses one build.  The lag sum is a causal convolution in
 time: from ``TIME_FFT_LEVELS`` time levels on (the measured crossover) it
 runs as one zero-padded FFT along time, below that level by level.  The two
@@ -63,7 +62,7 @@ import numpy as np
 
 from .errors import ValidationError, check_count
 from .nets import InitialDatum
-from .seminorms import Field, SpaceTimeGrid, datum_seminorm, seminorm
+from .seminorms import Field, SpaceTimeGrid
 
 #: Upper bound on quadrature points evaluated in one numpy batch.
 _CHUNK = 1 << 21
@@ -276,26 +275,24 @@ def _hat_antiderivative(u: np.ndarray) -> np.ndarray:
     return np.where(u < 0.0, 0.5 * (1.0 + u) ** 2, 1.0 - 0.5 * (1.0 - u) ** 2)
 
 
-def _lag_weights(
-    grid: SpaceTimeGrid, quad: QuadratureSpec, x: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Node weights of the inner Duhamel integral at target x for radii s.
+def _lag_weights(grid: SpaceTimeGrid, quad: QuadratureSpec, s: np.ndarray) -> np.ndarray:
+    """Node weights of the inner Duhamel integral at the origin for radii s.
 
     Returns shape ``(len(s),) + grid.spatial_shape``; the inner integral of
     a source slice at radius ``s[k]`` is ``sum(weights[k] * slice)``.  In 1D
     it is half the exact integral of the piecewise-linear interpolant over
-    [x - s, x + s]; in 2D/3D it is s times the sphere/disk mean of the
+    [-s, s]; in 2D/3D it is s times the sphere/disk mean of the
     multilinear interpolant, each rule point's weight scattered to its 2^d
     cell corners.  Every node carries its full hat, so past the last node
     the interpolant falls to zero over one cell.
     """
     n, d = len(grid.axis), grid.dim
     if d == 1:
-        hi = (x[0] + s[:, None] - grid.axis) / grid.dx
-        lo = (x[0] - s[:, None] - grid.axis) / grid.dx
+        hi = (s[:, None] - grid.axis) / grid.dx
+        lo = (-s[:, None] - grid.axis) / grid.dx
         return 0.5 * grid.dx * (_hat_antiderivative(hi) - _hat_antiderivative(lo))
     dirs, wq = _mean_rule(d, quad)
-    f = (x - s[:, None, None] * dirs + grid.spatial_extent) / grid.dx  # (K, Q, d)
+    f = (grid.spatial_extent - s[:, None, None] * dirs) / grid.dx  # (K, Q, d)
     base = np.floor(f)
     frac = (f - base)[:, :, None, :]
     corners = np.array(list(itertools.product((0, 1), repeat=d)))  # (C, d)
@@ -317,7 +314,7 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     axes = tuple(range(1, d + 1))
     # a stencil reaches half nodes either way: that much padding keeps the
     # circular correlation from wrapping
-    stencils = _lag_weights(grid, quad, np.zeros(d), (grid.dt / tp) * np.arange(1, lags + 1))
+    stencils = _lag_weights(grid, quad, (grid.dt / tp) * np.arange(1, lags + 1))
     stencils = np.roll(np.pad(stencils, [(0, 0)] + [(0, half)] * d), -half, axis=axes)
     s_hat = np.conj(np.fft.rfftn(stencils, axes=axes))
     s_hat.flags.writeable = False
@@ -416,56 +413,22 @@ def solve_linear(
     return Field(grid, out)
 
 
-def duhamel(h: Field, x, t: float, quad: QuadratureSpec) -> float:
-    """Source term of the solution at a single point (t, x)."""
-    grid = h.grid
-    if not (-1e-12 <= t <= grid.horizon + 1e-12):
-        raise ValidationError("t", f"time {t} outside [0, {grid.horizon}]")
-    pts = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    if pts.shape[1] != grid.dim:
-        raise ValidationError("x", f"point must have dimension {grid.dim}")
-    if t <= 0.0:
-        return 0.0
-    # trapezoid over k_count lags of length ds <= dt / time_points_per_dt
-    k_count = max(1, math.ceil(t / (grid.dt / quad.time_points_per_dt) - 1e-9))
-    ds = t / k_count
-    s = ds * np.arange(1, k_count + 1)
-    # source slice at t - s, linear in time between grid levels
-    g = (t - s) / grid.dt
-    m = np.minimum(np.floor(g + 1e-9).astype(np.int64), grid.n_time)
-    beta = np.where((g - m < 1e-9) | (m >= grid.n_time), 0.0, g - m)
-    beta = beta[(slice(None),) + (None,) * grid.dim]
-    slices = (1.0 - beta) * h.samples[m] + beta * h.samples[np.minimum(m + 1, grid.n_time)]
-    trap = np.full(k_count, ds)
-    trap[-1] *= 0.5
-    inner = np.sum(_lag_weights(grid, quad, pts[0], s) * slices, axis=tuple(range(1, grid.dim + 1)))
-    return float(trap @ inner)
-
-
 def linear_value(
     u0: InitialDatum,
     u1: InitialDatum,
     t: float,
     x,
     quad: QuadratureSpec,
-    h: Field | None = None,
-    dim: int | None = None,
 ) -> float:
     """Solution of the linear problem at one space-time point.
 
-    Grid-free for the data part; ``h`` (when given) supplies its own grid
-    for the source part.
+    Grid-free, data part only; the space dimension is that of ``x``.
     """
     pts = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    d = dim if dim is not None else pts.shape[1]
+    d = pts.shape[1]
     if d not in (1, 2, 3):
         raise ValidationError("dim", f"space dimension must be 1, 2 or 3, got {d}")
-    if pts.shape[1] != d:
-        raise ValidationError("x", f"point must have dimension {d}")
-    val = float(_data_terms_at(u0, u1, d, float(t), pts, quad)[0])
-    if h is not None:
-        val += duhamel(h, x, t, quad)
-    return val
+    return float(_data_terms_at(u0, u1, d, float(t), pts, quad)[0])
 
 
 @dataclass(frozen=True)
@@ -487,43 +450,6 @@ def check_support(field: Field, r: float, tol: float = 1e-10) -> SupportReport:
     mask = grid.node_radius[None] > bound[expand]
     max_outside = float(np.max(np.abs(field.samples[mask]))) if mask.any() else 0.0
     return SupportReport(max_outside=max_outside, ok=max_outside <= tol, tol=tol)
-
-
-@dataclass(frozen=True)
-class ProbeEntry:
-    order: int
-    mu_solution: float
-    bound_sum: float
-    ratio: float | None
-
-
-@dataclass(eq=False)
-class OperatorNormReport:
-    entries: list[ProbeEntry]
-    field: Field
-
-
-def operator_norm_probe(
-    u0: InitialDatum,
-    u1: InitialDatum,
-    h: Field | None,
-    grid: SpaceTimeGrid,
-    quad: QuadratureSpec,
-) -> OperatorNormReport:
-    """Empirical boundedness probe: mu_n(L) against the data-side bound.
-
-    Compares mu_n of the solution with mu0_{n+1}(u0) + mu0_n(u1) + mu_n(h)
-    for n <= 1; a ratio of None means the bound side vanishes (zero data).
-    """
-    fld = solve_linear(u0, u1, h, grid, quad)
-    entries = []
-    for n in (0, 1):
-        mu = seminorm(fld, n)
-        den = datum_seminorm(u0, grid.dim, n + 1) + datum_seminorm(u1, grid.dim, n)
-        if h is not None:
-            den += seminorm(h, n)
-        entries.append(ProbeEntry(n, mu, den, (mu / den) if den > 0.0 else None))
-    return OperatorNormReport(entries=entries, field=fld)
 
 
 # ---------------------------------------------------------------------------

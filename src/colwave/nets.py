@@ -2,8 +2,8 @@
 
 A net is a family indexed by a geometric ladder of regularization
 parameters ``eps_j = eps0 * ratio**j``.  Initial data and nonlinearities
-are specified in closed form, the data with exact gradients and Hessians,
-which keeps every downstream quadrature and finite-difference check
+are specified in closed form, the data with exact gradients, which
+keeps every downstream quadrature and finite-difference check
 honest.
 """
 
@@ -64,7 +64,7 @@ def _transition(s: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
 
     Built as phi(1-s) / (phi(1-s) + phi(s)) with phi(t) = exp(-1/t); all
     derivatives vanish at both ends, so gluing to the flat pieces stays
-    smooth.  Returns (h, h', h'')[: order + 1].
+    smooth.  Returns (h, h')[: order + 1].
     """
     s = np.asarray(s, dtype=float)
     out = (np.where(s <= _FLAT_CLIP, 1.0, 0.0),) + tuple(np.zeros_like(s) for _ in range(order))
@@ -81,19 +81,14 @@ def _transition(s: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
             db = b / sm**2
             n1 = da * b - a * db
             out[1][mid] = n1 / d**2
-        if order >= 2:
-            dda = a * (1.0 / t**4 - 2.0 / t**3)
-            ddb = b * (1.0 / sm**4 - 2.0 / sm**3)
-            n2 = dda * b - a * ddb
-            out[2][mid] = (n2 * d - 2.0 * n1 * (da + db)) / d**3
     return out
 
 
 def _bump(u: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    """g(u) = exp(1 - 1/u) for u > 0, 0 otherwise, with dg/du, d2g/du2.
+    """g(u) = exp(1 - 1/u) for u > 0, 0 otherwise, with dg/du.
 
     Evaluated in u = 1 - |x|^2/r^2 this is the standard compactly
-    supported bell profile.  Returns (g, g', g'')[: order + 1].
+    supported bell profile.  Returns (g, g')[: order + 1].
     """
     u = np.asarray(u, dtype=float)
     out = tuple(np.zeros_like(u) for _ in range(order + 1))
@@ -104,8 +99,6 @@ def _bump(u: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         out[0][pos] = gp
         if order >= 1:
             out[1][pos] = gp / up**2
-        if order >= 2:
-            out[2][pos] = gp * (1.0 / up**4 - 2.0 / up**3)
     return out
 
 
@@ -116,8 +109,8 @@ class InitialDatum:
     ``plateau_bump`` equals ``amplitude`` exactly on the closed inner ball
     and drops smoothly to zero at ``outer_radius``; ``gaussian_bump`` is
     the bell profile ``amplitude * exp(1 - 1/(1 - (|x|/r)^2))``; ``zero``
-    vanishes identically.  Values, gradients and Hessians are closed form
-    for points of any space dimension.
+    vanishes identically.  Values and gradients are closed form for points
+    of any space dimension.
     """
 
     kind: str
@@ -145,7 +138,7 @@ class InitialDatum:
 
     # -- radial profile -------------------------------------------------
     def _radial(self, rho: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """Profile F(rho), dF/drho, d2F/drho2, up to derivative ``order``.
+        """Profile F(rho) and dF/drho, up to derivative ``order`` <= 1.
 
         Returns ``order + 1`` arrays; each is the same bit for bit whatever
         the order, so callers ask only for the derivatives they read.
@@ -160,8 +153,6 @@ class InitialDatum:
             out = (self.amplitude * h[0],)
             if order >= 1:
                 out += (self.amplitude * h[1] / width,)
-            if order >= 2:
-                out += (self.amplitude * h[2] / width**2,)
             return out
         # gaussian_bump: function of w = rho^2 through u = 1 - w/r^2
         r2 = self.outer_radius**2
@@ -169,13 +160,9 @@ class InitialDatum:
         g = _bump(u, order)
         out = (self.amplitude * g[0],)
         if order >= 1:
-            # chain rule in w: dg/dw = -g1/r^2, d2g/dw2 = g2/r^4
+            # chain rule in w: dg/dw = -g1/r^2, F'(rho) = 2 rho dg/dw
             dgdw = -g[1] / r2
-            # F'(rho) = 2 rho dg/dw ; F''(rho) = 2 dg/dw + 4 rho^2 d2g/dw2
             out += (self.amplitude * 2.0 * rho * dgdw,)
-        if order >= 2:
-            d2gdw2 = g[2] / r2**2
-            out += (self.amplitude * (2.0 * dgdw + 4.0 * rho**2 * d2gdw2),)
         return out
 
     # -- pointwise evaluation -------------------------------------------
@@ -193,25 +180,6 @@ class InitialDatum:
         # radial direction; at rho == 0 the profile is flat so 0 is exact
         safe = np.where(rho > 0.0, rho, 1.0)
         return (f1 / safe)[..., None] * pts
-
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        """Second-derivative matrix at ``points``; shape (..., d, d)."""
-        pts = np.asarray(points, dtype=float)
-        d = pts.shape[-1]
-        rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        _, f1, f2 = self._radial(rho, 2)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        unit = pts / safe[..., None]
-        outer = unit[..., :, None] * unit[..., None, :]
-        eye = np.eye(d)
-        radial_part = f2[..., None, None] * outer
-        angular_part = (f1 / safe)[..., None, None] * (eye - outer)
-        hess = radial_part + angular_part
-        # both terms vanish on the flat core, including at the origin
-        flat = ~(rho > 0.0)
-        if np.any(flat):
-            hess = np.where(flat[..., None, None], 0.0, hess)
-        return hess
 
 
 @dataclass(frozen=True)

@@ -226,19 +226,12 @@ def _defect(field: Field, eps: float, problem: Problem) -> tuple[np.ndarray, np.
     return wave - problem.small_factor(eps) * problem.f.value(field.samples), residual_mask(grid)
 
 
-def residual(field: Field, eps: float, problem: Problem) -> Field:
-    """Discrete wave-operator defect u_tt - Lap(u) - eps**b f(u).
-
-    Returned on interior cone nodes (zero elsewhere); the defect of a
-    converged solution shrinks at second order in the grid spacings plus
-    the stopping-tolerance contribution tol/dt^2.
-    """
-    res, mask = _defect(field, eps, problem)
-    return Field(field.grid, np.where(mask, res, 0.0))
-
-
 def residual_sup(field: Field, eps: float, problem: Problem) -> float:
-    """Max |residual| over the interior cone nodes."""
+    """Max |u_tt - Lap(u) - eps**b f(u)| over the interior cone nodes.
+
+    The discrete defect of a converged solution shrinks at second order in
+    the grid spacings plus the stopping-tolerance contribution tol/dt^2.
+    """
     res, mask = _defect(field, eps, problem)
     return float(np.max(np.abs(res[mask]))) if mask.any() else 0.0
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientDataError, UnsupportedOrderError, ValidationError, check_count
-from .nets import EpsilonLadder, InitialDatum
+from .nets import EpsilonLadder
 
 #: Highest derivative order entering the seminorms.  Finite differences of
 #: sampled fields above order 2 are noise-dominated at practical grids.
@@ -310,7 +310,8 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
 
     Entries at or below ``UNDERFLOW_FLOOR`` are excluded; if none survive
     the net is reported as negligible via the +inf sentinel.  ``eps`` must
-    be positive and finite, ``mu`` free of NaN, and both of one length.
+    be positive and finite, ``mu`` nonnegative and finite, and both of one
+    length.
     """
     eps = np.asarray(eps_values, dtype=float)
     mu = np.asarray(mu_values, dtype=float)
@@ -318,8 +319,8 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
         raise ValidationError("mu", f"{mu.shape} values for eps of shape {eps.shape}")
     if not np.all((eps > 0.0) & np.isfinite(eps)):
         raise ValidationError("eps", "every eps must be positive and finite")
-    if np.isnan(mu).any():
-        raise ValidationError("mu", "values must not be NaN")
+    if not np.all((mu >= 0.0) & np.isfinite(mu)):
+        raise ValidationError("mu", "every mu must be nonnegative and finite")
     usable = mu > UNDERFLOW_FLOOR
     if not usable.any():
         return ValuationEstimate(math.inf, -math.inf, 0.0, 0)
@@ -510,35 +511,6 @@ def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
     if all(s >= -MODERATE_SLOPE_MAX for s in slopes):
         return NetClass.MODERATE
     return NetClass.NOT_MODERATE
-
-
-def datum_seminorm(datum: InitialDatum, dim: int, n: int) -> float:
-    """Sup over the support ball of closed-form datum derivatives <= n.
-
-    Sampled sup: lattice over the ball plus dense radial lines, which is
-    ample for the radial profiles used here.
-    """
-    if not (0 <= n <= MAX_SEMINORM_ORDER):
-        raise UnsupportedOrderError(
-            f"datum seminorm order must lie in [0, {MAX_SEMINORM_ORDER}], got {n}"
-        )
-    r = datum.outer_radius
-    if datum.kind == "zero" or r <= 0.0:
-        return 0.0
-    axis = np.linspace(-r, r, 49)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = pts[np.sqrt(np.sum(pts**2, axis=-1)) <= r]
-    line = np.zeros((1024, dim))
-    line[:, 0] = np.linspace(-r, r, 1024)
-    diag = np.linspace(-r, r, 1024)[:, None] * (np.ones(dim) / math.sqrt(dim))
-    pts = np.concatenate([pts, line, diag], axis=0)
-    best = float(np.max(np.abs(datum.value(pts))))
-    if n >= 1:
-        best = max(best, float(np.max(np.abs(datum.gradient(pts)))))
-    if n >= 2:
-        best = max(best, float(np.max(np.abs(datum.hessian(pts)))))
-    return best
 
 
 def valuation_table(net: Net, orders=(0, 1, 2)) -> list[tuple[float, float, int, float, float]]:

@@ -19,11 +19,10 @@ from colwave.seminorms import (
     valuation,
 )
 from colwave.semilinear import (
+    _defect,
     apply_fixed_point_map,
     picard_solve,
     reports_to_csv,
-    residual,
-    residual_mask,
     residual_sup,
     solve_net,
 )
@@ -266,6 +265,20 @@ def _fit_infinite_eps(tmp_path):
     return fit_decay_exponent(eps, LADDER.values)
 
 
+def _fit_infinite_mu(tmp_path):
+    # an infinite slope, read as the negligible sentinel
+    mu = LADDER.values.copy()
+    mu[0] = math.inf
+    return fit_decay_exponent(LADDER.values, mu)
+
+
+def _fit_negative_mu(tmp_path):
+    # the negative entry would be dropped from the fit as if it were zero
+    mu = LADDER.values.copy()
+    mu[3] = -mu[3]
+    return fit_decay_exponent(LADDER.values, mu)
+
+
 @pytest.mark.parametrize("call", [
     _grid_nan_radius,
     _dump_nan_radius,
@@ -280,6 +293,8 @@ def _fit_infinite_eps(tmp_path):
     _fit_nan_mu,
     _fit_nonpositive_eps,
     _fit_infinite_eps,
+    _fit_infinite_mu,
+    _fit_negative_mu,
 ], ids=lambda call: call.__name__.lstrip("_"))
 def test_bad_library_inputs_rejected(tmp_path, call):
     # each of these inputs once made a check pass without checking anything,
@@ -360,9 +375,8 @@ def test_residual_of_quadratic_in_time():
     prob = bump_problem(f_kind="zero")
     grid = grid_for(prob, dx=0.05)
     field = sampled_field(grid, lambda T, X: T**2)
-    res = residual(field, 0.5, prob)
-    mask = residual_mask(grid)
-    np.testing.assert_allclose(res.samples[mask], 2.0, atol=1e-9)
+    res, mask = _defect(field, 0.5, prob)
+    np.testing.assert_allclose(res[mask], 2.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -6,7 +6,7 @@ import pytest
 
 import colwave.seminorms as seminorms
 from colwave.errors import InsufficientDataError, UnsupportedOrderError, ValidationError
-from colwave.nets import InitialDatum, make_ladder
+from colwave.nets import make_ladder
 from colwave.seminorms import (
     Field,
     Net,
@@ -14,7 +14,6 @@ from colwave.seminorms import (
     SpaceTimeGrid,
     classify,
     constant_field,
-    datum_seminorm,
     fit_decay_exponent,
     power_net,
     sampled_field,
@@ -279,16 +278,8 @@ def test_pseudo_seminorm_subadditive():
 
 
 # ---------------------------------------------------------------------------
-# datum seminorms and export rows
+# export rows
 # ---------------------------------------------------------------------------
-
-def test_datum_seminorm_values():
-    plat = InitialDatum("plateau_bump", outer_radius=1.0, inner_radius=0.5, amplitude=2.0)
-    assert datum_seminorm(plat, 1, 0) == pytest.approx(2.0)
-    gauss = InitialDatum("gaussian_bump", outer_radius=1.0, amplitude=1.5)
-    assert datum_seminorm(gauss, 3, 0) == pytest.approx(1.5)
-    assert datum_seminorm(gauss, 2, 1) > datum_seminorm(gauss, 2, 0)
-    assert datum_seminorm(InitialDatum("zero"), 3, 2) == 0.0
 
 
 def test_valuation_table_shape():
