@@ -37,13 +37,21 @@ levels refined by ``time_points_per_dt``; the sampled source is read off
 the grid by multilinear interpolation (linear in time between levels).
 At a fixed time lag the inner integral is the same node stencil around
 every target, so ``solve_linear`` builds one stencil per lag at the origin
-and applies them all through one zero-padded spatial FFT.  The stencil
-spectra depend only on ``(grid, quad)`` and are built once for them and
-cached read-only, so every Picard sweep of a solve and every thread of
+and applies them all through one zero-padded spatial FFT.  No stencil
+weight lies more than ``reach`` nodes from the origin along any axis
+(measured from the built stencils), so an axis of ``n`` nodes is padded to
+the next 5-smooth length at least ``n + reach``: every offset between two
+nodes of the box that exceeds ``reach`` then falls on the stencil's zero
+padding, and the circular correlation cannot wrap.  The stencil spectra
+depend only on ``(grid, quad)`` and are built once for them and cached
+read-only, so every Picard sweep of a solve and every thread of
 ``solve_net`` reuses one build.  The lag sum is a causal convolution in
-time: from ``TIME_FFT_LEVELS`` time levels on (the measured crossover) it
-runs as one zero-padded FFT along time, below that level by level.  The two
-agree to rounding, and each is deterministic.  Past the box the
+time: in 1D, and in 2D/3D from ``TIME_FFT_LEVELS`` time levels on (the
+measured crossover), it runs as one FFT along time zero-padded to a
+5-smooth length at least ``2 * lags - 1``, else level by level.  Every
+length that does not wrap gives the same linear correlation, so the
+lengths move results only by rounding; the two paths agree to rounding,
+and each is deterministic.  Past the box the
 source is zero at the nodes: the interpolant falls to zero over the cell
 beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
 of the box edge, so only sources nonzero on boundary nodes see this.
@@ -68,14 +76,19 @@ from .seminorms import Field, SpaceTimeGrid
 _CHUNK = 1 << 21
 
 #: Time-level count ``n_time`` from which ``_source_levels`` sums the lags
-#: by one FFT along time instead of level by level.  The level loop costs
-#: about ``n_time / 2`` products per lag and only reads every
+#: of 2D/3D grids by one FFT along time instead of level by level; 1D grids
+#: take the FFT at every level count.  The level loop costs about
+#: ``n_time / 2`` products per lag and only reads every
 #: ``time_points_per_dt``-th convolution entry, the FFT about ``log(lags)``,
-#: so the crossover is counted in levels, not lags.  Measured per apply on a
-#: 2-vCPU host: with one step per dt the FFT wins from about 30 levels in 2D
-#: (25^2 nodes) and 40 in 3D (19^3 nodes, 62.6 -> 60.9 ms); with 2-4 steps
-#: per dt the loop still wins at 20 levels (2D 47^2 nodes, 4 steps: 11.6
-#: against 20.9 ms) and loses at 60 (2D 51^2, 2 steps: 44.6 against 37.8).
+#: so the crossover is counted in levels, not lags.  Measured per apply
+#: (loop against FFT) on a 2-vCPU host: in 1D at 105 nodes the FFT wins
+#: from 10 levels (0.062 against 0.037 ms; 20 levels 0.121 against 0.052;
+#: 30 levels, 2 steps per dt, 0.275 against 0.124); in 3D at 19^3 nodes the
+#: loop wins at 7 levels (1.63 against 3.00 ms) and loses at 40 (33.6
+#: against 30.0); in 2D at 47^2 nodes the loop wins at 10 levels with 2
+#: steps (1.09 against 1.66 ms) and 20 with 4 (4.83 against 5.17), and
+#: loses at 40 levels (5.46 against 4.65) and at 60 with 2 steps (51^2:
+#: 24.6 against 15.8).
 TIME_FFT_LEVELS = 40
 _SPECTRA_LOCK = threading.Lock()
 
@@ -305,6 +318,19 @@ def _lag_weights(grid: SpaceTimeGrid, quad: QuadratureSpec, s: np.ndarray) -> np
     return out.reshape((len(s),) + grid.spatial_shape)
 
 
+def _fft_length(m: int) -> int:
+    """Smallest 5-smooth length 2^a * 3^b * 5^c that is at least ``m``."""
+    best = 1 << max(0, (m - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << max(0, (-(-m // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=1)
 def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     tp = quad.time_points_per_dt
@@ -312,27 +338,33 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     half = n // 2
     lags = grid.n_time * tp
     axes = tuple(range(1, d + 1))
-    # a stencil reaches half nodes either way: that much padding keeps the
-    # circular correlation from wrapping
     stencils = _lag_weights(grid, quad, (grid.dt / tp) * np.arange(1, lags + 1))
-    stencils = np.roll(np.pad(stencils, [(0, 0)] + [(0, half)] * d), -half, axis=axes)
+    # reach: the largest node offset from the origin that any stencil touches
+    offsets = np.nonzero(np.any(stencils != 0.0, axis=0))
+    reach = max(int(np.max(np.abs(ix - half))) for ix in offsets)
+    length = _fft_length(n + reach)
+    crop = (slice(None),) + (slice(half - reach, half + reach + 1),) * d
+    stencils = np.pad(stencils[crop], [(0, 0)] + [(0, length - 2 * reach - 1)] * d)
+    stencils = np.roll(stencils, -reach, axis=axes)
     s_hat = np.conj(np.fft.rfftn(stencils, axes=axes))
     s_hat.flags.writeable = False
-    if grid.n_time < TIME_FFT_LEVELS:
-        return s_hat, None
-    # zero padding to 2 * lags >= 2 * lags - 1 keeps the time convolution linear
-    s_time = np.fft.fft(s_hat, n=2 * lags, axis=0)
+    if d > 1 and grid.n_time < TIME_FFT_LEVELS:
+        return s_hat, None, length
+    # zero padding to at least 2 * lags - 1 keeps the time convolution linear
+    s_time = np.fft.fft(s_hat, n=_fft_length(2 * lags - 1), axis=0)
     s_time.flags.writeable = False
-    return s_hat, s_time
+    return s_hat, s_time, length
 
 
 def _stencil_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     """Conjugated spatial spectra of the lag stencils S_1..S_lags, read-only.
 
-    Also their spectrum along time, zero-padded, when the level count
-    reaches ``TIME_FFT_LEVELS`` (else None).  Built once per
-    ``(grid, quad)``: the cache holds one grid's spectra, and the lock makes
-    concurrent solves on one grid share a single build.
+    Returns ``(s_hat, s_time, length)``: the spectra at the per-axis FFT
+    length ``length``; their spectrum along time, zero-padded, in 1D and
+    from ``TIME_FFT_LEVELS`` levels on in 2D/3D (else None); and
+    ``length`` itself.  Built once per ``(grid, quad)``: the cache holds
+    one grid's spectra, and the lock makes concurrent solves on one grid
+    share a single build.
     """
     with _SPECTRA_LOCK:
         return _cached_spectra(grid, quad)
@@ -346,22 +378,31 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     trapezoid ``ds * sum_{k=1..np} S_k * H[np-k] - ds/2 * S_np * H[0]``.
     The lag-k stencil S_k holds the origin-node weights of radius k*ds;
     every node sees the same stencil, so each sum is a spatial correlation,
-    applied through one zero-padded FFT.  The lag sum is a causal
-    convolution in time: level by level below ``TIME_FFT_LEVELS`` levels,
-    else all levels at once through one zero-padded FFT along time.
+    applied through one zero-padded FFT.  No stencil is nonzero more than
+    ``reach`` nodes from the origin along any axis, so each axis of ``n``
+    nodes is padded to the next 5-smooth length ``P >= n + reach``: the
+    circular correlation then cannot wrap, since between two nodes of the
+    box a positive offset ``o > reach`` lands at ``o <= n - 1 < P - reach``
+    and a negative one at ``P + o >= P - n + 1 > reach``, where the stencil
+    is zero.  The lag sum is a causal convolution in time: in 1D, and from
+    ``TIME_FFT_LEVELS`` levels on in 2D/3D, all levels at once through one
+    FFT along time zero-padded to a 5-smooth length ``>= 2 * lags - 1``;
+    else level by level.
     """
     grid = h.grid
     tp = quad.time_points_per_dt
     d, n = grid.dim, len(grid.axis)
-    half = n // 2
     lags = grid.n_time * tp
     ds = grid.dt / tp
-    j = np.arange(lags)
-    beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
-    src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
+    if tp == 1:
+        src = h.samples[:-1]
+    else:
+        j = np.arange(lags)
+        beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
+        src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
     axes = tuple(range(1, d + 1))
-    shape = (n + half,) * d
-    s_hat, s_time = _stencil_spectra(grid, quad)
+    s_hat, s_time, length = _stencil_spectra(grid, quad)
+    shape = (length,) * d
     h_hat = np.fft.rfftn(src, s=shape, axes=axes)
     if s_time is None:
         acc = np.empty((grid.n_time,) + s_hat.shape[1:], dtype=complex)

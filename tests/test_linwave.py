@@ -454,9 +454,12 @@ def test_duhamel_matches_reference(dim, dx, tp):
     # that allows only one cell drops real contributions here
     quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
     grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dx / 2)
-    # dx 0.025 (48 levels) sums its lags by the FFT along time, the other
-    # grids level by level, whatever their sub-steps
-    assert (grid.n_time >= TIME_FFT_LEVELS) == (dx == 0.025)
+    # 1D grids sum their lags by the FFT along time at every level count
+    # (12 and 48 levels here); the 2D/3D grids have fewer levels than
+    # TIME_FFT_LEVELS and sum level by level, whatever their sub-steps
+    _, s_time, _ = linwave._stencil_spectra(grid, quad)
+    assert (s_time is None) == (dim > 1)
+    assert dim == 1 or grid.n_time < TIME_FFT_LEVELS
     h = edge_source(grid)
     field = solve_linear(ZERO_DATUM, ZERO_DATUM, h, grid, quad)
     pts = grid.spatial_points
@@ -497,10 +500,10 @@ def test_stencil_spectra_built_once_per_grid(monkeypatch):
 
 @pytest.mark.parametrize("tp", [1, 4])
 def test_stencil_spectra_read_only(tp):
-    # tp 1 keeps 24 levels (level loop), tp 4 has 48 (FFT along time)
-    grid = SpaceTimeGrid.covering(1, 0.6, 0.4, dx=0.05, dt=0.025 if tp == 1 else 0.0125)
+    # in 2D, tp 1 keeps 24 levels (level loop), tp 4 has 48 (FFT along time)
+    grid = SpaceTimeGrid.covering(2, 0.6, 0.4, dx=0.05, dt=0.025 if tp == 1 else 0.0125)
     quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
-    s_hat, s_time = linwave._stencil_spectra(grid, quad)
+    s_hat, s_time, _ = linwave._stencil_spectra(grid, quad)
     assert (s_time is None) == (tp == 1)
     assert (s_time is None) == (grid.n_time < TIME_FFT_LEVELS)
     for arr in (s_hat, s_time):
@@ -508,6 +511,81 @@ def test_stencil_spectra_read_only(tp):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def test_fft_length_is_smallest_5_smooth():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for m in range(1, 4097):
+        expect = next(k for k in itertools.count(m) if smooth(k))
+        assert linwave._fft_length(m) == expect, m
+
+
+def _stencils(grid, quad):
+    tp = quad.time_points_per_dt
+    return linwave._lag_weights(grid, quad, (grid.dt / tp) * np.arange(1, grid.n_time * tp + 1))
+
+
+def _reach(stencils):
+    """Largest per-axis node offset from the origin of any nonzero weight."""
+    half = stencils.shape[1] // 2
+    offsets = np.nonzero(np.any(stencils != 0.0, axis=0))
+    return max(int(np.max(np.abs(ix - half))) for ix in offsets)
+
+
+@pytest.mark.parametrize("dim,dx", [(1, 0.05), (2, 0.1), (3, 0.15)])
+def test_spectra_length_covers_reach(dim, dx):
+    grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx)
+    n = len(grid.axis)
+    reach = _reach(_stencils(grid, QUAD))
+    s_hat, _, length = linwave._stencil_spectra(grid, QUAD)
+    assert s_hat.shape[1:] == (length,) * (dim - 1) + (length // 2 + 1,)
+    assert length == linwave._fft_length(n + reach) < n + n // 2
+    assert length >= n + reach and linwave._fft_length(length) == length
+
+
+def direct_duhamel(h, quad):
+    """FFT-free Duhamel levels: the lag stencils correlated node by node."""
+    grid = h.grid
+    tp, d = quad.time_points_per_dt, grid.dim
+    n = len(grid.axis)
+    stencils = _stencils(grid, quad)
+    j = np.arange(grid.n_time * tp)
+    beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
+    src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
+    # window i of the zero-padded slice holds the nodes i - n//2 .. i + n//2
+    padded = np.pad(src, [(0, 0)] + [(n // 2, n // 2)] * d)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (n,) * d, axis=tuple(range(1, d + 1)))
+    space = tuple(range(-d, 0))
+    out = np.zeros((grid.n_time,) + grid.spatial_shape)
+    for level in range(1, grid.n_time + 1):
+        p = level * tp
+        for k in range(1, p + 1):
+            w = 0.5 if k == p else 1.0
+            out[level - 1] += w * np.sum(stencils[k - 1] * windows[p - k], axis=space)
+    return (grid.dt / tp) * out
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize("dim,dx", [(1, 0.05), (2, 0.1), (3, 0.2)])
+def test_duhamel_does_not_wrap_at_full_reach(dim, dx, tp):
+    # the horizon equals the spatial extent, so the longest stencils reach
+    # (nearly) the box edge, and the source is nonzero on every boundary
+    # node: any wrap of the circular correlation shows
+    grid = SpaceTimeGrid(dim=dim, horizon=0.6, support_radius=0.0, spatial_extent=0.6,
+                         dx=dx, dt=dx / 2)
+    quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
+    n = len(grid.axis)
+    assert _reach(_stencils(grid, quad)) >= n // 2 - 1
+    rng = np.random.default_rng(dim * 10 + tp)
+    h = Field(grid, 1.0 + rng.random(grid.shape))
+    got = linwave._source_levels(h, quad)
+    want = direct_duhamel(h, quad)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
