@@ -198,12 +198,6 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def dump_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

@@ -30,13 +30,22 @@ coordinate reflection (``angular_points`` is even, the Gauss-Legendre
 nodes are symmetric), and the grid axis is exactly antisymmetric, so the
 result is mirror-symmetric bit for bit and the t = 0 level is u0 at the
 nodes.
-Axis swaps are not symmetries of the rules and are not used.
+Axis swaps are not symmetries of the rules and are not used.  In 1D the
+d'Alembert term of every live (level, node) pair of the nonnegative
+half-axis is evaluated in one numpy batch of at most ``_CHUNK`` pairs,
+t = 0 included (``0.5 * (a + a) == a`` exactly).  The u1 line integral
+keeps one Gauss rule per level, since its panel count depends on t, and
+the 2D/3D means stay one evaluation per level: batching their levels would
+multiply the (target, rule point) temporaries and change which rows share
+each BLAS product, and with it the last bits of the means.
 
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
 the grid by multilinear interpolation (linear in time between levels).
-At a fixed time lag the inner integral is the same node stencil around
-every target, so ``solve_linear`` builds one stencil per lag at the origin
+Every level's trapezoid weighs H[0] by one half; that half is applied once,
+to the spectrum of H[0] before the lag sum.  At a fixed time lag the inner
+integral is the same node stencil around every target, so
+``solve_linear`` builds one stencil per lag at the origin
 and applies them all through one zero-padded spatial FFT.  No stencil
 weight lies more than ``reach`` nodes from the origin along any axis
 (measured from the built stencils), so an axis of ``n`` nodes is padded to
@@ -72,7 +81,8 @@ from .errors import ValidationError, check_count
 from .nets import InitialDatum
 from .seminorms import Field, SpaceTimeGrid
 
-#: Upper bound on quadrature points evaluated in one numpy batch.
+#: Upper bound on quadrature points, or 1D (level, node) pairs, evaluated
+#: in one numpy batch.
 _CHUNK = 1 << 21
 
 #: Time-level count ``n_time`` from which ``_source_levels`` sums the lags
@@ -206,6 +216,50 @@ def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
 # data terms
 # ---------------------------------------------------------------------------
 
+def _data_terms_1d(
+    u0: InitialDatum,
+    u1: InitialDatum,
+    times: np.ndarray,
+    x: np.ndarray,
+    quad: QuadratureSpec,
+) -> np.ndarray:
+    """1D homogeneous part at every time of ``times`` for targets ``x`` (M,).
+
+    Returns shape ``(len(times), M)``.  Only the pairs with |x| < |t| + R,
+    R the largest outer radius of the nonzero data, are evaluated; all
+    others are exactly 0.0.  The d'Alembert term of u0 takes each pair's
+    own time, so every live pair of every time is evaluated in one numpy
+    batch of at most ``_CHUNK`` pairs; t = 0 needs no branch, since
+    ``0.5 * (a + a) == a`` exactly.  The line integral of u1 keeps one
+    composite Gauss rule per time, whose panel count depends on |t|.
+    """
+    out = np.zeros((len(times), len(x)))
+    radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
+    if not radii:
+        return out
+    live = np.abs(x) < np.abs(times)[:, None] + max(radii)
+    if u0.kind != "zero":
+        pairs = np.flatnonzero(live)
+        flat = out.reshape(-1)
+        for lo in range(0, len(pairs), _CHUNK):
+            level, node = np.divmod(pairs[lo : lo + _CHUNK], len(x))
+            t = times[level, None]
+            pts = x[node, None]
+            flat[pairs[lo : lo + _CHUNK]] = 0.5 * (u0.value(pts + t) + u0.value(pts - t))
+    if u1.kind != "zero":
+        for n, t in enumerate(times.tolist()):
+            if t == 0.0:
+                continue
+            targets = np.flatnonzero(live[n])
+            offs, w = _line_rule(t, u1, quad)
+            chunk = max(1, _CHUNK // len(offs))
+            for lo in range(0, len(targets), chunk):
+                sub = targets[lo : lo + chunk]
+                vals = u1.value(x[sub, None, None] + offs[None, :, None])
+                out[n, sub] += 0.5 * (vals @ w)
+    return out
+
+
 def _data_terms_at(
     u0: InitialDatum,
     u1: InitialDatum,
@@ -220,8 +274,11 @@ def _data_terms_at(
     Every rule point lies within |t| of its target, so only targets with
     |x| < |t| + R, R the largest outer radius of the nonzero data, are
     evaluated; all others are exactly 0.0.  ``radius`` is |x| of the
-    targets, computed here when not given.
+    targets, computed here when not given (2D/3D).  In 1D this is
+    ``_data_terms_1d`` at the single time t.
     """
+    if dim == 1:
+        return _data_terms_1d(u0, u1, np.array([float(t)]), pts[:, 0], quad)[0]
     out = np.zeros(pts.shape[0])
     radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
     if not radii:
@@ -234,17 +291,6 @@ def _data_terms_at(
     if t == 0.0:
         if u0.kind != "zero":
             out[live] = u0.value(pts)
-        return out
-    if dim == 1:
-        if u0.kind != "zero":
-            out[live] = 0.5 * (u0.value(pts + t) + u0.value(pts - t))
-        if u1.kind != "zero":
-            offs, w = _line_rule(t, u1, quad)
-            chunk = max(1, _CHUNK // len(offs))
-            for lo in range(0, m, chunk):
-                sub = pts[lo : lo + chunk]
-                vals = u1.value(sub[:, None, :] + offs[None, :, None])
-                out[live[lo : lo + chunk]] += 0.5 * (vals @ w)
         return out
     sd, wq = _mean_rule(dim, quad)
     tsd = t * sd
@@ -376,8 +422,10 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     With ``p = time_points_per_dt`` and ``ds = dt / p``, the source H[j] at
     sub-level j is linear in time between grid levels, and level n is the
     trapezoid ``ds * sum_{k=1..np} S_k * H[np-k] - ds/2 * S_np * H[0]``.
-    The lag-k stencil S_k holds the origin-node weights of radius k*ds;
-    every node sees the same stencil, so each sum is a spatial correlation,
+    Every level's sum holds ``S_np * H[0]`` exactly once, so H[0] is halved
+    in its spatial spectrum before the lag sum.  The lag-k stencil S_k
+    holds the origin-node weights of radius k*ds; every node sees the same
+    stencil, so each sum is a spatial correlation,
     applied through one zero-padded FFT.  No stencil is nonzero more than
     ``reach`` nodes from the origin along any axis, so each axis of ``n``
     nodes is padded to the next 5-smooth length ``P >= n + reach``: the
@@ -404,16 +452,16 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     s_hat, s_time, length = _stencil_spectra(grid, quad)
     shape = (length,) * d
     h_hat = np.fft.rfftn(src, s=shape, axes=axes)
+    h_hat[0] *= 0.5  # every level's lag sum holds S_p * H[0] once, at trapezoid weight 1/2
     if s_time is None:
         acc = np.empty((grid.n_time,) + s_hat.shape[1:], dtype=complex)
         for level in range(1, grid.n_time + 1):
             p = level * tp
             acc[level - 1] = np.einsum("k...,k...->...", s_hat[:p], h_hat[p - 1 :: -1])
-            acc[level - 1] -= 0.5 * s_hat[p - 1] * h_hat[0]
     else:
         # entry p - 1 of the convolution is sum_{k=1..p} S_k * H[p-k]
         conv = np.fft.ifft(s_time * np.fft.fft(h_hat, n=len(s_time), axis=0), axis=0)
-        acc = conv[tp - 1 : lags : tp] - 0.5 * s_hat[tp - 1 :: tp] * h_hat[0]
+        acc = conv[tp - 1 : lags : tp]
     out = np.fft.irfftn(acc, s=shape, axes=axes)
     return ds * out[(slice(None),) + (slice(0, n),) * d]
 
@@ -442,13 +490,16 @@ def solve_linear(
         # radial data, a reflection-invariant rule and an antisymmetric axis:
         # evaluate the nonnegative orthant and mirror it onto every other one
         half = len(grid.axis) // 2
-        orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
-        pts = np.stack([m.ravel() for m in orthant], axis=-1)
-        radius = np.sqrt(np.sum(pts * pts, axis=-1))
         mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
-        for n in range(grid.n_time + 1):
-            vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad, radius)
-            out[n] = vals.reshape(orthant[0].shape)[mirror]
+        if grid.dim == 1:
+            out[:] = _data_terms_1d(u0, u1, grid.times, grid.axis[half:], quad)[:, mirror[0]]
+        else:
+            orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
+            pts = np.stack([m.ravel() for m in orthant], axis=-1)
+            radius = np.sqrt(np.sum(pts * pts, axis=-1))
+            for n in range(grid.n_time + 1):
+                vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad, radius)
+                out[n] = vals.reshape(orthant[0].shape)[mirror]
     if h is not None:
         out[1:] += _source_levels(h, quad)
     return Field(grid, out)

@@ -219,24 +219,12 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.samples)
-
     def _check(self, other: "Field"):
         if not isinstance(other, Field) or other.grid != self.grid:
             raise ValidationError("grid", "fields must share one grid")
 
     def copy(self) -> "Field":
         return Field(self.grid, self.samples.copy())
-
-
-def sampled_field(grid: SpaceTimeGrid, fn) -> Field:
-    """Sample ``fn(T, X[, Y[, Z]])`` (vectorized) on the grid."""
-    return Field(grid, np.asarray(fn(*grid.meshes()), dtype=float) * np.ones(grid.shape))
-
-
-def constant_field(grid: SpaceTimeGrid, value: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(value)))
 
 
 @dataclass(eq=False)

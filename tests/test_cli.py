@@ -15,7 +15,6 @@ from colwave.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
-    dump_config,
     load_config,
     main,
     parse_config,
@@ -55,6 +54,12 @@ def test_config_roundtrip_idempotent(tmp_path):
     first = cfg.to_dict()
     again = parse_config(first).to_dict()
     assert first == again
+
+
+def dump_config(cfg, path):
+    with open(path, "w") as fh:
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def test_config_dump_and_reload(tmp_path):

@@ -23,8 +23,9 @@ from colwave.linwave import (
     solve_linear,
 )
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
-from colwave.seminorms import Field, SpaceTimeGrid, constant_field, seminorm
+from colwave.seminorms import Field, SpaceTimeGrid, seminorm
 from colwave.semilinear import solve_net
+from helpers import constant_field
 
 QUAD = QuadratureSpec(angular_points=16, polar_points=12)
 GAUSS = InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0)
@@ -315,6 +316,99 @@ def test_data_fields_match_unmirrored(dim, dx, horizon, angular):
         )
 
 
+def per_level_data_terms_1d(u0, u1, t, pts, quad):
+    """One 1D time level evaluated on its own: d'Alembert from ``u0.value``, then the line term."""
+    out = np.zeros(len(pts))
+    live = np.flatnonzero(np.abs(pts[:, 0]) < data_reach(u0, u1, t))
+    x = pts[live]
+    if u0.kind != "zero":
+        out[live] = u0.value(x) if t == 0.0 else 0.5 * (u0.value(x + t) + u0.value(x - t))
+    if u1.kind != "zero" and t != 0.0:
+        offs, w = _line_rule(t, u1, quad)
+        chunk = max(1, linwave._CHUNK // len(offs))
+        for lo in range(0, len(live), chunk):
+            vals = u1.value(x[lo : lo + chunk, None, :] + offs[None, :, None])
+            out[live[lo : lo + chunk]] += 0.5 * (vals @ w)
+    return out
+
+
+def per_level_data_fields(u0, u1, grid, quad):
+    """Data fields level by level on the nonnegative orthant, mirrored.
+
+    1D levels come from ``per_level_data_terms_1d``, 2D/3D levels from
+    ``whole_array_data_terms``.
+    """
+    half = len(grid.axis) // 2
+    orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
+    pts = np.stack([m.ravel() for m in orthant], axis=-1)
+    mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
+    out = np.zeros(grid.shape)
+    for n, t in enumerate(grid.times.tolist()):
+        if grid.dim == 1:
+            level = per_level_data_terms_1d(u0, u1, t, pts, quad)
+        else:
+            level = whole_array_data_terms(u0, u1, grid.dim, t, pts, quad)
+        out[n] = level.reshape(orthant[0].shape)[mirror]
+    return out
+
+
+PLATEAU_NEG = InitialDatum("plateau_bump", outer_radius=0.5, inner_radius=0.1, amplitude=-0.7)
+LEVEL_DATA = [
+    (PLATEAU, ZERO_DATUM),
+    (GAUSS_NEG, ZERO_DATUM),
+    (PLATEAU_NEG, GAUSS),
+    # u1 reaches past u0: the pairs live by u1 alone hold -0.0 from u0
+    (GAUSS_NEG, PLATEAU_SMALL),
+    (ZERO_DATUM, GAUSS_NEG),
+]
+LEVEL_IDS = ["plateau", "gauss_neg", "plateau_neg_u1", "gauss_neg_u1", "u1"]
+
+
+@pytest.mark.parametrize("data", LEVEL_DATA, ids=LEVEL_IDS)
+@pytest.mark.parametrize("chunk", [None, 300], ids=["whole", "split"])
+def test_1d_data_fields_bit_identical_to_per_level_dalembert(monkeypatch, data, chunk):
+    # every live (level, node) pair in one batch, or in batches of 300 pairs
+    # that end mid-level: values and signs of zero are those of level by level
+    if chunk is not None:
+        monkeypatch.setattr(linwave, "_CHUNK", chunk)
+    u0, u1 = data
+    grid = SpaceTimeGrid.covering(1, 0.7, 0.8, dx=0.02, dt=0.01)
+    half = len(grid.axis) // 2
+    live = grid.axis[half:][None, :] < grid.times[:, None] + data_reach(u0, u1, 0.0)
+    assert np.count_nonzero(live) > 5 * 300
+    field = solve_linear(u0, u1, None, grid, DATA_QUAD)
+    ref = per_level_data_fields(u0, u1, grid, DATA_QUAD)
+    assert np.array_equal(field.samples, ref)
+    assert np.array_equal(np.signbit(field.samples), np.signbit(ref))
+
+
+@pytest.mark.parametrize("data", LEVEL_DATA, ids=LEVEL_IDS)
+def test_1d_linear_value_bit_identical_to_per_level_dalembert(data):
+    u0, u1 = data
+    rng = np.random.default_rng(7)
+    for t in (-0.45, -0.1, 0.0, 0.1, 0.3, 0.45, 1.2):
+        reach = data_reach(u0, u1, t)
+        scales = np.concatenate([rng.uniform(-1.3, 1.3, 30), [-1.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+        pts = (reach * scales)[:, None]
+        got = np.array([linear_value(u0, u1, t, x, DATA_QUAD) for x in pts])
+        ref = np.concatenate([per_level_data_terms_1d(u0, u1, t, x[None], DATA_QUAD) for x in pts])
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("dim,dx,horizon", MIRROR_CASES[1:], ids=["2d", "3d"])
+@pytest.mark.parametrize("data", LEVEL_DATA, ids=LEVEL_IDS)
+def test_data_fields_bit_identical_to_per_level_kernel(dim, dx, horizon, data):
+    # 2D/3D keep one kernel call per level: batching levels would change
+    # which rows share each BLAS product, and with it the last bits
+    u0, u1 = data
+    grid = SpaceTimeGrid.covering(dim, horizon, 0.8, dx=dx, dt=dx / 2)
+    field = solve_linear(u0, u1, None, grid, DATA_QUAD)
+    ref = per_level_data_fields(u0, u1, grid, DATA_QUAD)
+    assert np.array_equal(field.samples, ref)
+    assert np.array_equal(np.signbit(field.samples), np.signbit(ref))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_linear_value_matches_reference_at_reach(dim):
     u0, u1 = GAUSS, PLATEAU_SMALL
@@ -552,14 +646,11 @@ def direct_duhamel(h, quad):
     """FFT-free Duhamel levels: the lag stencils correlated node by node."""
     grid = h.grid
     tp, d = quad.time_points_per_dt, grid.dim
-    n = len(grid.axis)
     stencils = _stencils(grid, quad)
     j = np.arange(grid.n_time * tp)
     beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
     src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
-    # window i of the zero-padded slice holds the nodes i - n//2 .. i + n//2
-    padded = np.pad(src, [(0, 0)] + [(n // 2, n // 2)] * d)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (n,) * d, axis=tuple(range(1, d + 1)))
+    windows = node_windows(src)
     space = tuple(range(-d, 0))
     out = np.zeros((grid.n_time,) + grid.spatial_shape)
     for level in range(1, grid.n_time + 1):
@@ -568,6 +659,13 @@ def direct_duhamel(h, quad):
             w = 0.5 if k == p else 1.0
             out[level - 1] += w * np.sum(stencils[k - 1] * windows[p - k], axis=space)
     return (grid.dt / tp) * out
+
+
+def node_windows(src):
+    """Windows of slices (levels, n, ..., n): window i holds nodes i - n//2 .. i + n//2, zero-padded."""
+    n, d = src.shape[1], src.ndim - 1
+    padded = np.pad(src, [(0, 0)] + [(n // 2, n // 2)] * d)
+    return np.lib.stride_tricks.sliding_window_view(padded, (n,) * d, axis=tuple(range(1, d + 1)))
 
 
 @pytest.mark.parametrize("tp", [1, 2])
@@ -585,6 +683,35 @@ def test_duhamel_does_not_wrap_at_full_reach(dim, dx, tp):
     h = Field(grid, 1.0 + rng.random(grid.shape))
     got = linwave._source_levels(h, quad)
     want = direct_duhamel(h, quad)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize(
+    "dim,dx,dt", [(1, 0.05, 0.025), (2, 0.1, 0.05), (2, 0.1, 0.015), (3, 0.2, 0.1)],
+    ids=["1d", "2d", "2d_time_fft", "3d"],
+)
+def test_duhamel_level_zero_source_at_half_weight(dim, dx, dt, tp):
+    # H[0] enters every level's trapezoid once, at weight ds/2, through its
+    # halved spectrum; between levels 0 and 1 the source is linear in time,
+    # so sub-level j < tp holds (1 - j/tp) * H[0] at full weight ds
+    grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dt)
+    quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
+    _, s_time, _ = linwave._stencil_spectra(grid, quad)
+    assert (s_time is None) == (grid.n_time < TIME_FFT_LEVELS and dim > 1)
+    samples = np.zeros(grid.shape)
+    samples[0] = np.random.default_rng(dim * 10 + tp).standard_normal(grid.spatial_shape)
+    stencils = _stencils(grid, quad)
+    window = node_windows(samples[:1])[0]
+    space = tuple(range(-dim, 0))
+    want = np.zeros((grid.n_time,) + grid.spatial_shape)
+    for level in range(1, grid.n_time + 1):
+        p = level * tp
+        for j in range(tp):
+            w = 0.5 if j == 0 else 1.0 - j / tp
+            want[level - 1] += w * np.sum(stencils[p - j - 1] * window, axis=space)
+    want *= grid.dt / tp
+    got = linwave._source_levels(Field(grid, samples), quad)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 

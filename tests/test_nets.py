@@ -45,17 +45,29 @@ def _references(node, outside=frozenset()):
         yield from _references(child, outside)
 
 
+#: Public functions kept without a caller in the package: whether the M1
+#: membership test becomes a check or goes is still open (ROADMAP).
+UNCALLED_KEPT = {"m1_membership"}
+
+
 def test_every_export_has_a_caller():
-    # an exported function that only tests call is dead code in the package
+    # a public function that only tests call is dead code in the package
     root = Path(__file__).resolve().parents[1]
-    files = [p for p in sorted((root / "src" / "colwave").glob("*.py")) if p.name != "__init__.py"]
+    modules = sorted((root / "src" / "colwave").glob("*.py"))
+    files = [p for p in modules if p.name != "__init__.py"]
     files += sorted((root / "benchmarks").glob("*.py"))
     used = set()
     for path in files:
         used.update(_references(ast.parse(path.read_text(), filename=str(path))))
-    functions = [n for n in colwave.__all__ if inspect.isfunction(getattr(colwave, n))]
-    assert functions
-    assert [n for n in functions if n not in used] == []
+    functions = [
+        node.name
+        for path in modules
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    exported = [n for n in colwave.__all__ if inspect.isfunction(getattr(colwave, n))]
+    assert exported and set(exported) <= set(functions)
+    assert [n for n in functions if n not in used and n not in UNCALLED_KEPT] == []
 
 
 # ---------------------------------------------------------------------------

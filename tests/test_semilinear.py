@@ -14,7 +14,6 @@ from colwave.seminorms import (
     SpaceTimeGrid,
     classify,
     fit_decay_exponent,
-    sampled_field,
     seminorm,
     valuation,
 )
@@ -33,6 +32,7 @@ from colwave.verify import (
     cubic_oracle_problem,
     m1_membership,
 )
+from helpers import sampled_field
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)

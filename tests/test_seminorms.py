@@ -13,16 +13,15 @@ from colwave.seminorms import (
     NetClass,
     SpaceTimeGrid,
     classify,
-    constant_field,
     fit_decay_exponent,
     power_net,
-    sampled_field,
     seminorm,
     ultra_metric,
     valuation,
     valuation_table,
 )
 from colwave.seminorms import MAX_SEMINORM_ORDER
+from helpers import constant_field, sampled_field
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
