@@ -109,8 +109,8 @@ class InitialDatum:
     ``plateau_bump`` equals ``amplitude`` exactly on the closed inner ball
     and drops smoothly to zero at ``outer_radius``; ``gaussian_bump`` is
     the bell profile ``amplitude * exp(1 - 1/(1 - (|x|/r)^2))``; ``zero``
-    vanishes identically.  Values and gradients are closed form for points
-    of any space dimension.
+    vanishes identically.  Values at points of any space dimension, and the
+    profile's radial derivative, are closed form.
     """
 
     kind: str
@@ -171,15 +171,6 @@ class InitialDatum:
         pts = np.asarray(points, dtype=float)
         rho = np.sqrt(np.sum(pts * pts, axis=-1))
         return self._radial(rho, 0)[0]
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Spatial gradient at ``points``; shape (..., d)."""
-        pts = np.asarray(points, dtype=float)
-        rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        _, f1 = self._radial(rho, 1)
-        # radial direction; at rho == 0 the profile is flat so 0 is exact
-        safe = np.where(rho > 0.0, rho, 1.0)
-        return (f1 / safe)[..., None] * pts
 
 
 @dataclass(frozen=True)

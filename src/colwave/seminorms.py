@@ -11,6 +11,12 @@ second derivatives gather ``np.gradient``'s stencils at those nodes alone.
 Every step keeps ``np.gradient``'s operation order, so every value is
 bit-identical to differencing the whole box.
 
+A seminorm table reads its fields one at a time, so the measures of a
+difference U - V (``ultra_metric`` here, the checks in ``verify``) form
+each entry's difference as it is read and drop it before the next: their
+memory holds one difference field and the derivative buffer, whatever the
+ladder length.
+
 Decay exponents nu_n are least-squares slopes of log mu_n against log eps
 over the ladder; the ultra-pseudo-seminorms are p_n = exp(-nu_n) and the
 truncated ultra-metric is d(U, V) = sum_n 2^(-n-1) min(p_n(U - V), 1).
@@ -23,6 +29,7 @@ smallest sampled eps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -167,7 +174,10 @@ class SpaceTimeGrid:
         for a, c in enumerate(np.unravel_index(flat, mask.shape)):
             last = mask.shape[a] - 1
             stride = math.prod(mask.shape[a + 1 :])
-            axes.append((stride, flat[(c > 0) & (c < last)], flat[c == 0], flat[c == last]))
+            first, end = flat[c == 0], flat[c == last]
+            # covering grids keep the cone off every spatial face: no copy then
+            inner = flat if not (len(first) or len(end)) else flat[(c > 0) & (c < last)]
+            axes.append((stride, inner, first, end))
         for arr in (flat, *(x for ax in axes for x in ax[1:])):
             arr.flags.writeable = False
         return ConeNodes(flat, tuple(axes))
@@ -223,9 +233,6 @@ class Field:
         if not isinstance(other, Field) or other.grid != self.grid:
             raise ValidationError("grid", "fields must share one grid")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.samples.copy())
-
 
 @dataclass(eq=False)
 class Net:
@@ -247,8 +254,7 @@ class Net:
         return self.fields[0].grid
 
     def __sub__(self, other: "Net") -> "Net":
-        self._check(other)
-        return Net(self.ladder, tuple(a - b for a, b in zip(self.fields, other.fields)))
+        return Net(self.ladder, tuple(_differences(self, other)))
 
     def __add__(self, other: "Net") -> "Net":
         self._check(other)
@@ -376,6 +382,12 @@ def _gradient_into(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.nd
     return out
 
 
+def _check_order(n, name: str = "seminorm order", low: int = 0, high=MAX_SEMINORM_ORDER):
+    """Reject ``n`` unless it is an integer (not a bool) in [low, high]."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not (low <= n <= high):
+        raise UnsupportedOrderError(f"{name} must be an integer in [{low}, {high}], got {n!r}")
+
+
 def _seminorm_orders(field: Field, n: int, buf: np.ndarray | None = None) -> list[float]:
     """[mu_0, ..., mu_n] of one field, each derivative read at the cone nodes only.
 
@@ -386,10 +398,7 @@ def _seminorm_orders(field: Field, n: int, buf: np.ndarray | None = None) -> lis
     and its second derivatives are gathered there, before the next axis
     overwrites it.
     """
-    if not (0 <= n <= MAX_SEMINORM_ORDER):
-        raise UnsupportedOrderError(
-            f"seminorm order must lie in [0, {MAX_SEMINORM_ORDER}], got {n}"
-        )
+    _check_order(n)
     grid = field.grid
     cone = grid.cone_nodes
     samples = np.ascontiguousarray(field.samples)
@@ -422,28 +431,43 @@ def seminorm(field: Field, n: int) -> float:
     return _seminorm_orders(field, n)[n]
 
 
-def _seminorm_table(net: Net, n: int) -> np.ndarray:
-    """(J, n + 1) table of mu_0..mu_n for every ladder entry.
+def _seminorm_table(fields, n: int) -> np.ndarray:
+    """(J, n + 1) table of mu_0..mu_n, one row per field of the iterable ``fields``.
 
-    All entries take their first derivatives in one buffer.
+    The fields share one grid and take their first derivatives in one
+    buffer.  Each is read and released before the next is drawn, so a
+    generator that forms every field as it is asked for (a difference of
+    two nets' entries, say) never holds two of them.
     """
-    buf = np.empty(math.prod(net.grid.shape))
-    return np.array([_seminorm_orders(f, n, buf) for f in net.fields])
+    rows, buf = [], None
+    for f in fields:
+        if buf is None:
+            buf = np.empty(f.samples.size)
+        rows.append(_seminorm_orders(f, n, buf))
+        del f  # release this entry before the iterable forms the next
+    return np.array(rows)
+
+
+def _differences(net_u: Net, net_v: Net):
+    """The fields of ``net_u - net_v``, each formed only when it is drawn.
+
+    The nets' ladder and grid are checked here, before any entry is formed.
+    """
+    net_u._check(net_v)
+    return (a - b for a, b in zip(net_u.fields, net_v.fields))
 
 
 def valuation(net: Net, n: int) -> ValuationEstimate:
     """Fitted decay exponent of mu_n along the ladder."""
-    return fit_decay_exponent(net.ladder.values, _seminorm_table(net, n)[:, n])
+    return fit_decay_exponent(net.ladder.values, _seminorm_table(net.fields, n)[:, n])
 
 
-def _valuations(net: Net, n: int, table: np.ndarray | None = None) -> list[ValuationEstimate]:
-    """``[valuation(net, k) for k in 0..n]`` bit for bit, one derivative stack per entry.
+def _valuations(ladder: EpsilonLadder, table: np.ndarray) -> list[ValuationEstimate]:
+    """The fitted nu_0..nu_n of a ``_seminorm_table`` over the entries of ``ladder``.
 
-    ``table`` reuses a ``_seminorm_table(net, n)`` the caller already holds.
+    ``[valuation(net, k) for k in 0..n]`` bit for bit, for the table of ``net``.
     """
-    if table is None:
-        table = _seminorm_table(net, n)
-    return [fit_decay_exponent(net.ladder.values, table[:, k]) for k in range(n + 1)]
+    return [fit_decay_exponent(ladder.values, table[:, k]) for k in range(table.shape[1])]
 
 
 def _pseudo_seminorm(est: ValuationEstimate) -> float:
@@ -464,12 +488,14 @@ def _metric(estimates: list[ValuationEstimate]) -> float:
 
 
 def ultra_metric(net_u: Net, net_v: Net, n_terms: int) -> float:
-    """Truncated ultra-metric sum_{n<n_terms} 2^(-n-1) min(p_n, 1)."""
-    if not (1 <= n_terms <= MAX_SEMINORM_ORDER + 1):
-        raise UnsupportedOrderError(
-            f"n_terms must lie in [1, {MAX_SEMINORM_ORDER + 1}], got {n_terms}"
-        )
-    return _metric(_valuations(net_u - net_v, n_terms - 1))
+    """Truncated ultra-metric sum_{n<n_terms} 2^(-n-1) min(p_n, 1).
+
+    The difference U - V is formed one ladder entry at a time, so no
+    difference net is ever held whole.
+    """
+    _check_order(n_terms, "n_terms", 1, MAX_SEMINORM_ORDER + 1)
+    table = _seminorm_table(_differences(net_u, net_v), n_terms - 1)
+    return _metric(_valuations(net_u.ladder, table))
 
 
 class NetClass(Enum):
@@ -486,7 +512,7 @@ def classify(net: Net) -> NetClass:
     net counts as negligible when every fitted slope at the tested orders
     is at least ``NEGLIGIBLE_SLOPE``, and analogously for the others.
     """
-    return _class_of(_valuations(net, MAX_SEMINORM_ORDER))
+    return _class_of(_valuations(net.ladder, _seminorm_table(net.fields, MAX_SEMINORM_ORDER)))
 
 
 def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
@@ -503,7 +529,9 @@ def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
 
 def valuation_table(net: Net, orders=(0, 1, 2)) -> list[tuple[float, float, int, float, float]]:
     """Rows (eps, mu_n, n, fitted slope, stderr) for CSV export."""
-    table = _seminorm_table(net, max(orders, default=0))
+    for n in orders:
+        _check_order(n)
+    table = _seminorm_table(net.fields, max(orders, default=0))
     rows = []
     for n in orders:
         mus = table[:, n]

@@ -4,6 +4,11 @@ Each check turns an asymptotic statement into a finite-ladder
 measurement: association decay rates, contraction gaps in the fitted
 valuations, damping of seed perturbations, and the closed-form blow-up
 oracle y(t) = 1/(1 - eps t) for the cubic test problem.
+
+The checks that measure a net difference (contraction, uniqueness, M1
+membership) stream it: each ladder entry's difference is formed, measured
+into its seminorm-table row and dropped before the next, so their memory
+does not grow with the ladder length.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .seminorms import (
     NetClass,
     SpaceTimeGrid,
     ValuationEstimate,
+    _check_order,
     _class_of,
+    _differences,
     _metric,
     _seminorm_table,
     _valuations,
@@ -134,20 +141,27 @@ def check_contraction(
     bump x ``CONTRACTION_PERTURBATION``); the gap nu_n(F(U)-F(V)) -
     nu_n(U-V) should reach the small-factor exponent b, and the
     truncated-metric ratio should not exceed exp(-(b - RATE_MARGIN)).
+
+    One entry at a time, v = u + bump, F(u) and F(v) are formed and the
+    differences u - v and F(u) - F(v) measured, so neither V nor a mapped
+    or difference net is ever held whole.
     """
     b = problem.small_exponent
     ladder, grid = net_u.ladder, u_lin.grid
     pert = CONTRACTION_PERTURBATION * np.broadcast_to(_bump_pattern(problem, grid), grid.shape)
-    net_v = Net(ladder, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
 
-    def mapped(net: Net) -> Net:
-        return Net(ladder, tuple(
-            apply_fixed_point_map(problem, float(eps), f, grid, quad, u_lin)
-            for eps, f in zip(ladder.values, net.fields)
-        ))
+    def differences():
+        """u - v and F(u) - F(v) of every entry in turn."""
+        for eps, u in zip(ladder.values, net_u.fields):
+            v = Field(grid, u.samples + pert)
+            if u.grid != grid:  # the error U - V gave when V was a net
+                raise ValidationError("net", "nets must share ladder and grid")
+            yield u - v
+            yield (apply_fixed_point_map(problem, float(eps), u, grid, quad, u_lin)
+                   - apply_fixed_point_map(problem, float(eps), v, grid, quad, u_lin))
 
-    before = _valuations(net_u - net_v, MAX_SEMINORM_ORDER)
-    after = _valuations(mapped(net_u) - mapped(net_v), MAX_SEMINORM_ORDER)
+    table = _seminorm_table(differences(), MAX_SEMINORM_ORDER)
+    before, after = _valuations(ladder, table[0::2]), _valuations(ladder, table[1::2])
     gaps = {
         n: math.inf if math.isinf(nu_after.slope) else nu_after.slope - nu_before.slope
         for n, (nu_before, nu_after) in enumerate(zip(before, after))
@@ -215,11 +229,10 @@ def check_uniqueness_surrogate(
         linear_part=u_lin_b,
     )
 
-    diff = net_a - net_b
-    table = _seminorm_table(diff, MAX_SEMINORM_ORDER)
+    table = _seminorm_table(_differences(net_a, net_b), MAX_SEMINORM_ORDER)
     mu_max = dict(enumerate(table.max(axis=0).tolist()))
     try:
-        cls = _class_of(_valuations(diff, MAX_SEMINORM_ORDER, table))
+        cls = _class_of(_valuations(ladder, table))
     except InsufficientDataError:
         cls = None
     if cls is NetClass.NEGLIGIBLE_AT_TESTED_ORDER:
@@ -351,10 +364,13 @@ def m1_membership(net: Net, linear_field: Field, orders=(0, 1, 2)) -> M1Report:
     """Per-eps seminorms of u_eps - L(u0,u1,0) against the unit bound.
 
     Reports (eps, n, mu) rows and the first ladder index from which
-    mu_n <= 1 holds for all tested orders onwards (None if never).
+    mu_n <= 1 holds for all tested orders onwards (None if never).  Each
+    difference is formed one entry at a time.
     """
-    diff = Net(net.ladder, tuple(f - linear_field for f in net.fields))
-    table = _seminorm_table(diff, max(orders))[:, list(orders)]
+    for n in orders:
+        _check_order(n)
+    table = _seminorm_table((f - linear_field for f in net.fields), max(orders))
+    table = table[:, list(orders)]
     rows = [
         (float(eps), int(n), float(mu))
         for eps, mus in zip(net.ladder.values, table)

@@ -12,3 +12,16 @@ def sampled_field(grid: SpaceTimeGrid, fn) -> Field:
 
 def constant_field(grid: SpaceTimeGrid, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))
+
+
+def datum_gradient(datum, points) -> np.ndarray:
+    """Spatial gradient of a radial ``InitialDatum`` at ``points``; shape (..., d).
+
+    The radial derivative along the unit direction; at rho == 0 the
+    profile is flat, so 0 there is exact.
+    """
+    pts = np.asarray(points, dtype=float)
+    rho = np.sqrt(np.sum(pts * pts, axis=-1))
+    _, f1 = datum._radial(rho, 1)
+    safe = np.where(rho > 0.0, rho, 1.0)
+    return (f1 / safe)[..., None] * pts

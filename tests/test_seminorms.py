@@ -155,6 +155,46 @@ def test_seminorm_order_cap():
         seminorm(constant_field(g, 1.0), 3)
 
 
+BAD_ORDERS = [1.5, 1.0, np.float64(2.0), True, False, "1", None]
+
+
+@pytest.mark.parametrize("n", BAD_ORDERS, ids=repr)
+def test_seminorm_rejects_non_integer_order(n):
+    # a float order failed late with a bare TypeError, and True read as mu_1
+    with pytest.raises(UnsupportedOrderError, match="integer"):
+        seminorm(constant_field(small_grid(), 1.0), n)
+
+
+@pytest.mark.parametrize("n", BAD_ORDERS, ids=repr)
+def test_valuation_rejects_non_integer_order(n):
+    with pytest.raises(UnsupportedOrderError, match="integer"):
+        valuation(power_net(small_grid(), LADDER, 1.0), n)
+
+
+@pytest.mark.parametrize("orders", [(True,), (1.5,), (2, True), (2, -1), (0, 3)], ids=repr)
+def test_valuation_table_rejects_bad_orders(orders):
+    # (True,) failed inside the fit with a shape message; (2, -1) read mu_2
+    # as the row of order -1
+    with pytest.raises(UnsupportedOrderError, match="integer"):
+        valuation_table(power_net(small_grid(), LADDER, 1.0), orders=orders)
+
+
+@pytest.mark.parametrize("n_terms", BAD_ORDERS + [0, 4], ids=repr)
+def test_ultra_metric_rejects_non_integer_n_terms(n_terms):
+    u = power_net(small_grid(), LADDER, 1.0)
+    with pytest.raises(UnsupportedOrderError, match="n_terms must be an integer"):
+        ultra_metric(u, u, n_terms)
+
+
+def test_numpy_integer_orders_are_orders():
+    g = small_grid()
+    f = sampled_field(g, lambda T, X: np.sin(3.0 * X) * (1.0 + T))
+    u, v = power_net(g, LADDER, 1.0), power_net(g, LADDER, 2.0)
+    assert seminorm(f, np.int64(1)) == seminorm(f, 1)
+    assert ultra_metric(u, v, np.int32(2)) == ultra_metric(u, v, 2)
+    assert valuation_table(u, orders=(np.int64(2),)) == valuation_table(u, orders=(2,))
+
+
 # ---------------------------------------------------------------------------
 # valuations
 # ---------------------------------------------------------------------------
@@ -470,7 +510,7 @@ def test_seminorm_table_peak_allocation():
     g.cone_nodes  # built once per grid, before the measurement
     tracemalloc.start()
     try:
-        seminorms._seminorm_table(net, MAX_SEMINORM_ORDER)
+        seminorms._seminorm_table(net.fields, MAX_SEMINORM_ORDER)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 
 import colwave.seminorms as seminorms
 import colwave.verify as verify
-from colwave.errors import LifespanExceededError, ValidationError
+from colwave.errors import LifespanExceededError, UnsupportedOrderError, ValidationError
 from colwave.linwave import QuadratureSpec, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
@@ -298,3 +298,12 @@ def test_m1_membership_matches_per_order_seminorms(orders):
     mus = np.array([m for _, _, m in expected]).reshape(len(LADDER), len(orders))
     first = next(j for j in range(len(mus)) if np.all(mus[j:] <= 1.0))
     assert rep.first_index == first > 0
+
+
+@pytest.mark.parametrize("orders", [(True,), (1.5,), (2, True), (2, -1), (0, 3)], ids=repr)
+def test_m1_membership_rejects_bad_orders(orders):
+    # (2, True) read mu_1 as the row of order True, (2, -1) read mu_2
+    prob = bump_problem()
+    net, linear = solved(prob)
+    with pytest.raises(UnsupportedOrderError, match="integer"):
+        m1_membership(net, linear, orders)
