@@ -19,8 +19,8 @@ class ValidationError(ColwaveError, ValueError):
 
 
 def check_count(parameter: str, value, minimum: int) -> None:
-    """Raise ValidationError unless ``value`` is an integer (numpy too) >= ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Raise ValidationError unless ``value`` is an integer (numpy too, not bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(parameter, f"must be an integer >= {minimum}, got {value!r}")
 
 

@@ -29,15 +29,21 @@ exact: the data are radial, every rule maps onto itself under each
 coordinate reflection (``angular_points`` is even, the Gauss-Legendre
 nodes are symmetric), and the grid axis is exactly antisymmetric, so the
 result is mirror-symmetric bit for bit and the t = 0 level is u0 at the
-nodes.
-Axis swaps are not symmetries of the rules and are not used.  In 1D the
-d'Alembert term of every live (level, node) pair of the nonnegative
-half-axis is evaluated in one numpy batch of at most ``_CHUNK`` pairs,
-t = 0 included (``0.5 * (a + a) == a`` exactly).  The u1 line integral
-keeps one Gauss rule per level, since its panel count depends on t, and
-the 2D/3D means stay one evaluation per level: batching their levels would
-multiply the (target, rule point) temporaries and change which rows share
-each BLAS product, and with it the last bits of the means.
+nodes.  When ``angular_points % 4 == 0`` the azimuths 2*pi*j/A are closed
+under theta -> pi/2 - theta, so the disk and sphere rules are also
+invariant under the x <-> y swap: only the orthant nodes with i >= j on
+the first two axes are evaluated and the rest are filled by the swap (the
+3D z axis is the polar axis and is not swapped).  That swap is exact in
+real arithmetic only, so these fields are swap-symmetric bit for bit and
+within rounding (measured 6.6e-16 of the peak) of the whole orthant;
+other rules keep the whole orthant.  In 1D the d'Alembert term of every
+live (level, node) pair of the nonnegative half-axis is evaluated in one
+numpy batch of at most ``_CHUNK`` pairs, t = 0 included (``0.5 * (a + a)
+== a`` exactly).  The u1 line integral keeps one Gauss rule per level,
+since its panel count depends on t, and the 2D/3D means stay one
+evaluation per level: batching their levels would multiply the (target,
+rule point) temporaries and change which rows share each BLAS product, and
+with it the last bits of the means.
 
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
@@ -51,17 +57,25 @@ weight lies more than ``reach`` nodes from the origin along any axis
 (measured from the built stencils), so an axis of ``n`` nodes is padded to
 the next 5-smooth length at least ``n + reach``: every offset between two
 nodes of the box that exceeds ``reach`` then falls on the stencil's zero
-padding, and the circular correlation cannot wrap.  The stencil spectra
-depend only on ``(grid, quad)`` and are built once for them and cached
-read-only, so every Picard sweep of a solve and every thread of
-``solve_net`` reuses one build.  The lag sum is a causal convolution in
-time: in 1D, and in 2D/3D from ``TIME_FFT_LEVELS`` time levels on (the
-measured crossover), it runs as one FFT along time zero-padded to a
-5-smooth length at least ``2 * lags - 1``, else level by level.  Every
-length that does not wrap gives the same linear correlation, so the
-lengths move results only by rounding; the two paths agree to rounding,
-and each is deterministic.  Past the box the
-source is zero at the nodes: the interpolant falls to zero over the cell
+padding, and the circular correlation cannot wrap.  Both multi-axis
+transforms run axis by axis in numpy's order and skip rows that cannot
+matter: the stencils grow each axis to the padded length only just before
+transforming it, and the inverse keeps the box's ``n`` entries of an axis
+as soon as that axis is transformed.  Each row's transform is independent
+of the others, so both are ``rfftn``/``irfftn`` bit for bit.  With
+``time_points_per_dt > 1`` only the grid levels are transformed and the
+sub-level spectra are blended from them (linear interpolation in time
+commutes with the spatial FFT), which moves results by rounding.  The
+stencil spectra depend only on ``(grid, quad)`` and are built once for
+them and cached read-only, so every Picard sweep of a solve and every
+thread of ``solve_net`` reuses one build.  The lag sum is a causal
+convolution in time: in 1D, and in 2D/3D from ``TIME_FFT_LEVELS`` time
+levels on (the measured crossover), it runs as one FFT along time
+zero-padded to a 5-smooth length at least ``2 * lags - 1``, else level by
+level.  Every length that does not wrap gives the same linear
+correlation, so the lengths move results only by rounding; the two paths
+agree to rounding, and each is deterministic.  Past the box the source is
+zero at the nodes: the interpolant falls to zero over the cell
 beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
 of the box edge, so only sources nonzero on boundary nodes see this.
 """
@@ -134,10 +148,40 @@ class QuadratureSpec:
 # quadrature rules
 # ---------------------------------------------------------------------------
 
+def _legval(x: np.ndarray, c: list[float]) -> np.ndarray:
+    """Legendre series ``sum_k c[k] P_k(x)`` by Clenshaw's recurrence, ``len(c) >= 2``."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=16)
 def _leggauss(nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once, read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1], built once, read-only.
+
+    The steps of ``numpy.polynomial.legendre.leggauss``, so bit for bit its
+    rule, without importing ``numpy.polynomial``: the eigenvalues of the
+    symmetric Legendre companion matrix, one Newton step, then nodes and
+    weights symmetrized and the weights normalized to sum 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(nodes) + 1)
+    off = np.arange(1, nodes) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * nodes + [1.0]
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dp_n = [float(2 * k + 1) if (nodes - k) % 2 else 0.0 for k in range(nodes)]
+    df = _legval(x, dp_n)
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -384,15 +428,21 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     half = n // 2
     lags = grid.n_time * tp
     axes = tuple(range(1, d + 1))
-    stencils = _lag_weights(grid, quad, (grid.dt / tp) * np.arange(1, lags + 1))
+    s_hat = _lag_weights(grid, quad, (grid.dt / tp) * np.arange(1, lags + 1))
     # reach: the largest node offset from the origin that any stencil touches
-    offsets = np.nonzero(np.any(stencils != 0.0, axis=0))
+    offsets = np.nonzero(np.any(s_hat != 0.0, axis=0))
     reach = max(int(np.max(np.abs(ix - half))) for ix in offsets)
     length = _fft_length(n + reach)
-    crop = (slice(None),) + (slice(half - reach, half + reach + 1),) * d
-    stencils = np.pad(stencils[crop], [(0, 0)] + [(0, length - 2 * reach - 1)] * d)
-    stencils = np.roll(stencils, -reach, axis=axes)
-    s_hat = np.conj(np.fft.rfftn(stencils, axes=axes))
+    s_hat = s_hat[(slice(None),) + (slice(half - reach, half + reach + 1),) * d]
+    # rfftn's steps (last axis first), each axis padded to ``length`` and
+    # rolled to put the origin at index 0 only when it is transformed, so
+    # rows that hold only padding are never transformed
+    for axis in reversed(axes):
+        pad = [(0, 0)] * (d + 1)
+        pad[axis] = (0, length - 2 * reach - 1)
+        s_hat = np.roll(np.pad(s_hat, pad), -reach, axis=axis)
+        s_hat = np.fft.rfft(s_hat, axis=axis) if axis == d else np.fft.fft(s_hat, axis=axis)
+    s_hat = np.conj(s_hat)
     s_hat.flags.writeable = False
     if d > 1 and grid.n_time < TIME_FFT_LEVELS:
         return s_hat, None, length
@@ -432,26 +482,30 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     circular correlation then cannot wrap, since between two nodes of the
     box a positive offset ``o > reach`` lands at ``o <= n - 1 < P - reach``
     and a negative one at ``P + o >= P - n + 1 > reach``, where the stencil
-    is zero.  The lag sum is a causal convolution in time: in 1D, and from
-    ``TIME_FFT_LEVELS`` levels on in 2D/3D, all levels at once through one
-    FFT along time zero-padded to a 5-smooth length ``>= 2 * lags - 1``;
-    else level by level.
+    is zero.  With ``p > 1`` only the grid levels are transformed, and the
+    sub-level spectra are blended from theirs.  The lag sum is a causal
+    convolution in time: in 1D, and from ``TIME_FFT_LEVELS`` levels on in
+    2D/3D, all levels at once through one FFT along time zero-padded to a
+    5-smooth length ``>= 2 * lags - 1``; else level by level.
     """
     grid = h.grid
     tp = quad.time_points_per_dt
     d, n = grid.dim, len(grid.axis)
     lags = grid.n_time * tp
     ds = grid.dt / tp
-    if tp == 1:
-        src = h.samples[:-1]
-    else:
-        j = np.arange(lags)
-        beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
-        src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
     axes = tuple(range(1, d + 1))
     s_hat, s_time, length = _stencil_spectra(grid, quad)
     shape = (length,) * d
-    h_hat = np.fft.rfftn(src, s=shape, axes=axes)
+    if tp == 1:
+        h_hat = np.fft.rfftn(h.samples[:-1], s=shape, axes=axes)
+    else:
+        # linear interpolation in time commutes with the spatial FFT: blend
+        # the spectra of the grid levels into those of the sub-levels
+        levels = np.fft.rfftn(h.samples, s=shape, axes=axes)
+        h_hat = np.empty((lags,) + levels.shape[1:], dtype=complex)
+        h_hat[::tp] = levels[:-1]
+        for j in range(1, tp):
+            h_hat[j::tp] = (1.0 - j / tp) * levels[:-1] + (j / tp) * levels[1:]
     h_hat[0] *= 0.5  # every level's lag sum holds S_p * H[0] once, at trapezoid weight 1/2
     if s_time is None:
         acc = np.empty((grid.n_time,) + s_hat.shape[1:], dtype=complex)
@@ -462,8 +516,11 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
         # entry p - 1 of the convolution is sum_{k=1..p} S_k * H[p-k]
         conv = np.fft.ifft(s_time * np.fft.fft(h_hat, n=len(s_time), axis=0), axis=0)
         acc = conv[tp - 1 : lags : tp]
-    out = np.fft.irfftn(acc, s=shape, axes=axes)
-    return ds * out[(slice(None),) + (slice(0, n),) * d]
+    # irfftn's steps, each axis cropped to the box's n nodes as soon as it
+    # is transformed, so rows past the box are never transformed
+    for axis in axes[:-1]:
+        acc = np.fft.ifft(acc, axis=axis)[(slice(None),) * axis + (slice(0, n),)]
+    return ds * np.fft.irfft(acc, n=length, axis=d)[..., :n]
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +551,21 @@ def solve_linear(
         if grid.dim == 1:
             out[:] = _data_terms_1d(u0, u1, grid.times, grid.axis[half:], quad)[:, mirror[0]]
         else:
-            orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
-            pts = np.stack([m.ravel() for m in orthant], axis=-1)
+            # with angular_points % 4 == 0 the rule is also invariant under
+            # the x <-> y swap: evaluate the orthant nodes with i >= j only
+            orthant = np.empty((len(grid.axis) - half,) * grid.dim)
+            idx = np.indices(orthant.shape).reshape(grid.dim, -1)
+            swap = quad.angular_points % 4 == 0
+            if swap:
+                idx = idx[:, idx[0] >= idx[1]]
+            pts = grid.axis[half:][idx.T]
             radius = np.sqrt(np.sum(pts * pts, axis=-1))
             for n in range(grid.n_time + 1):
                 vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad, radius)
-                out[n] = vals.reshape(orthant[0].shape)[mirror]
+                orthant[tuple(idx)] = vals
+                if swap:
+                    orthant[(idx[1], idx[0], *idx[2:])] = vals
+                out[n] = orthant[mirror]
     if h is not None:
         out[1:] += _source_levels(h, quad)
     return Field(grid, out)

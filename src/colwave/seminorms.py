@@ -529,6 +529,7 @@ def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
 
 def valuation_table(net: Net, orders=(0, 1, 2)) -> list[tuple[float, float, int, float, float]]:
     """Rows (eps, mu_n, n, fitted slope, stderr) for CSV export."""
+    orders = tuple(orders)
     for n in orders:
         _check_order(n)
     table = _seminorm_table(net.fields, max(orders, default=0))

@@ -367,6 +367,7 @@ def m1_membership(net: Net, linear_field: Field, orders=(0, 1, 2)) -> M1Report:
     mu_n <= 1 holds for all tested orders onwards (None if never).  Each
     difference is formed one entry at a time.
     """
+    orders = tuple(orders)
     for n in orders:
         _check_order(n)
     table = _seminorm_table((f - linear_field for f in net.fields), max(orders))

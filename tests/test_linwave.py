@@ -42,6 +42,9 @@ def test_quadrature_validation():
         QuadratureSpec(polar_points=3)
     with pytest.raises(ValidationError, match="time_points_per_dt"):
         QuadratureSpec(time_points_per_dt=0)
+    # a bool is an int to Python, but no count
+    with pytest.raises(ValidationError, match="time_points_per_dt"):
+        QuadratureSpec(time_points_per_dt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +265,27 @@ def test_mean_rule_cached_read_only(dim):
             arr[0] = 0.0
 
 
+def test_leggauss_bit_identical_to_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    for nodes in range(4, 129):
+        got, want = linwave._leggauss.__wrapped__(nodes), leggauss(nodes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), nodes
+            assert np.array_equal(np.signbit(a), np.signbit(b)), nodes
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_solve_linear_builds_each_gauss_rule_once(monkeypatch, dim):
+    # each Gauss-Legendre build takes the eigenvalues of one companion matrix
     calls = []
 
-    def counted(nodes):
-        calls.append(nodes)
-        return leggauss(nodes)
+    def counted(matrix):
+        calls.append(len(matrix))
+        return eigvalsh(matrix)
 
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     linwave._leggauss.cache_clear()
     _mean_rule.cache_clear()
     linwave._cached_spectra.cache_clear()
@@ -302,9 +316,10 @@ def test_data_fields_mirror_symmetric(dim, dx, horizon):
 
 
 @pytest.mark.parametrize("dim,dx,horizon", MIRROR_CASES, ids=["1d", "2d", "3d"])
-@pytest.mark.parametrize("angular", [6, 10, 12])
+@pytest.mark.parametrize("angular", [6, 8, 10, 12, 16])
 def test_data_fields_match_unmirrored(dim, dx, horizon, angular):
-    # 6 and 10 give rules with the coordinate reflections but no axis swaps
+    # 6 and 10 give rules with the coordinate reflections but no x <-> y
+    # swap; 8, 12 and 16 have the swap too
     quad = QuadratureSpec(angular_points=angular, polar_points=7)
     grid = SpaceTimeGrid.covering(dim, horizon, 0.8, dx=dx, dt=dx / 2)
     field = solve_linear(PLATEAU, GAUSS_NEG, None, grid, quad)
@@ -332,23 +347,31 @@ def per_level_data_terms_1d(u0, u1, t, pts, quad):
     return out
 
 
-def per_level_data_fields(u0, u1, grid, quad):
-    """Data fields level by level on the nonnegative orthant, mirrored.
+def per_level_data_fields(u0, u1, grid, quad, kernel=whole_array_data_terms, swap=None):
+    """Data fields level by level on the rule's fundamental domain, mirrored.
 
-    1D levels come from ``per_level_data_terms_1d``, 2D/3D levels from
-    ``whole_array_data_terms``.
+    The domain is the nonnegative orthant; with ``swap``, by default in
+    2D/3D when ``angular_points % 4 == 0``, only its nodes with x >= y,
+    copied onto x < y by the x <-> y swap.  1D levels come from
+    ``per_level_data_terms_1d``, 2D/3D levels from ``kernel``.
     """
     half = len(grid.axis) // 2
     orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
     pts = np.stack([m.ravel() for m in orthant], axis=-1)
+    if swap is None:
+        swap = grid.dim > 1 and quad.angular_points % 4 == 0
+    lower = orthant[0] >= orthant[1] if swap else np.ones(orthant[0].shape, dtype=bool)
     mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
     out = np.zeros(grid.shape)
     for n, t in enumerate(grid.times.tolist()):
+        level = np.zeros(lower.shape)
         if grid.dim == 1:
-            level = per_level_data_terms_1d(u0, u1, t, pts, quad)
+            level[lower] = per_level_data_terms_1d(u0, u1, t, pts, quad)
         else:
-            level = whole_array_data_terms(u0, u1, grid.dim, t, pts, quad)
-        out[n] = level.reshape(orthant[0].shape)[mirror]
+            level[lower] = kernel(u0, u1, grid.dim, t, pts[lower.ravel()], quad)
+        if swap:
+            level = np.where(lower, level, np.swapaxes(level, 0, 1))
+        out[n] = level[mirror]
     return out
 
 
@@ -407,6 +430,27 @@ def test_data_fields_bit_identical_to_per_level_kernel(dim, dx, horizon, data):
     ref = per_level_data_fields(u0, u1, grid, DATA_QUAD)
     assert np.array_equal(field.samples, ref)
     assert np.array_equal(np.signbit(field.samples), np.signbit(ref))
+
+
+@pytest.mark.parametrize("dim,dx,horizon", MIRROR_CASES[1:], ids=["2d", "3d"])
+@pytest.mark.parametrize("angular", [6, 8, 10, 12, 16])
+def test_data_fields_on_swap_fundamental_domain(dim, dx, horizon, angular):
+    # rules with angular_points % 4 == 0 are invariant under x <-> y: the
+    # fields are exactly swap-symmetric and within rounding of the whole
+    # orthant; the other rules keep the orthant, bit for bit
+    quad = QuadratureSpec(angular_points=angular, polar_points=7)
+    grid = SpaceTimeGrid.covering(dim, horizon, 0.8, dx=dx, dt=dx / 2)
+    for u0, u1 in [(PLATEAU, GAUSS_NEG), (GAUSS_NEG, PLATEAU_SMALL)]:
+        field = solve_linear(u0, u1, None, grid, quad).samples
+        ref = per_level_data_fields(u0, u1, grid, quad, kernel=_data_terms_at, swap=False)
+        if angular % 4 == 0:
+            assert np.array_equal(field, np.swapaxes(field, 1, 2))
+            assert np.array_equal(np.signbit(field), np.signbit(np.swapaxes(field, 1, 2)))
+            peak = np.max(np.abs(ref))
+            np.testing.assert_allclose(field, ref, rtol=0, atol=2e-15 * peak)
+        else:
+            assert np.array_equal(field, ref)
+            assert np.array_equal(np.signbit(field), np.signbit(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -713,6 +757,86 @@ def test_duhamel_level_zero_source_at_half_weight(dim, dx, dt, tp):
     want *= grid.dt / tp
     got = linwave._source_levels(Field(grid, samples), quad)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def whole_box_spectra(grid, quad):
+    """Stencil spectra by one ``rfftn`` of the stencils padded and rolled in every axis."""
+    stencils = _stencils(grid, quad)
+    n, d = len(grid.axis), grid.dim
+    half, reach = n // 2, _reach(stencils)
+    length = linwave._fft_length(n + reach)
+    axes = tuple(range(1, d + 1))
+    crop = (slice(None),) + (slice(half - reach, half + reach + 1),) * d
+    padded = np.pad(stencils[crop], [(0, 0)] + [(0, length - 2 * reach - 1)] * d)
+    s_hat = np.conj(np.fft.rfftn(np.roll(padded, -reach, axis=axes), axes=axes))
+    s_time = None
+    if d == 1 or grid.n_time >= TIME_FFT_LEVELS:
+        lags = len(stencils)
+        s_time = np.fft.fft(s_hat, n=linwave._fft_length(2 * lags - 1), axis=0)
+    return s_hat, s_time, length
+
+
+def whole_box_duhamel(h, quad):
+    """Duhamel levels by whole-box transforms: the source interpolated to the
+    sub-levels in space, one ``rfftn``, the lag sum, one ``irfftn``, cropped."""
+    grid = h.grid
+    tp, d, n = quad.time_points_per_dt, grid.dim, len(grid.axis)
+    lags = grid.n_time * tp
+    if tp == 1:
+        src = h.samples[:-1]
+    else:
+        j = np.arange(lags)
+        beta = ((j % tp) / tp)[(slice(None),) + (None,) * d]
+        src = (1.0 - beta) * h.samples[j // tp] + beta * h.samples[j // tp + 1]
+    s_hat, s_time, length = whole_box_spectra(grid, quad)
+    shape, axes = (length,) * d, tuple(range(1, d + 1))
+    h_hat = np.fft.rfftn(src, s=shape, axes=axes)
+    h_hat[0] *= 0.5
+    if s_time is None:
+        acc = np.stack([
+            np.einsum("k...,k...->...", s_hat[:p], h_hat[p - 1 :: -1])
+            for p in range(tp, lags + 1, tp)
+        ])
+    else:
+        conv = np.fft.ifft(s_time * np.fft.fft(h_hat, n=len(s_time), axis=0), axis=0)
+        acc = conv[tp - 1 : lags : tp]
+    out = np.fft.irfftn(acc, s=shape, axes=axes)
+    return (grid.dt / tp) * out[(slice(None),) + (slice(0, n),) * d]
+
+
+def assert_same_bits(got, want):
+    for part in ((np.real, np.imag) if np.iscomplexobj(want) else (np.real,)):
+        assert np.array_equal(part(got), part(want))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@pytest.mark.parametrize("tp", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dim,dx,dt,time_fft",
+    [(1, 0.05, 0.025, True), (2, 0.1, 0.05, False), (2, 0.1, 0.012, True), (3, 0.2, 0.1, False)],
+    ids=["1d", "2d", "2d_time_fft", "3d"],
+)
+def test_pruned_transforms_match_whole_box(dim, dx, dt, time_fft, tp):
+    # axis-by-axis transforms that skip the rows of padding are rfftn and
+    # irfftn bit for bit; with sub-steps the blended level spectra move
+    # results only by rounding (tp 3 weighs the two levels unequally)
+    grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx, dt=dt)
+    quad = QuadratureSpec(angular_points=8, polar_points=6, time_points_per_dt=tp)
+    linwave._cached_spectra.cache_clear()
+    got_spectra = linwave._stencil_spectra(grid, quad)
+    want_spectra = whole_box_spectra(grid, quad)
+    assert (got_spectra[1] is None) == (want_spectra[1] is None) == (not time_fft)
+    assert got_spectra[2] == want_spectra[2]
+    for got, want in zip(got_spectra[:2], want_spectra[:2]):
+        if want is not None:
+            assert_same_bits(got, want)
+    h = Field(grid, np.random.default_rng(dim * 10 + tp).standard_normal(grid.shape))
+    got = linwave._source_levels(h, quad)
+    want = whole_box_duhamel(h, quad)
+    if tp == 1:
+        assert_same_bits(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,7 @@ def test_make_ladder_rejects_bad_ratio():
         (dict(eps0=1.5, ratio=0.5, count=3), "eps0"),
         (dict(eps0=0.5, ratio=0.5, count=2), "count"),
         (dict(eps0=0.5, ratio=0.5, count=3.7), "count"),
+        (dict(eps0=0.5, ratio=0.5, count=True), "count"),
     ],
 )
 def test_ladder_validation(kwargs, name):
@@ -321,6 +322,9 @@ def test_problem_validation():
     assert ok.small_factor(0.5) == 0.5
     with pytest.raises(ValidationError, match="dim"):
         Problem(dim=4, horizon=1.0, support_radius=0.5, u0=_datum(),
+                u1=InitialDatum("zero"), f=NonlinearitySpec("sine"))
+    with pytest.raises(ValidationError, match="dim"):
+        Problem(dim=True, horizon=1.0, support_radius=0.5, u0=_datum(),
                 u1=InitialDatum("zero"), f=NonlinearitySpec("sine"))
     with pytest.raises(ValidationError, match="small_exponent"):
         Problem(dim=1, horizon=1.0, support_radius=0.5, u0=_datum(),

@@ -119,6 +119,8 @@ def test_validation_errors():
         picard_solve(prob, 1.5, grid, QUAD)
     with pytest.raises(Exception, match="max_iter"):
         picard_solve(prob, 0.5, grid, QUAD, max_iter=0)
+    with pytest.raises(ValidationError, match="max_iter"):
+        picard_solve(prob, 0.5, grid, QUAD, max_iter=True)
 
 
 def small_3d_problem(f=NonlinearitySpec("sine")):

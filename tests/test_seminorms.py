@@ -80,6 +80,9 @@ def test_grid_validation():
     with pytest.raises(ValidationError, match="dim"):
         SpaceTimeGrid(dim=4, horizon=1.0, support_radius=0.5, spatial_extent=2.0,
                       dx=0.1, dt=0.05)
+    # a bool is an int to Python, but no count: this built a (9, 19) grid
+    with pytest.raises(ValidationError, match="dim"):
+        SpaceTimeGrid.covering(True, 0.4, 0.3, dx=0.1)
 
 
 def test_covering_grid_contains_cone():
@@ -184,6 +187,13 @@ def test_ultra_metric_rejects_non_integer_n_terms(n_terms):
     u = power_net(small_grid(), LADDER, 1.0)
     with pytest.raises(UnsupportedOrderError, match="n_terms must be an integer"):
         ultra_metric(u, u, n_terms)
+
+
+def test_valuation_table_takes_orders_from_a_generator():
+    # the orders are read more than once: a generator gave no rows
+    u = power_net(small_grid(), LADDER, 1.0)
+    rows = valuation_table(u, orders=(n for n in (0, 1)))
+    assert rows == valuation_table(u, orders=(0, 1)) != []
 
 
 def test_numpy_integer_orders_are_orders():

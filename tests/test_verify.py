@@ -300,6 +300,14 @@ def test_m1_membership_matches_per_order_seminorms(orders):
     assert rep.first_index == first > 0
 
 
+def test_m1_membership_takes_orders_from_a_generator():
+    prob = bump_problem()
+    net, linear = solved(prob)
+    rep = m1_membership(net, linear, (n for n in (2, 0)))
+    assert rep == m1_membership(net, linear, (2, 0))
+    assert len(rep.rows) == 2 * len(net.ladder)
+
+
 @pytest.mark.parametrize("orders", [(True,), (1.5,), (2, True), (2, -1), (0, 3)], ids=repr)
 def test_m1_membership_rejects_bad_orders(orders):
     # (2, True) read mu_1 as the row of order True, (2, -1) read mu_2
