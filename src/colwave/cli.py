@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .errors import (
     ColwaveError,
@@ -31,15 +30,16 @@ from .linwave import (
 )
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
-from .semilinear import DEFAULT_MAX_ITER, DEFAULT_TOL, reports_to_csv, solve_net
+from .semilinear import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .suite import (
     CHECK_NAMES,
     CONFIG_CHECKS,
     RESIDUAL_C,
     SUPPORT_TOL,
-    Solved,
+    ExperimentConfig,
     fmt,
     run_suite,
+    solve,
     write_csv,
 )
 from .verify import oracle_lifespan
@@ -48,26 +48,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
-
-
-@dataclass
-class ExperimentConfig:
-    problem: Problem
-    ladder: EpsilonLadder
-    grid: SpaceTimeGrid
-    quad: QuadratureSpec
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    outputs: str = "out"
-    checks: list[str] = field(default_factory=list)
-    residual_constant: float = RESIDUAL_C
-
-    def to_dict(self) -> dict:
-        """Every dataclass field but the grid's three that come from the problem."""
-        doc = asdict(self)
-        for key in ("dim", "horizon", "support_radius"):
-            del doc["grid"][key]
-        return doc
 
 
 def _need(doc: dict, key: str, path: str):
@@ -92,6 +72,13 @@ def _build(path: str, ctor, **kwargs):
         raise ConfigError(prefix, str(err)) from err
     except (TypeError, ValueError) as err:
         raise ConfigError(path, f"bad fields: {err}") from err
+
+
+def _reject_repeated_checks(names: list[str]) -> None:
+    """A check named twice would run, print and write its outputs twice."""
+    repeated = next((name for j, name in enumerate(names) if name in names[:j]), None)
+    if repeated is not None:
+        raise ConfigError("checks", f"check {repeated!r} is named more than once")
 
 
 def _reject_bad_scalars(doc, path: str) -> None:
@@ -168,6 +155,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for name in checks:
         if name not in CHECK_NAMES:
             raise ConfigError("checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    _reject_repeated_checks(checks)
     outputs = doc.get("outputs", "out")
     if not isinstance(outputs, str):
         raise ConfigError("outputs", "expected a directory name")
@@ -228,17 +216,13 @@ def _cmd_solve_linear(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _solve_net(cfg: ExperimentConfig, threads: int, linear_part=None):
-    return solve_net(
-        cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter, threads=threads,
-        linear_part=linear_part,
-    )
-
-
 def _cmd_solve_semilinear(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args)
-    net, reports = _solve_net(cfg, args.threads)
-    reports_to_csv(reports, os.path.join(out, "solve_reports.csv"))
+    _, net, reports, _ = solve(cfg, args.threads)
+    write_csv(
+        os.path.join(out, "solve_reports.csv"), "eps,iterations,final_increment,converged",
+        [(r.eps, r.iterations, r.final_increment, r.converged) for r in reports],
+    )
     for j, fld in enumerate(net.fields):
         field_to_binary(fld, os.path.join(out, f"field_{j:03d}.bin"))
     lines = [
@@ -255,7 +239,7 @@ def _cmd_solve_semilinear(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args)
-    net, reports = _solve_net(cfg, args.threads)
+    _, net, reports, _ = solve(cfg, args.threads)
     rows = valuation_table(net)
     write_csv(os.path.join(out, "valuation.csv"), "eps,mu,n,slope,stderr", rows)
     print(f"valuation table written ({len(rows)} rows)")
@@ -269,10 +253,9 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     names = args.check or cfg.checks
     if not names:
         raise ConfigError("checks", "no checks selected (config 'checks' or --check)")
-    solved = None
-    if set(names) != {"oracle"}:  # the oracle solves its own plateau problems
-        linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
-        solved = Solved(cfg.problem, *_solve_net(cfg, args.threads, linear), linear)
+    _reject_repeated_checks(names)
+    # the oracle solves its own plateau problems
+    solved = solve(cfg, args.threads) if set(names) != {"oracle"} else None
     blocks = []
     all_ok = True
     for name in names:

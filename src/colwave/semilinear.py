@@ -65,7 +65,7 @@ def picard_solve(
     u_lin = _linear(problem, grid, quad, linear_part)
     factor = problem.small_factor(eps)
     mask = grid.cone_mask(CONE_INFLATION_CELLS)
-    u = seed if seed is not None else u_lin
+    u = _on_grid("seed", seed, grid) if seed is not None else u_lin
     history: list[float] = []
     converged = False
     for k in range(1, max_iter + 1):
@@ -149,6 +149,7 @@ def apply_fixed_point_map(
     raises DivergenceError.
     """
     u_lin = _linear(problem, grid, quad, linear_part)
+    field = _on_grid("field", field, grid)
     return Field(grid, _map(problem, problem.small_factor(eps), field, u_lin, quad, 1, []))
 
 
@@ -156,7 +157,16 @@ def _linear(
     problem: Problem, grid: SpaceTimeGrid, quad: QuadratureSpec, given: Field | None
 ) -> Field:
     """``given``, or else the linear part L(u0,u1,0) of ``problem``."""
-    return given if given is not None else solve_linear(problem.u0, problem.u1, None, grid, quad)
+    if given is not None:
+        return _on_grid("linear_part", given, grid)
+    return solve_linear(problem.u0, problem.u1, None, grid, quad)
+
+
+def _on_grid(name: str, field: Field, grid: SpaceTimeGrid) -> Field:
+    """``field``, checked to lie on ``grid``, not only on one of its shape."""
+    if field.grid != grid:
+        raise ValidationError(name, "must lie on the grid of the solve")
+    return field
 
 
 def _map(
@@ -235,13 +245,3 @@ def residual_sup(field: Field, eps: float, problem: Problem) -> float:
     res, mask = _defect(field, eps, problem)
     return float(np.max(np.abs(res[mask]))) if mask.any() else 0.0
 
-
-def reports_to_csv(reports: list[SolveReport], path) -> None:
-    """Rows (eps, iterations, final_increment, converged)."""
-    with open(path, "w") as fh:
-        fh.write("eps,iterations,final_increment,converged\n")
-        for r in reports:
-            fh.write(
-                f"{r.eps:.17g},{r.iterations},{r.final_increment:.17g},"
-                f"{'true' if r.converged else 'false'}\n"
-            )

@@ -3,19 +3,20 @@
 The eight preset checks (``CHECKS``, one per headline claim) back the
 acceptance tests and ``colwave demo`` through ``run_check``; they share the
 1D nets of ``preset_nets``.  The six config checks (``CONFIG_CHECKS``) back
-``colwave check`` and share the config's net.  The caller solves each once.
+``colwave check`` and share the config's net.  A preset is a config too,
+solved by ``solve``; a preset check of a solved net runs the config check.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .linwave import QuadratureSpec, check_support, linear_value, solve_linear
-from .nets import InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
+from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
 from .seminorms import (
     Field,
     Net,
@@ -27,7 +28,15 @@ from .seminorms import (
     ultra_metric,
     valuation,
 )
-from .semilinear import SolveReport, picard_solve, residual_sup, solve_net
+from .semilinear import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    SolveReport,
+    _linear,
+    picard_solve,
+    residual_sup,
+    solve_net,
+)
 from .verify import (
     ORACLE_TOL,
     RATE_MARGIN,
@@ -38,9 +47,6 @@ from .verify import (
     ode_check,
     oracle_lifespan,
 )
-
-if TYPE_CHECKING:
-    from .cli import ExperimentConfig
 
 #: Residual bound constant: sup residual <= RESIDUAL_C * (dx^2 + dt^2) + tol/dt^2
 #: for the preset problems below.  The constant tracks the fourth
@@ -54,13 +60,36 @@ SUPPORT_TOL = 1e-8
 _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=1)
 
 
-class Solved(NamedTuple):
-    """A solved net: its problem, the net, its per-entry solve reports and its linear part."""
+@dataclass
+class ExperimentConfig:
+    """One experiment: what ``colwave`` reads from a config document, and a preset."""
 
     problem: Problem
+    ladder: EpsilonLadder
+    grid: SpaceTimeGrid
+    quad: QuadratureSpec
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    outputs: str = "out"
+    checks: list[str] = field(default_factory=list)
+    residual_constant: float = RESIDUAL_C
+
+
+class Solved(NamedTuple):
+    """A solved net: its config, the net, its per-entry solve reports and its linear part."""
+
+    config: ExperimentConfig
     net: Net
     reports: list[SolveReport]
     linear: Field
+
+
+def solve(cfg: ExperimentConfig, threads: int = 1, linear: Field | None = None) -> Solved:
+    """The config's net, on ``linear`` or else on L(u0, u1, 0) evaluated once here."""
+    linear = _linear(cfg.problem, cfg.grid, cfg.quad, linear)
+    net, reports = solve_net(cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter,
+                             threads=threads, linear_part=linear)
+    return Solved(cfg, net, reports, linear)
 
 
 @dataclass
@@ -92,6 +121,11 @@ def write_csv(path: str, header: str, rows) -> None:
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
+def _residual_budget(constant: float, grid: SpaceTimeGrid, tol: float) -> float:
+    """Bound ``constant*(dx^2 + dt^2) + tol/dt^2`` on the residual sup of a solve to ``tol``."""
+    return constant * (grid.dx**2 + grid.dt**2) + tol / grid.dt**2
+
+
 def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float = 1.0) -> Problem:
     return Problem(
         dim=dim,
@@ -107,20 +141,23 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
 def preset_nets() -> dict[float, Solved]:
     """The 1D bump preset for each b in {0.5, 1, 2} on the 8-entry ladder, keyed by b.
 
-    One ``solve_net`` call each; the presets differ only in b, so they
-    share one grid and one linear part.
+    Each is a config with the default ``tol`` and ``max_iter``; they differ
+    only in b, so they share one grid and one linear part.
     """
-    problems = [_bump_problem(1, b=b) for b in (0.5, 1.0, 2.0)]
-    first = problems[0]
-    grid = SpaceTimeGrid.covering(1, first.horizon, first.support_radius, dx=0.02, dt=0.01)
-    linear = solve_linear(first.u0, first.u1, None, grid, _QUAD_1D)
+    grid = SpaceTimeGrid.covering(1, 1.0, 0.5, dx=0.02, dt=0.01)
     ladder = make_ladder(0.5, 0.5, 8)
-    return {
-        p.small_exponent: Solved(
-            p, *solve_net(p, ladder, grid, _QUAD_1D, linear_part=linear), linear
-        )
-        for p in problems
-    }
+    nets: dict[float, Solved] = {}
+    for b in (0.5, 1.0, 2.0):
+        cfg = ExperimentConfig(_bump_problem(1, b=b), ladder, grid, _QUAD_1D)
+        nets[b] = solve(cfg, linear=nets[0.5].linear if nets else None)
+    return nets
+
+
+def _per_preset(name: str, check, nets: dict[float, Solved], bs) -> CheckResult:
+    """The config check ``check`` on the preset net of each b in ``bs``; ok when every one is."""
+    results = [(b, check(nets[b].config, nets[b], 1)) for b in bs]
+    details = "; ".join(f"b={b}: {r.details}" for b, r in results)
+    return CheckResult(name, all(r.ok for _, r in results), details)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +196,19 @@ def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
 
 def check_cone_support(nets: dict[float, Solved]) -> CheckResult:
     """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
-    prob1, net1, reports1, lin1 = nets[1.0]
-    worst = max(check_support(f, prob1.support_radius, SUPPORT_TOL).max_outside
-                for f in (lin1, *net1.fields))
-    conv = all(r.converged for r in reports1)
+    support = _support(nets[1.0].config, nets[1.0], 1)
+    ok = support.ok
+    worst = max(max_outside for _, max_outside, _ in support.rows)
 
     quad23 = QuadratureSpec(angular_points=12, polar_points=8)
     for dim, dx in ((2, 0.08), (3, 0.12)):
         prob = _bump_problem(dim, radius=0.4, horizon=0.4)
         grid = SpaceTimeGrid.covering(dim, prob.horizon, prob.support_radius, dx=dx, dt=dx / 2)
         field, rep = picard_solve(prob, 0.25, grid, quad23)
-        conv = conv and rep.converged
-        worst = max(worst, check_support(field, prob.support_radius, SUPPORT_TOL).max_outside)
+        outside = check_support(field, prob.support_radius, SUPPORT_TOL)
+        ok = ok and rep.converged and outside.ok
+        worst = max(worst, outside.max_outside)
 
-    ok = conv and worst <= SUPPORT_TOL
     return CheckResult(
         "cone_support",
         ok,
@@ -222,8 +258,7 @@ def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
         if not rep.converged:
             return CheckResult("residual_convergence", False, f"1D solve at dx={dx} failed")
         sup = residual_sup(field, eps, prob)
-        budget = RESIDUAL_C * (grid.dx**2 + grid.dt**2) + tol / grid.dt**2
-        bound_ok = bound_ok and sup <= budget
+        bound_ok = bound_ok and sup <= _residual_budget(RESIDUAL_C, grid, tol)
         sups.append(sup)
         spacings.append(grid.dx)
     order = fit_decay_exponent(np.array(spacings), sups).slope
@@ -233,7 +268,7 @@ def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
     quad3 = QuadratureSpec(angular_points=12, polar_points=8)
     field3, rep3 = picard_solve(prob3, eps, grid3, quad3, tol=tol)
     sup3 = residual_sup(field3, eps, prob3)
-    budget3 = RESIDUAL_C * (grid3.dx**2 + grid3.dt**2) + tol / grid3.dt**2
+    budget3 = _residual_budget(RESIDUAL_C, grid3, tol)
     bound_ok = bound_ok and rep3.converged and sup3 <= budget3
 
     elapsed = time.time() - t0
@@ -271,15 +306,7 @@ def check_lifespan_oracle(nets: dict[float, Solved]) -> CheckResult:
 
 def check_contraction_factor(nets: dict[float, Solved]) -> CheckResult:
     """Valuation gap >= b - 0.1 and metric ratio <= exp(-(b - 0.1)) for b in {0.5, 1}."""
-    details = []
-    ok = True
-    for b in (0.5, 1.0):
-        prob, net, _, lin = nets[b]
-        rep = check_contraction(prob, net, lin, _QUAD_1D)
-        gap = min(rep.slope_gaps.values())
-        details.append(f"b={b}: gap={gap:.2f}, ratio={rep.metric_ratio:.3f}")
-        ok = ok and rep.ok
-    return CheckResult("contraction_factor", ok, "; ".join(details))
+    return _per_preset("contraction_factor", _contraction, nets, (0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +315,7 @@ def check_contraction_factor(nets: dict[float, Solved]) -> CheckResult:
 
 def check_linear_association(nets: dict[float, Solved]) -> CheckResult:
     """mu_0 difference decay rate >= b - 0.1 for b in {0.5, 1, 2}."""
-    details = []
-    ok = True
-    for b, (prob, net, _, lin) in nets.items():
-        rep = check_association(prob, net, lin)
-        details.append(f"b={b}: rate={rep.fitted_rate.slope:.3f}")
-        ok = ok and rep.ok
-    return CheckResult("linear_association", ok, "; ".join(details))
+    return _per_preset("linear_association", _association, nets, (0.5, 1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +400,7 @@ def check_ultrametric_calculus(nets: dict[float, Solved]) -> CheckResult:
 
 def check_picard_scaling(nets: dict[float, Solved]) -> CheckResult:
     """Successive-increment ratios scale like eps (log-log slope 1 +/- 0.15)."""
-    _, _, reports, _ = nets[1.0]
+    reports = nets[1.0].reports
     eps_used = []
     ratios = []
     for rep in reports:
@@ -491,8 +512,7 @@ def _oracle(cfg: ExperimentConfig, solved: Solved | None, threads: int) -> Check
 
 
 def _residual(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
-    grid = cfg.grid
-    budget = cfg.residual_constant * (grid.dx**2 + grid.dt**2) + cfg.tol / grid.dt**2
+    budget = _residual_budget(cfg.residual_constant, cfg.grid, cfg.tol)
     sups = [residual_sup(f, r.eps, cfg.problem) for f, r in zip(solved.net.fields, solved.reports)]
     rows = [(r.eps, sup, budget, sup <= budget) for r, sup in zip(solved.reports, sups)]
     ok = all(r.converged for r in solved.reports) and all(row[-1] for row in rows)

@@ -194,39 +194,30 @@ def check_uniqueness_surrogate(
     quad: QuadratureSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    data_perturbation: float = 0.0,
     threads: int = 1,
     linear_part: Field | None = None,
 ) -> UniquenessReport:
     """Two solves from different seeds must land on the same fixed point.
 
     ``net_a`` is the first solve, from the default seed; the second solve
-    (``tol``, ``max_iter``) starts from u_lin + eps**UNIQUENESS_SEED_EXPONENT * bump.
-    The iteration damps such a perturbation below measurement, so the
-    check passes when the difference net classifies as negligible or all
-    its seminorms stay below 10 * tol.  A nonzero ``data_perturbation``
-    instead changes the u0 amplitude of the second problem, which is a
-    genuinely different problem and must fail the check.  ``linear_part``
-    reuses a precomputed L(u0,u1,0) of ``problem``; it also serves the
-    second solve when ``data_perturbation`` is 0.
+    of ``problem`` (``tol``, ``max_iter``) starts from
+    u_lin + eps**UNIQUENESS_SEED_EXPONENT * bump.  The iteration damps such
+    a perturbation below measurement, so the check passes when the
+    difference net classifies as negligible or all its seminorms stay below
+    10 * tol.  A ``problem`` other than the one ``net_a`` solves (another
+    u0 amplitude, say) is a genuinely different problem and must fail the
+    check.  ``linear_part`` reuses a precomputed L(u0,u1,0) of ``problem``.
     """
     ladder, grid = net_a.ladder, net_a.fields[0].grid
-    problem_b = problem
-    if data_perturbation != 0.0:
-        u0 = problem.u0
-        if u0.kind == "zero":
-            raise ValidationError("data_perturbation", "cannot perturb a zero datum")
-        problem_b = replace(problem, u0=replace(u0, amplitude=u0.amplitude + data_perturbation))
-
-    u_lin_b = _linear(problem_b, grid, quad, linear_part if data_perturbation == 0.0 else None)
+    u_lin = _linear(problem, grid, quad, linear_part)
     pattern = _bump_pattern(problem, grid)
     seeds = [
-        Field(grid, u_lin_b.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
+        Field(grid, u_lin.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
         for eps in ladder.values
     ]
     net_b, _ = solve_net(
-        problem_b, ladder, grid, quad, tol, max_iter, threads=threads, seeds=seeds,
-        linear_part=u_lin_b,
+        problem, ladder, grid, quad, tol, max_iter, threads=threads, seeds=seeds,
+        linear_part=u_lin,
     )
 
     table = _seminorm_table(_differences(net_a, net_b), MAX_SEMINORM_ORDER)

@@ -1,4 +1,6 @@
-"""Field builders that only the tests need."""
+"""Field and problem builders that only the tests need."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,6 +14,11 @@ def sampled_field(grid: SpaceTimeGrid, fn) -> Field:
 
 def constant_field(grid: SpaceTimeGrid, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))
+
+
+def shift_u0(problem, shift: float):
+    """``problem`` with ``shift`` added to its u0 amplitude: another problem unless 0."""
+    return replace(problem, u0=replace(problem.u0, amplitude=problem.u0.amplitude + shift))
 
 
 def datum_gradient(datum, points) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -48,17 +49,25 @@ def base_config(tmp_path, **overrides):
     return path, doc
 
 
+def config_dict(cfg):
+    """Every dataclass field of ``cfg`` but the grid's three that come from the problem."""
+    doc = asdict(cfg)
+    for key in ("dim", "horizon", "support_radius"):
+        del doc["grid"][key]
+    return doc
+
+
 def test_config_roundtrip_idempotent(tmp_path):
     path, doc = base_config(tmp_path)
     cfg = load_config(path)
-    first = cfg.to_dict()
-    again = parse_config(first).to_dict()
+    first = config_dict(cfg)
+    again = config_dict(parse_config(first))
     assert first == again
 
 
 def dump_config(cfg, path):
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(config_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -67,7 +76,7 @@ def test_config_dump_and_reload(tmp_path):
     cfg = load_config(path)
     out = tmp_path / "dumped.json"
     dump_config(cfg, out)
-    assert load_config(out).to_dict() == cfg.to_dict()
+    assert config_dict(load_config(out)) == config_dict(cfg)
 
 
 def test_malformed_ratio_names_field(tmp_path, capsys):
@@ -92,6 +101,24 @@ def test_unknown_check_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="checks"):
         load_config(path)
+
+
+def test_repeated_check_rejected(tmp_path, capsys):
+    # it used to run, print and write the check twice, and exit 0
+    path, _ = base_config(tmp_path, checks=["support", "residual", "support"])
+    with pytest.raises(ConfigError, match="checks: check 'support' is named more than once"):
+        load_config(path)
+    assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "checks" in capsys.readouterr().err
+
+
+def test_repeated_check_flag_rejected(tmp_path, capsys):
+    path, _ = base_config(tmp_path)
+    argv = ["check", "--config", str(path), "--check", "support", "--check", "support"]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks: check 'support' is named more than once" in captured.err
 
 
 def test_check_support_zero_nonlinearity(tmp_path, capsys):
@@ -211,7 +238,7 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
         solves.append(args[0])
         return colwave.semilinear.solve_net(*args, **kwargs)
 
-    for module in (colwave.cli, colwave.suite, colwave.verify):
+    for module in (colwave.suite, colwave.verify):
         monkeypatch.setattr(module, "solve_net", counted)
 
     def run(out, *flags):
@@ -270,6 +297,15 @@ def test_check_uniqueness_evaluates_data_terms_once(tmp_path, capsys, linear_sol
     path.write_text(json.dumps(doc))
     assert main(["check", "--config", str(path)]) == EXIT_OK
     assert "uniqueness ok=True" in capsys.readouterr().out
+    assert [h for h in linear_solves if h is None] == [None]
+
+
+@pytest.mark.parametrize("command", ["solve-semilinear", "valuation"])
+def test_net_commands_evaluate_data_terms_once(tmp_path, capsys, linear_solves, command):
+    path, doc = base_config(tmp_path)
+    doc["problem"]["f"] = {"kind": "sine"}
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_OK
     assert [h for h in linear_solves if h is None] == [None]
 
 

@@ -36,6 +36,7 @@ from colwave.verify import (
     check_uniqueness_surrogate,
     m1_membership,
 )
+from helpers import shift_u0
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
@@ -189,8 +190,9 @@ def test_uniqueness_matches_whole_difference(solved, monkeypatch, data_perturbat
         return result
 
     monkeypatch.setattr(verify, "solve_net", recording_solve_net)
-    rep = check_uniqueness_surrogate(problem, net, quad, data_perturbation=data_perturbation,
-                                     linear_part=linear)
+    # the linear part of the unperturbed data serves only the unperturbed problem
+    rep = check_uniqueness_surrogate(shift_u0(problem, data_perturbation), net, quad,
+                                     linear_part=linear if data_perturbation == 0.0 else None)
     (net_b,) = seeded
     assert rep == reference_uniqueness(net, net_b)
     assert rep.ok is (data_perturbation == 0.0)

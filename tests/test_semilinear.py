@@ -20,12 +20,12 @@ from colwave.seminorms import (
 from colwave.semilinear import (
     _defect,
     apply_fixed_point_map,
+    SolveReport,
     picard_solve,
-    reports_to_csv,
     residual_sup,
     solve_net,
 )
-from colwave.suite import RESIDUAL_C, _residual_problem
+from colwave.suite import RESIDUAL_C, _residual_problem, write_csv
 from colwave.verify import (
     check_association,
     check_uniqueness_surrogate,
@@ -178,6 +178,33 @@ def test_fixed_point_map_overflowing_result_is_divergence():
     with pytest.raises(DivergenceError) as swept:
         picard_solve(prob, 1.0, grid, quad, seed=u, linear_part=top)
     assert mapped.value.field is u and swept.value.field is u
+
+
+def _twin_grids():
+    # one shape, 155 x 101 nodes, at two spacings
+    g1 = SpaceTimeGrid(1, 1.0, 0.5, 1.54, 0.02, 0.01)
+    g2 = SpaceTimeGrid(1, 1.0, 0.5, 1.54 * 1.01, 0.02 * 1.01, 0.01)
+    assert g1.shape == g2.shape == (101, 155) and g1 != g2
+    return g1, g2
+
+
+@pytest.mark.parametrize("name, call", [
+    ("linear_part", lambda p, g, f: picard_solve(p, 0.25, g, QUAD, linear_part=f)),
+    ("seed", lambda p, g, f: picard_solve(p, 0.25, g, QUAD, seed=f)),
+    ("linear_part", lambda p, g, f: solve_net(p, LADDER, g, QUAD, linear_part=f)),
+    ("seed", lambda p, g, f: solve_net(p, LADDER, g, QUAD, seeds=[f] * len(LADDER))),
+    ("linear_part", lambda p, g, f: apply_fixed_point_map(
+        p, 0.25, Field(g, np.zeros(g.shape)), g, QUAD, f)),
+    ("field", lambda p, g, f: apply_fixed_point_map(p, 0.25, f, g, QUAD)),
+], ids=["picard_solve-linear_part", "picard_solve-seed", "solve_net-linear_part",
+        "solve_net-seeds", "apply_fixed_point_map-linear_part", "apply_fixed_point_map-field"])
+def test_field_on_another_grid_of_the_same_shape_rejected(name, call):
+    # it used to pass every array operation, and the returned field, labelled
+    # with the solve's grid, was computed from samples of the other grid
+    g1, g2 = _twin_grids()
+    with pytest.raises(ValidationError) as info:
+        call(bump_problem(), g1, Field(g2, np.zeros(g2.shape)))
+    assert info.value.parameter == name
 
 
 def _coarse():
@@ -444,9 +471,13 @@ def test_reports_csv(tmp_path):
     prob = bump_problem(f_kind="zero")
     grid = grid_for(prob, dx=0.05)
     _, reports = solve_net(prob, make_ladder(0.5, 0.5, 3), grid, QUAD)
+    # a diverged entry's final increment is inf
+    reports.append(SolveReport(0.9, 3, [1.0, 1e200], False, math.inf))
     path = tmp_path / "reports.csv"
-    reports_to_csv(reports, path)
+    write_csv(path, "eps,iterations,final_increment,converged",
+              [(r.eps, r.iterations, r.final_increment, r.converged) for r in reports])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "eps,iterations,final_increment,converged"
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1].endswith("true")
+    assert lines[-1] == "0.90000000000000002,3,inf,false"

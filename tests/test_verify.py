@@ -30,6 +30,7 @@ from colwave.verify import (
     ode_check,
     oracle_lifespan,
 )
+from helpers import shift_u0
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)
@@ -211,7 +212,7 @@ def test_uniqueness_seed_perturbation_damped():
 def test_uniqueness_data_perturbation_detected():
     prob = bump_problem()
     net, _ = solved(prob)
-    rep = check_uniqueness_surrogate(prob, net, QUAD, data_perturbation=0.5)
+    rep = check_uniqueness_surrogate(shift_u0(prob, 0.5), net, QUAD)
     assert not rep.ok
     assert rep.mu_max[0] > 0.1
 
@@ -230,7 +231,7 @@ def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturb
     monkeypatch.setattr(verify, "solve_net", recording_solve_net)
     prob = bump_problem()
     net, _ = solved(prob)
-    rep = check_uniqueness_surrogate(prob, net, QUAD, data_perturbation=data_perturbation)
+    rep = check_uniqueness_surrogate(shift_u0(prob, data_perturbation), net, QUAD)
     (net_b,) = seeded
     diff = net - net_b
     expected = {
@@ -270,7 +271,7 @@ def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbatio
     orders = seminorms._seminorm_orders
     monkeypatch.setattr(verify, "solve_net", recording_solve_net)
     monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
-    rep = check_uniqueness_surrogate(prob, net, quad, data_perturbation=data_perturbation)
+    rep = check_uniqueness_surrogate(shift_u0(prob, data_perturbation), net, quad)
     assert stacks == [MAX_SEMINORM_ORDER] * len(ladder)
     monkeypatch.undo()
     (net_b,) = seeded
