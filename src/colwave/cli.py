@@ -9,6 +9,7 @@ files plus a plain-text run summary.  Exit codes: 0 ok, 1 check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -81,6 +82,14 @@ def _reject_repeated_checks(names: list[str]) -> None:
         raise ConfigError("checks", f"check {repeated!r} is named more than once")
 
 
+def _reject_unknown(doc: dict, path: str, known) -> None:
+    """A misspelt optional field would otherwise be dropped for its default."""
+    for key in doc:
+        if key not in known:
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(name, f"unknown field; expected one of {known}")
+
+
 def _reject_bad_scalars(doc, path: str) -> None:
     """No config field is boolean (passes every int check) or non-finite
     (an infinite ``tol`` or ``residual_constant`` makes its check unfailable)."""
@@ -103,7 +112,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
     _reject_bad_scalars(doc, "")
+    _reject_unknown(doc, "", [f.name for f in dataclasses.fields(ExperimentConfig)])
     pdoc = _object(doc, "problem")
+    _reject_unknown(pdoc, "problem", [f.name for f in dataclasses.fields(Problem)])
     u0 = _build("problem.u0", InitialDatum, **_object(pdoc, "u0", "problem"))
     u1 = _build("problem.u1", InitialDatum, **_object(pdoc, "u1", "problem"))
     f = _build("problem.f", NonlinearitySpec, **_object(pdoc, "f", "problem"))
@@ -132,6 +143,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             **gdoc,
         )
     else:
+        _reject_unknown(gdoc, "grid", ["dx", "dt", "margin_cells"])
         grid = _build(
             "grid",
             SpaceTimeGrid.covering,
@@ -249,11 +261,11 @@ def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
-    out = _outdir(cfg, args)
     names = args.check or cfg.checks
     if not names:
         raise ConfigError("checks", "no checks selected (config 'checks' or --check)")
     _reject_repeated_checks(names)
+    out = _outdir(cfg, args)
     # the oracle solves its own plateau problems
     solved = solve(cfg, args.threads) if set(names) != {"oracle"} else None
     blocks = []
@@ -309,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (0 = auto; env COLWAVE_THREADS as fallback)")
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--eps", type=float, required=True)
     p_oracle.add_argument("--t", type=float, required=True)
     p_demo = sub.add_parser("demo")
-    add_common(p_demo, needs_config=False)
+    p_demo.add_argument("--out", default=None, help="output directory")
     return parser
 
 
@@ -336,9 +347,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "oracle":
             return _cmd_oracle(args)
-        args.threads = _resolve_threads(getattr(args, "threads", None))
         if args.command == "demo":
             return _cmd_demo(args)
+        args.threads = _resolve_threads(args.threads)
         cfg = load_config(args.config)
         if args.command == "solve-linear":
             return _cmd_solve_linear(cfg, args)

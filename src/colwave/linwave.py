@@ -23,27 +23,30 @@ adds 3D terms as (p0 + p2) + p1, which a hand-written sum would not
 repeat, so the fields are bit for bit those of evaluating every rule
 point.  The mean rules are built once per ``(dim, quad)`` and the
 Gauss-Legendre rules once per node count, cached read-only.
-``solve_linear`` evaluates the data terms only on the nodes of the
-nonnegative orthant and fills every other node by reflection.  That is
-exact: the data are radial, every rule maps onto itself under each
-coordinate reflection (``angular_points`` is even, the Gauss-Legendre
-nodes are symmetric), and the grid axis is exactly antisymmetric, so the
-result is mirror-symmetric bit for bit and the t = 0 level is u0 at the
-nodes.  When ``angular_points % 4 == 0`` the azimuths 2*pi*j/A are closed
-under theta -> pi/2 - theta, so the disk and sphere rules are also
-invariant under the x <-> y swap: only the orthant nodes with i >= j on
-the first two axes are evaluated and the rest are filled by the swap (the
-3D z axis is the polar axis and is not swapped).  That swap is exact in
-real arithmetic only, so these fields are swap-symmetric bit for bit and
-within rounding (measured 6.6e-16 of the peak) of the whole orthant;
-other rules keep the whole orthant.  In 1D the d'Alembert term of every
-live (level, node) pair of the nonnegative half-axis is evaluated in one
-numpy batch of at most ``_CHUNK`` pairs, t = 0 included (``0.5 * (a + a)
-== a`` exactly).  The u1 line integral keeps one Gauss rule per level,
-since its panel count depends on t, and the 2D/3D means stay one
-evaluation per level: batching their levels would multiply the (target,
-rule point) temporaries and change which rows share each BLAS product, and
-with it the last bits of the means.
+One function, ``_data_terms``, evaluates the data part at a list of
+times for a list of targets in every dimension: ``solve_linear`` calls it
+once for all grid levels, ``linear_value`` for its one point.  It tests
+|x| < |t| + R once for every (time, target) pair.  In 1D the d'Alembert
+term of every live pair is evaluated in one numpy batch of at most
+``_CHUNK`` pairs, t = 0 included (``0.5 * (a + a) == a`` exactly); the u1
+line integral keeps one Gauss rule per time, since its panel count
+depends on t.  The 2D/3D means stay one evaluation per time: batching
+times would multiply the (target, rule point) temporaries and change
+which rows share each BLAS product, and with it the last bits of the
+means.  ``solve_linear`` evaluates the data terms only on the nodes of the
+nonnegative orthant and fills every other node by reflection, all levels
+at once.  That is exact: the data are radial, every rule maps onto itself
+under each coordinate reflection (``angular_points`` is even, the
+Gauss-Legendre nodes are symmetric), and the grid axis is exactly
+antisymmetric, so the result is mirror-symmetric bit for bit and the t = 0
+level is u0 at the nodes.  When ``angular_points % 4 == 0`` the azimuths
+2*pi*j/A are closed under theta -> pi/2 - theta, so the disk and sphere
+rules are also invariant under the x <-> y swap: in 2D/3D only the orthant
+nodes with i >= j on the first two axes are evaluated and the rest are
+filled by the swap (the 3D z axis is the polar axis and is not swapped).
+That swap is exact in real arithmetic only, so these fields are
+swap-symmetric bit for bit and within rounding (measured 6.6e-16 of the
+peak) of the whole orthant; other rules keep the whole orthant.
 
 The Duhamel source integral is a composite trapezoid over grid time
 levels refined by ``time_points_per_dt``; the sampled source is read off
@@ -260,111 +263,82 @@ def _line_rule(t: float, datum: InitialDatum, quad: QuadratureSpec):
 # data terms
 # ---------------------------------------------------------------------------
 
-def _data_terms_1d(
+def _data_terms(
     u0: InitialDatum,
     u1: InitialDatum,
     times: np.ndarray,
-    x: np.ndarray,
-    quad: QuadratureSpec,
-) -> np.ndarray:
-    """1D homogeneous part at every time of ``times`` for targets ``x`` (M,).
-
-    Returns shape ``(len(times), M)``.  Only the pairs with |x| < |t| + R,
-    R the largest outer radius of the nonzero data, are evaluated; all
-    others are exactly 0.0.  The d'Alembert term of u0 takes each pair's
-    own time, so every live pair of every time is evaluated in one numpy
-    batch of at most ``_CHUNK`` pairs; t = 0 needs no branch, since
-    ``0.5 * (a + a) == a`` exactly.  The line integral of u1 keeps one
-    composite Gauss rule per time, whose panel count depends on |t|.
-    """
-    out = np.zeros((len(times), len(x)))
-    radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
-    if not radii:
-        return out
-    live = np.abs(x) < np.abs(times)[:, None] + max(radii)
-    if u0.kind != "zero":
-        pairs = np.flatnonzero(live)
-        flat = out.reshape(-1)
-        for lo in range(0, len(pairs), _CHUNK):
-            level, node = np.divmod(pairs[lo : lo + _CHUNK], len(x))
-            t = times[level, None]
-            pts = x[node, None]
-            flat[pairs[lo : lo + _CHUNK]] = 0.5 * (u0.value(pts + t) + u0.value(pts - t))
-    if u1.kind != "zero":
-        for n, t in enumerate(times.tolist()):
-            if t == 0.0:
-                continue
-            targets = np.flatnonzero(live[n])
-            offs, w = _line_rule(t, u1, quad)
-            chunk = max(1, _CHUNK // len(offs))
-            for lo in range(0, len(targets), chunk):
-                sub = targets[lo : lo + chunk]
-                vals = u1.value(x[sub, None, None] + offs[None, :, None])
-                out[n, sub] += 0.5 * (vals @ w)
-    return out
-
-
-def _data_terms_at(
-    u0: InitialDatum,
-    u1: InitialDatum,
-    dim: int,
-    t: float,
     pts: np.ndarray,
     quad: QuadratureSpec,
-    radius: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Homogeneous part of the solution at time t for targets pts (M, dim).
+    """Homogeneous part at every time of ``times`` for targets ``pts`` (M, dim).
 
-    Every rule point lies within |t| of its target, so only targets with
-    |x| < |t| + R, R the largest outer radius of the nonzero data, are
-    evaluated; all others are exactly 0.0.  ``radius`` is |x| of the
-    targets, computed here when not given (2D/3D).  In 1D this is
-    ``_data_terms_1d`` at the single time t.
+    Returns shape ``(len(times), M)``; the pairs with |x| >= |t| + R, R the
+    largest outer radius of the nonzero data, are exactly 0.0.  In 1D the
+    d'Alembert term of every live pair is one batch of at most ``_CHUNK``
+    pairs, and the u1 line rule, whose panels depend on |t|, goes time by
+    time; in 2D/3D the means go time by time.
     """
-    if dim == 1:
-        return _data_terms_1d(u0, u1, np.array([float(t)]), pts[:, 0], quad)[0]
-    out = np.zeros(pts.shape[0])
+    dim = pts.shape[1]
+    out = np.zeros((len(times), len(pts)))
     radii = [d.outer_radius for d in (u0, u1) if d.kind != "zero"]
     if not radii:
         return out
-    if radius is None:
-        radius = np.sqrt(np.sum(pts * pts, axis=-1))
-    live = np.flatnonzero(radius < abs(t) + max(radii))
-    pts = pts[live]
-    m = len(live)
-    if t == 0.0:
+    live = np.sqrt(np.sum(pts * pts, axis=-1)) < np.abs(times)[:, None] + max(radii)
+    if dim == 1:
         if u0.kind != "zero":
-            out[live] = u0.value(pts)
+            pairs = np.flatnonzero(live)
+            flat = out.reshape(-1)
+            for lo in range(0, len(pairs), _CHUNK):
+                level, node = np.divmod(pairs[lo : lo + _CHUNK], len(pts))
+                t, xs = times[level, None], pts[node]
+                flat[pairs[lo : lo + _CHUNK]] = 0.5 * (u0.value(xs + t) + u0.value(xs - t))
+        if u1.kind != "zero":
+            for n, t in enumerate(times.tolist()):
+                if t == 0.0:
+                    continue
+                targets = np.flatnonzero(live[n])
+                offs, w = _line_rule(t, u1, quad)
+                chunk = max(1, _CHUNK // len(offs))
+                for lo in range(0, len(targets), chunk):
+                    sub = targets[lo : lo + chunk]
+                    vals = u1.value(pts[sub, None] + offs[None, :, None])
+                    out[n, sub] += 0.5 * (vals @ w)
         return out
     sd, wq = _mean_rule(dim, quad)
-    tsd = t * sd
     chunk = max(1, _CHUNK // len(wq))
-    for lo in range(0, m, chunk):
-        sub = pts[lo : lo + chunk]
-        q = [sub[:, k, None] - tsd[:, k] for k in range(dim)]  # (m, Q) each
-        rho2 = q[0] * q[0]
-        for qk in q[1:]:
-            rho2 += qk * qk
-        rho = np.sqrt(rho2)
-        acc = np.zeros(len(sub))
-        # a profile and its gradient are exactly 0.0 from outer_radius on:
-        # evaluate the pairs inside it and leave the rest zero
-        if u0.kind != "zero":
-            inside = np.flatnonzero(rho < u0.outer_radius)
-            r = rho.take(inside)
-            v0, f1 = u0._radial(r, 1)
-            qi = np.stack([qk.take(inside) for qk in q], axis=-1)
-            g0 = (f1 / np.where(r > 0.0, r, 1.0))[:, None] * qi
-            # einsum keeps numpy's order of the d-sum, so fields stay bit-identical
-            kern = np.zeros(rho.shape)
-            kern.put(inside, v0 - t * np.einsum("pd,pd->p", g0, sd[inside % len(wq)]))
-            acc += kern @ wq
-        if u1.kind != "zero":
-            inside = np.flatnonzero(rho < u1.outer_radius)
-            kern = np.zeros(rho.shape)
-            kern.put(inside, u1._radial(rho.take(inside), 0)[0])
-            acc += t * (kern @ wq)
-        out[live[lo : lo + chunk]] = acc
+    for n, t in enumerate(times.tolist()):
+        targets = np.flatnonzero(live[n])
+        if t == 0.0:
+            if u0.kind != "zero":
+                out[n, targets] = u0.value(pts[targets])
+            continue
+        tsd = t * sd
+        for lo in range(0, len(targets), chunk):
+            sub = pts[targets[lo : lo + chunk]]
+            q = [sub[:, k, None] - tsd[:, k] for k in range(dim)]  # (m, Q) each
+            rho2 = q[0] * q[0]
+            for qk in q[1:]:
+                rho2 += qk * qk
+            rho = np.sqrt(rho2)
+            acc = np.zeros(len(sub))
+            # a profile and its gradient are exactly 0.0 from outer_radius on:
+            # evaluate the pairs inside it and leave the rest zero
+            if u0.kind != "zero":
+                inside = np.flatnonzero(rho < u0.outer_radius)
+                r = rho.take(inside)
+                v0, f1 = u0._radial(r, 1)
+                qi = np.stack([qk.take(inside) for qk in q], axis=-1)
+                g0 = (f1 / np.where(r > 0.0, r, 1.0))[:, None] * qi
+                # einsum keeps numpy's order of the d-sum, so fields stay bit-identical
+                kern = np.zeros(rho.shape)
+                kern.put(inside, v0 - t * np.einsum("pd,pd->p", g0, sd[inside % len(wq)]))
+                acc += kern @ wq
+            if u1.kind != "zero":
+                inside = np.flatnonzero(rho < u1.outer_radius)
+                kern = np.zeros(rho.shape)
+                kern.put(inside, u1._radial(rho.take(inside), 0)[0])
+                acc += t * (kern @ wq)
+            out[n, targets[lo : lo + chunk]] = acc
     return out
 
 
@@ -542,30 +516,26 @@ def solve_linear(
     """
     if h is not None and h.grid != grid:
         raise ValidationError("h", "source must be sampled on the target grid")
-    out = np.zeros(grid.shape)
-    if u0.kind != "zero" or u1.kind != "zero":
+    if u0.kind == "zero" and u1.kind == "zero":
+        out = np.zeros(grid.shape)
+    else:
         # radial data, a reflection-invariant rule and an antisymmetric axis:
-        # evaluate the nonnegative orthant and mirror it onto every other one
+        # evaluate the nonnegative orthant and mirror it onto every other one;
+        # with angular_points % 4 == 0 the 2D/3D rule is also invariant under
+        # the x <-> y swap: evaluate the orthant nodes with i >= j only
         half = len(grid.axis) // 2
-        mirror = np.ix_(*[np.abs(np.arange(len(grid.axis)) - half)] * grid.dim)
-        if grid.dim == 1:
-            out[:] = _data_terms_1d(u0, u1, grid.times, grid.axis[half:], quad)[:, mirror[0]]
-        else:
-            # with angular_points % 4 == 0 the rule is also invariant under
-            # the x <-> y swap: evaluate the orthant nodes with i >= j only
-            orthant = np.empty((len(grid.axis) - half,) * grid.dim)
-            idx = np.indices(orthant.shape).reshape(grid.dim, -1)
-            swap = quad.angular_points % 4 == 0
-            if swap:
-                idx = idx[:, idx[0] >= idx[1]]
-            pts = grid.axis[half:][idx.T]
-            radius = np.sqrt(np.sum(pts * pts, axis=-1))
-            for n in range(grid.n_time + 1):
-                vals = _data_terms_at(u0, u1, grid.dim, float(grid.times[n]), pts, quad, radius)
-                orthant[tuple(idx)] = vals
-                if swap:
-                    orthant[(idx[1], idx[0], *idx[2:])] = vals
-                out[n] = orthant[mirror]
+        orthant = np.empty((grid.n_time + 1,) + (len(grid.axis) - half,) * grid.dim)
+        idx = np.indices(orthant.shape[1:]).reshape(grid.dim, -1)
+        swap = grid.dim > 1 and quad.angular_points % 4 == 0
+        if swap:
+            idx = idx[:, idx[0] >= idx[1]]
+        vals = _data_terms(u0, u1, grid.times, grid.axis[half:][idx.T], quad)
+        orthant[(slice(None), *idx)] = vals
+        if swap:
+            orthant[(slice(None), idx[1], idx[0], *idx[2:])] = vals
+        # every index an array, not a slice, so the field comes out in C order
+        mirror = [np.abs(np.arange(len(grid.axis)) - half)] * grid.dim
+        out = orthant[np.ix_(np.arange(grid.n_time + 1), *mirror)]
     if h is not None:
         out[1:] += _source_levels(h, quad)
     return Field(grid, out)
@@ -586,7 +556,7 @@ def linear_value(
     d = pts.shape[1]
     if d not in (1, 2, 3):
         raise ValidationError("dim", f"space dimension must be 1, 2 or 3, got {d}")
-    return float(_data_terms_at(u0, u1, d, float(t), pts, quad)[0])
+    return float(_data_terms(u0, u1, np.array([float(t)]), pts, quad)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,12 @@ def solve_net(
 
     Entries are independent; a diverging entry is recorded with
     ``converged=False`` (its field is the last finite iterate) and the
-    remaining entries still run.  ``linear_part`` lets callers reuse a
+    remaining entries still run.  ``seeds`` holds one starting iterate (or
+    None) per ladder entry.  ``linear_part`` lets callers reuse a
     precomputed L(u0,u1,0).
     """
+    if seeds is not None and len(seeds) != len(ladder):
+        raise ValidationError("seeds", f"need {len(ladder)}, one per ladder entry, got {len(seeds)}")
     u_lin = _linear(problem, grid, quad, linear_part)
 
     def run(j: int) -> tuple[Field, SolveReport]:

@@ -527,14 +527,11 @@ def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
     return NetClass.NOT_MODERATE
 
 
-def valuation_table(net: Net, orders=(0, 1, 2)) -> list[tuple[float, float, int, float, float]]:
-    """Rows (eps, mu_n, n, fitted slope, stderr) for CSV export."""
-    orders = tuple(orders)
-    for n in orders:
-        _check_order(n)
-    table = _seminorm_table(net.fields, max(orders, default=0))
+def valuation_table(net: Net) -> list[tuple[float, float, int, float, float]]:
+    """Rows (eps, mu_n, n, fitted slope, stderr), n = 0..MAX_SEMINORM_ORDER, for CSV export."""
+    table = _seminorm_table(net.fields, MAX_SEMINORM_ORDER)
     rows = []
-    for n in orders:
+    for n in range(MAX_SEMINORM_ORDER + 1):
         mus = table[:, n]
         est = fit_decay_exponent(net.ladder.values, mus)
         for eps, mu in zip(net.ladder.values, mus):

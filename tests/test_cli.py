@@ -324,6 +324,24 @@ def test_no_checks_selected_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "checks, flags",
+    [([], []), (["support"], ["--check", "support", "--check", "support"])],
+    ids=["none", "repeated_flag"],
+)
+def test_rejected_check_run_leaves_no_output_directory(tmp_path, checks, flags):
+    # the output directory used to be created before the checks were validated
+    path, _ = base_config(tmp_path, checks=checks)
+    assert main(["check", "--config", str(path), *flags]) == EXIT_CONFIG_ERROR
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["problem.small_exponet", "tols", "grid.dtt"])
+def test_unknown_field_rejected(tmp_path, capsys, name):
+    # a misspelt optional field used to be ignored and its default used
+    assert_field_rejected(tmp_path, capsys, name, 2.0)
+
+
+@pytest.mark.parametrize(
     "name",
     [
         "tol",

@@ -12,7 +12,7 @@ from colwave.errors import ValidationError
 from colwave.linwave import (
     TIME_FFT_LEVELS,
     QuadratureSpec,
-    _data_terms_at,
+    _data_terms,
     _line_rule,
     _mean_rule,
     check_support,
@@ -238,19 +238,19 @@ def test_data_terms_bit_identical_to_whole_array_formula(monkeypatch, dim, data,
     # profile only to the order it reads: values and signs of zero stay equal
     if chunk is not None:
         monkeypatch.setattr(linwave, "_CHUNK", chunk)
+    # all times in one call, each row against the formula at its own time
     u0, u1 = data
     radii = [d.outer_radius for d in data if d.kind != "zero"]
-    rng = np.random.default_rng(dim)
+    times = np.array([-0.45, -0.1, 0.0, 0.1, 0.3, 0.45])
+    band = [r + abs(t) for t in times for r in radii]
+    band += [r - abs(t) for t in times for r in radii if r > abs(t)]
+    pts = band_targets(dim, radii + band, np.random.default_rng(dim))
     for quad in (DATA_QUAD, QUAD):
-        for t in (-0.45, -0.1, 0.0, 0.1, 0.3, 0.45):
-            band = [r + abs(t) for r in radii] + [r - abs(t) for r in radii if r > abs(t)]
-            pts = band_targets(dim, radii + band, rng)
-            got = _data_terms_at(u0, u1, dim, t, pts, quad)
+        got = _data_terms(u0, u1, times, pts, quad)
+        for row, t in zip(got, times.tolist()):
             ref = whole_array_data_terms(u0, u1, dim, t, pts, quad)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
-            hoisted = _data_terms_at(u0, u1, dim, t, pts, quad, np.sqrt(np.sum(pts * pts, axis=-1)))
-            assert np.array_equal(hoisted, got)
+            assert np.array_equal(row, ref)
+            assert np.array_equal(np.signbit(row), np.signbit(ref))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -308,6 +308,8 @@ MIRROR_CASES = [(1, 0.03, 0.5), (2, 0.07, 0.5), (3, 0.12, 0.4)]
 def test_data_fields_mirror_symmetric(dim, dx, horizon):
     grid = SpaceTimeGrid.covering(dim, horizon, 0.5, dx=dx, dt=dx / 2)
     field = solve_linear(GAUSS, PLATEAU_SMALL, None, grid, DATA_QUAD)
+    # one fancy index mirrors every level; the field must still be in C order
+    assert field.samples.flags.c_contiguous
     for axis in range(1, dim + 1):
         assert np.array_equal(field.samples, np.flip(field.samples, axis=axis))
     np.testing.assert_array_equal(
@@ -325,7 +327,8 @@ def test_data_fields_match_unmirrored(dim, dx, horizon, angular):
     field = solve_linear(PLATEAU, GAUSS_NEG, None, grid, quad)
     peak = np.max(np.abs(field.samples))
     for n, t in enumerate(grid.times):
-        full = _data_terms_at(PLATEAU, GAUSS_NEG, dim, float(t), grid.spatial_points, quad)
+        # the whole box, one level at a time: no orthant, mirror or swap
+        full = _data_terms(PLATEAU, GAUSS_NEG, grid.times[n : n + 1], grid.spatial_points, quad)
         np.testing.assert_allclose(
             field.samples[n], full.reshape(grid.spatial_shape), rtol=0, atol=1e-14 * peak
         )
@@ -347,13 +350,13 @@ def per_level_data_terms_1d(u0, u1, t, pts, quad):
     return out
 
 
-def per_level_data_fields(u0, u1, grid, quad, kernel=whole_array_data_terms, swap=None):
+def per_level_data_fields(u0, u1, grid, quad, swap=None):
     """Data fields level by level on the rule's fundamental domain, mirrored.
 
     The domain is the nonnegative orthant; with ``swap``, by default in
     2D/3D when ``angular_points % 4 == 0``, only its nodes with x >= y,
     copied onto x < y by the x <-> y swap.  1D levels come from
-    ``per_level_data_terms_1d``, 2D/3D levels from ``kernel``.
+    ``per_level_data_terms_1d``, 2D/3D levels from ``whole_array_data_terms``.
     """
     half = len(grid.axis) // 2
     orthant = np.meshgrid(*([grid.axis[half:]] * grid.dim), indexing="ij")
@@ -368,7 +371,7 @@ def per_level_data_fields(u0, u1, grid, quad, kernel=whole_array_data_terms, swa
         if grid.dim == 1:
             level[lower] = per_level_data_terms_1d(u0, u1, t, pts, quad)
         else:
-            level[lower] = kernel(u0, u1, grid.dim, t, pts[lower.ravel()], quad)
+            level[lower] = whole_array_data_terms(u0, u1, grid.dim, t, pts[lower.ravel()], quad)
         if swap:
             level = np.where(lower, level, np.swapaxes(level, 0, 1))
         out[n] = level[mirror]
@@ -442,7 +445,7 @@ def test_data_fields_on_swap_fundamental_domain(dim, dx, horizon, angular):
     grid = SpaceTimeGrid.covering(dim, horizon, 0.8, dx=dx, dt=dx / 2)
     for u0, u1 in [(PLATEAU, GAUSS_NEG), (GAUSS_NEG, PLATEAU_SMALL)]:
         field = solve_linear(u0, u1, None, grid, quad).samples
-        ref = per_level_data_fields(u0, u1, grid, quad, kernel=_data_terms_at, swap=False)
+        ref = per_level_data_fields(u0, u1, grid, quad, swap=False)
         if angular % 4 == 0:
             assert np.array_equal(field, np.swapaxes(field, 1, 2))
             assert np.array_equal(np.signbit(field), np.signbit(np.swapaxes(field, 1, 2)))

@@ -51,12 +51,6 @@ def _references(node, outside=frozenset()):
 #: (ROADMAP).
 UNCALLED_KEPT = {"m1_membership"}
 
-#: Defaulted parameters kept although no call in the package passes them:
-#: only tests pass ``valuation_table``'s ``orders``; removing it is left to a
-#: later pass.
-UNPASSED_KEPT = {("valuation_table", "orders")}
-
-
 def _public_defs(tree):
     """(def, is a method) of ``tree``'s public module-level functions and class methods."""
     for node in tree.body:
@@ -132,8 +126,7 @@ def test_every_export_has_a_caller():
         for p, i in _defaulted(d, method)
         if (d.name, p) not in passed and (d.name, i) not in passed
     ]
-    assert [u for u in unpassed if u not in UNPASSED_KEPT] == []
-    assert set(unpassed) == UNPASSED_KEPT  # no stale exemption
+    assert unpassed == []
 
 
 # ---------------------------------------------------------------------------

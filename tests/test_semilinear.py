@@ -207,6 +207,17 @@ def test_field_on_another_grid_of_the_same_shape_rejected(name, call):
     assert info.value.parameter == name
 
 
+@pytest.mark.parametrize("count", [1, len(LADDER) + 1])
+def test_seeds_of_another_length_rejected(count):
+    # one seed raised a bare IndexError from the worker; extra seeds were ignored
+    prob = bump_problem()
+    grid = grid_for(prob, dx=0.05)
+    seeds = [Field(grid, np.zeros(grid.shape))] * count
+    with pytest.raises(ValidationError) as info:
+        solve_net(prob, LADDER, grid, QUAD, seeds=seeds)
+    assert info.value.parameter == "seeds"
+
+
 def _coarse():
     prob = bump_problem()
     return prob, grid_for(prob, dx=0.05)

@@ -48,9 +48,32 @@ def test_resolve_threads(monkeypatch):
 
 def test_bad_threads_env_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("COLWAVE_THREADS", "abc")
-    monkeypatch.setattr(cli, "run_suite", lambda: [(CheckResult("a", True, "fine"), 0.1)])
-    assert main(["demo", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    doc = {
+        "problem": {
+            "dim": 1, "horizon": 0.5, "support_radius": 0.4,
+            "u0": {"kind": "gaussian_bump", "outer_radius": 0.4, "amplitude": 1.0},
+            "u1": {"kind": "zero"},
+            "f": {"kind": "sine"},
+        },
+        "grid": {"dx": 0.05},
+        "outputs": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-semilinear", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_demo_takes_no_threads(monkeypatch, tmp_path):
+    # demo runs single-threaded: the flag and the environment variable were
+    # validated and then ignored
+    monkeypatch.setattr(cli, "run_suite", lambda: [(CheckResult("a", True, "fine"), 0.1)])
+    with pytest.raises(SystemExit) as info:
+        main(["demo", "--threads", "2"])
+    assert info.value.code == 2
+    monkeypatch.setenv("COLWAVE_THREADS", "abc")
+    assert main(["demo", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
