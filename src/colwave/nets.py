@@ -39,6 +39,10 @@ class EpsilonLadder:
         if not (0.0 < self.ratio < 1.0) or not math.isfinite(self.ratio):
             raise ValidationError("ratio", f"must lie in (0, 1), got {self.ratio}")
         check_count("count", self.count, 3)  # a rate fit needs 3 ladder points
+        if not self.values[-1] > 0.0:
+            raise ValidationError(
+                "ratio", f"last entry eps0 * ratio**{self.count - 1} underflows to 0"
+            )
 
     @cached_property
     def values(self) -> np.ndarray:

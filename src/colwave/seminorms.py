@@ -5,11 +5,13 @@ finite-difference derivatives of total order <= n, centred inside and
 second-order one-sided on the first and last node of an axis, as
 ``np.gradient(..., edge_order=2)`` gives them.  Only the nodes of the
 inflated cone are evaluated.  Each first derivative is one flat strided
-difference, with the faces of its axis patched one-sided, into a buffer
-shared by every entry of a net; it is read at the cone nodes, and its
-second derivatives gather ``np.gradient``'s stencils at those nodes alone.
-Every step keeps ``np.gradient``'s operation order, so every value is
-bit-identical to differencing the whole box.
+difference into a buffer shared by every entry of a net, patched
+one-sided only at the face nodes the cone reads (``ConeNodes.faces``); it
+is read at the cone nodes, and its second derivatives gather
+``np.gradient``'s stencils at those nodes alone, each centred one taking
+its sup before dividing by ``2h``.  Every value is bit-identical to
+differencing the whole box, and a NaN derivative at any cone node makes
+the seminorm NaN, as ``np.max`` over the whole box would.
 
 A seminorm table reads its fields one at a time, so the measures of a
 difference U - V (``ultra_metric`` here, the checks in ``verify``) form
@@ -167,20 +169,40 @@ class SpaceTimeGrid:
 
     @cached_property
     def cone_nodes(self) -> "ConeNodes":
-        """Flat indices of ``cone_mask(CONE_INFLATION_CELLS)`` and their stencil subsets."""
+        """Flat indices of ``cone_mask(CONE_INFLATION_CELLS)``, their stencil subsets and reads."""
         mask = self.cone_mask(CONE_INFLATION_CELLS)
         flat = np.flatnonzero(mask)
         axes = []
         for a, c in enumerate(np.unravel_index(flat, mask.shape)):
             last = mask.shape[a] - 1
             stride = math.prod(mask.shape[a + 1 :])
-            first, end = flat[c == 0], flat[c == last]
-            # covering grids keep the cone off every spatial face: no copy then
-            inner = flat if not (len(first) or len(end)) else flat[(c > 0) & (c < last)]
+            if a == 0:  # time leads the C order: its faces are a prefix and a suffix
+                lo, hi = np.searchsorted(c, [1, last])
+                first, inner, end = flat[:lo], flat[lo:hi], flat[hi:]
+            else:
+                first, end = flat[c == 0], flat[c == last]
+                # covering grids keep the cone off every spatial face: no copy then
+                inner = flat if not (len(first) or len(end)) else flat[(c > 0) & (c < last)]
             axes.append((stride, inner, first, end))
-        for arr in (flat, *(x for ax in axes for x in ax[1:])):
+        faces = []
+        read = mask.copy()
+        for a in reversed(range(mask.ndim)):
+            # the derivative along axis a is read at the cone nodes and by the
+            # stencils of the second derivatives along axes a, a + 1, ...
+            n, stride = mask.shape[a], axes[a][0]
+            m, r = np.moveaxis(mask, a, 0), np.moveaxis(read, a, 0)
+            r[1:] |= m[:-1]
+            r[:-1] |= m[1:]
+            r[2] |= m[0]
+            r[-3] |= m[-1]
+            ends = []
+            for k in (0, n - 1):
+                q = np.flatnonzero(r[k])  # C order over the other axes
+                ends.append(q // stride * (n * stride) + k * stride + q % stride)
+            faces.insert(0, tuple(ends))
+        for arr in (flat, *(x for ax in axes for x in ax[1:]), *(x for fc in faces for x in fc)):
             arr.flags.writeable = False
-        return ConeNodes(flat, tuple(axes))
+        return ConeNodes(flat, tuple(axes), tuple(faces))
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Full space-time meshgrid (T, X[, Y[, Z]]) in grid shape."""
@@ -193,11 +215,15 @@ class ConeNodes:
 
     ``axes[a]`` is ``(stride, interior, first, last)``: the flat stride of
     axis ``a`` and the cone nodes strictly inside that axis, on its first
-    node and on its last node.
+    node and on its last node.  ``faces[a]`` is ``(first, last)``: the nodes
+    of the axis's first and last face that the first derivative along it
+    is read at, by the cone's sup or by a second-derivative stencil of a
+    cone node along that axis or a later one.
     """
 
     flat: np.ndarray
     axes: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    faces: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(eq=False)
@@ -336,36 +362,51 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
 
 
 def _sup_abs(values: np.ndarray) -> float:
-    """Largest absolute value; 0.0 for no values."""
+    """Largest absolute value, NaN if any value is NaN; 0.0 for no values."""
     return float(np.max(np.abs(values), initial=0.0))
+
+
+def _one_sided(f: np.ndarray, h: float, s: int, first: np.ndarray, last: np.ndarray):
+    """``np.gradient``'s one-sided differences of flat ``f`` on the first and last face nodes.
+
+    ``s`` is the flat stride of the axis; the operation order is ``np.gradient``'s.
+    """
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    head = a * f.take(first) + b * f[s:].take(first) + c * f[2 * s :].take(first)
+    lo = last - 2 * s
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    tail = a * f.take(lo) + b * f[s:].take(lo) + c * f[2 * s :].take(lo)
+    return head, tail
 
 
 def _cone_derivative_sup(f: np.ndarray, h: float, stencil) -> float:
     """Sup over the cone nodes of ``np.gradient(f, h, edge_order=2)`` along one axis.
 
     ``f`` is flat and ``stencil`` is one ``ConeNodes.axes`` entry.  The
-    gathers repeat ``np.gradient``'s formulas in its operation order, so
-    every value is bit for bit the whole-box one.
+    centred differences are divided by ``2h`` after their sup is taken:
+    correctly rounded division by a positive constant is monotone and
+    keeps the sign, so the sup is bit for bit that of the divided values.
     """
     s, inner, first, last = stencil
-    centred = (f.take(inner + s) - f.take(inner - s)) / (2.0 * h)
-    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
-    head = a * f.take(first) + b * f.take(first + s) + c * f.take(first + 2 * s)
-    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
-    tail = a * f.take(last - 2 * s) + b * f.take(last - s) + c * f.take(last)
-    return max(_sup_abs(centred), _sup_abs(head), _sup_abs(tail))
+    lo = inner - s
+    sups = [_sup_abs(f[2 * s :].take(lo) - f.take(lo)) / (2.0 * h)]
+    if len(first) or len(last):
+        sups += map(_sup_abs, _one_sided(f, h, s, first, last))
+    return _sup_abs(sups)
 
 
-def _gradient_into(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, h, axis=axis, edge_order=2)`` written into ``out``, flat.
+def _gradient_into(f: np.ndarray, h: float, axis: int, out: np.ndarray, faces) -> np.ndarray:
+    """``np.gradient(f, h, axis=axis, edge_order=2)`` written into ``out``, flat, where it is read.
 
     ``out`` is a float buffer of ``f.size`` elements; the axis needs at
     least 3 nodes.  The centred difference runs once over the flattened
     array: with ``s`` the flat stride of the axis, the nodes ``k - s`` and
     ``k + s`` are the axis neighbours of every node ``k`` strictly inside
-    the axis.  The nodes on the first and last face of the axis are then
-    overwritten with the one-sided formulas, in ``np.gradient``'s operation
-    order, so every value is bit for bit ``np.gradient``'s.
+    the axis.  ``faces`` is ``(first, last)``, flat nodes of the axis's
+    first and last face (one ``ConeNodes.faces`` entry); those alone are
+    then overwritten with the one-sided formulas.  Every value written
+    there and strictly inside the axis is bit for bit ``np.gradient``'s;
+    the other face nodes hold no derivative.
     """
     f = np.ascontiguousarray(f)  # reshape(-1) of a strided view would copy
     flat = f.reshape(-1)
@@ -373,12 +414,8 @@ def _gradient_into(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.nd
     inner = out[s:-s]
     np.subtract(flat[2 * s :], flat[: -2 * s], out=inner)
     np.divide(inner, 2.0 * h, out=inner)
-    d = out.reshape(f.shape)
-    lead = (slice(None),) * axis
-    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
-    d[lead + (0,)] = a * f[lead + (0,)] + b * f[lead + (1,)] + c * f[lead + (2,)]
-    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
-    d[lead + (-1,)] = a * f[lead + (-3,)] + b * f[lead + (-2,)] + c * f[lead + (-1,)]
+    first, last = faces
+    out[first], out[last] = _one_sided(flat, h, s, first, last)
     return out
 
 
@@ -411,14 +448,14 @@ def _seminorm_orders(field: Field, n: int, buf: np.ndarray | None = None) -> lis
         buf = np.empty(samples.size)
     firsts, seconds = [], []
     for i in axes:
-        d = _gradient_into(samples, spacings[i], i, buf)
+        d = _gradient_into(samples, spacings[i], i, buf, cone.faces[i])
         firsts.append(_sup_abs(d.take(cone.flat)))
         if n == 2:
             seconds += [_cone_derivative_sup(d, spacings[j], cone.axes[j]) for j in axes[i:]]
-    mus.append(max(mus[0], *firsts))
+    mus.append(_sup_abs([mus[0], *firsts]))
     if n == 1:
         return mus
-    mus.append(max(mus[1], *seconds))
+    mus.append(_sup_abs([mus[1], *seconds]))
     return mus
 
 

@@ -415,6 +415,18 @@ def test_config_shape_rejected(tmp_path, capsys, name, value):
     assert name in capsys.readouterr().err
 
 
+def test_underflowing_ladder_is_a_config_error(tmp_path, capsys):
+    # the last entry 0.5 * (1e-200)**2 underflows to 0: rejected when the
+    # config is parsed, before any entry is solved
+    path, _ = base_config(tmp_path, ladder={"eps0": 0.5, "ratio": 1e-200, "count": 3},
+                          checks=[])
+    with pytest.raises(ConfigError, match="ladder.ratio"):
+        load_config(path)
+    assert main(["solve-semilinear", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ladder.ratio")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("coefficients", [5, ["x"]])
 def test_bad_coefficients_rejected(tmp_path, capsys, coefficients):
     path, doc = base_config(tmp_path)

@@ -297,11 +297,18 @@ def test_difference_measures_do_not_grow_with_the_ladder():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cone_interiors_share_the_flat_indices(dim):
     # a covering grid keeps the inflated cone off every spatial face, so
-    # each spatial axis's interior is the flat index array itself
+    # each spatial axis's interior is the flat index array itself; time
+    # leads the C order, so its first, interior and last nodes are a
+    # prefix, a middle and a suffix of it, views rather than copies
     grid = SpaceTimeGrid.covering(dim, 0.4, 0.3, dx=0.1)
     cone = grid.cone_nodes
     for stride, inner, first, last in cone.axes[1:]:
         assert len(first) == len(last) == 0
-        assert np.shares_memory(inner, cone.flat)
+        assert inner is cone.flat
     _, inner, first, last = cone.axes[0]
-    assert len(first) and len(last) and not np.shares_memory(inner, cone.flat)
+    assert len(first) and len(last) and len(inner)
+    assert all(np.shares_memory(x, cone.flat) for x in (first, inner, last))
+    assert np.array_equal(np.concatenate([first, inner, last]), cone.flat)
+    # the one-sided patches cover a part of the faces, not all of them
+    patched = sum(len(x) for face in cone.faces for x in face)
+    assert 0 < patched < sum(2 * math.prod(grid.shape) // n for n in grid.shape)

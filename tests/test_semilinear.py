@@ -18,7 +18,6 @@ from colwave.seminorms import (
     valuation,
 )
 from colwave.semilinear import (
-    _defect,
     apply_fixed_point_map,
     SolveReport,
     picard_solve,
@@ -32,7 +31,7 @@ from colwave.verify import (
     cubic_oracle_problem,
     m1_membership,
 )
-from helpers import sampled_field
+from helpers import sampled_field, whole_box_defect
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)
@@ -415,8 +414,52 @@ def test_residual_of_quadratic_in_time():
     prob = bump_problem(f_kind="zero")
     grid = grid_for(prob, dx=0.05)
     field = sampled_field(grid, lambda T, X: T**2)
-    res, mask = _defect(field, 0.5, prob)
+    res, mask = whole_box_defect(field, 0.5, prob)
     np.testing.assert_allclose(res[mask], 2.0, atol=1e-9)
+    assert residual_sup(field, 0.5, prob) == float(np.max(np.abs(res[mask])))
+
+
+def residual_grid(kind, dim):
+    """A covering grid, a grid whose cone reaches every spatial face, or one with 3 time levels."""
+    dx = 0.1 if dim == 3 else 0.05
+    if kind == "covering":
+        return SpaceTimeGrid.covering(dim, 0.2, 0.3, dx=dx)
+    if kind == "edge":
+        return SpaceTimeGrid(dim=dim, horizon=0.2, support_radius=0.3, spatial_extent=0.5,
+                             dx=dx, dt=dx / 2)
+    return SpaceTimeGrid.covering(dim, 0.1, 0.2, dx=0.05, dt=0.05)
+
+
+NONLINEARITIES = [
+    NonlinearitySpec("polynomial", (0.5, -1.0, 2.0)),
+    NonlinearitySpec("sine"),
+    NonlinearitySpec("exp_minus_one"),
+    NonlinearitySpec("zero"),
+]
+
+
+@pytest.mark.parametrize("kind", ["covering", "edge", "three_level"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_residual_sup_matches_whole_box_defect(kind, dim):
+    grid = residual_grid(kind, dim)
+    assert (grid.shape[0] == 3) is (kind == "three_level")
+    cone = grid.cone_nodes
+    on_faces = any(len(first) or len(last) for _, _, first, last in cone.axes[1:])
+    assert on_faces is (kind == "edge")
+    rng = np.random.default_rng(dim)
+    T, *X = grid.meshes()
+    smooth = np.exp(3.0 * X[0]) * (1.0 + T) - np.cos(4.0 * X[-1] + 2.0 * T)
+    fields = [
+        Field(grid, smooth),
+        Field(grid, rng.standard_normal(grid.shape)),
+        Field(grid, np.ascontiguousarray(smooth.T).T),  # strided samples
+    ]
+    for f in NONLINEARITIES:
+        prob = Problem(dim, 0.2, 0.3, InitialDatum("zero"), InitialDatum("zero"), f, 1.5)
+        for field in fields:
+            for eps in (1.0, 0.3):
+                res, mask = whole_box_defect(field, eps, prob)
+                assert residual_sup(field, eps, prob) == float(np.max(np.abs(res[mask])))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -492,3 +535,63 @@ def test_reports_csv(tmp_path):
     assert len(lines) == 5
     assert lines[1].endswith("true")
     assert lines[-1] == "0.90000000000000002,3,inf,false"
+
+
+# ---------------------------------------------------------------------------
+# exact scaling oracle: for f = u^p, amplitude A = 2^k data with factor e
+# solve to A times the amplitude-1 solution with factor e * A^(p-1)
+# ---------------------------------------------------------------------------
+
+#: (dt, dx) per dimension: 41x85, 11x25^2 and 8x19^3 on the scaling problem.
+SCALING_SPACINGS = {1: (0.01, 0.02), 2: (0.04, 0.08), 3: (0.06, 0.12)}
+SCALING_SHAPES = {1: (41, 85), 2: (11, 25, 25), 3: (8, 19, 19, 19)}
+
+
+def scaling_case(dim, p, amplitude, steps):
+    """The problem with data ``amplitude * (u0, u1)`` and f = u^p, b = 1, its grid and quad."""
+    problem = Problem(
+        dim=dim,
+        horizon=0.4,
+        support_radius=0.4,
+        u0=InitialDatum("gaussian_bump", outer_radius=0.4, amplitude=amplitude),
+        u1=InitialDatum("plateau_bump", outer_radius=0.4, inner_radius=0.2, amplitude=amplitude),
+        f=NonlinearitySpec("polynomial", (0.0,) * (p - 1) + (1.0,)),
+        small_exponent=1.0,
+    )
+    dt, dx = SCALING_SPACINGS[dim]
+    grid = SpaceTimeGrid.covering(dim, 0.4, 0.4, dx=dx, dt=dt)
+    assert grid.shape == SCALING_SHAPES[dim]
+    return problem, grid, QuadratureSpec(12, 8, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_picard_solve_scales_exactly_with_the_data(dim, p, steps):
+    tol = 1e-11
+    for k in (-3, 3):
+        amp = 2.0**k
+        grown = amp ** (p - 1)
+        eps = 0.25 / max(grown, 1.0)  # both factors eps and eps * A^(p-1) in (0, 1]
+        scaled, grid, quad = scaling_case(dim, p, amp, steps)
+        unit, _, _ = scaling_case(dim, p, 1.0, steps)
+        u, rep = picard_solve(scaled, eps, grid, quad, tol=amp * tol)
+        v, rep1 = picard_solve(unit, eps * grown, grid, quad, tol=tol)
+        assert rep.converged and rep1.converged
+        assert rep.iterations == rep1.iterations >= 3
+        assert rep.increment_history == [amp * x for x in rep1.increment_history]
+        assert np.array_equal(u.samples, amp * v.samples)
+
+
+def test_solve_net_scales_exactly_with_the_data_on_two_threads():
+    p, amp, tol = 3, 8.0, 1e-11
+    scaled, grid, quad = scaling_case(1, p, amp, 1)
+    unit, _, _ = scaling_case(1, p, 1.0, 1)
+    net, reports = solve_net(scaled, make_ladder(1 / 256, 0.5, 4), grid, quad,
+                             tol=amp * tol, threads=2)
+    net1, reports1 = solve_net(unit, make_ladder(1 / 4, 0.5, 4), grid, quad, tol=tol)
+    assert [r.eps * amp ** (p - 1) for r in reports] == [r.eps for r in reports1]
+    assert [r.iterations for r in reports] == [r.iterations for r in reports1]
+    assert all(r.converged for r in reports)
+    for a, b in zip(net.fields, net1.fields):
+        assert np.array_equal(a.samples, amp * b.samples)

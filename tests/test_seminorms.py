@@ -343,7 +343,8 @@ def reference_seminorm(field, n):
             for i in range(g.dim + 1)
             for j in range(i, g.dim + 1)
         ]
-    return max(float(np.max(np.abs(a[mask]))) for a in arrays)
+    # a NaN derivative anywhere on the cone makes the sup NaN
+    return float(np.max([np.max(np.abs(a[mask])) for a in arrays]))
 
 
 def reference_class(slopes):
@@ -519,16 +520,33 @@ def strided_copies(a):
     return [a.T.copy().T, a[::-1].copy()[::-1], np.repeat(a, 2, axis=-1)[..., ::2]]
 
 
+def extreme_samples(shape, decades):
+    """Random samples over ``2 * decades`` decades with signed zeros.
+
+    At 307 decades a quarter of them are +-1.7e308: differences overflow,
+    and inf - inf gives NaN in the one-sided formulas and second derivatives.
+    """
+    rng = np.random.default_rng(len(shape) + decades)
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
+    a.flat[::5] *= -0.0  # signed zeros: the one-sided faces must keep their sign
+    if decades == 307:
+        a.flat[1::4] = np.copysign(1.7e308, a.flat[1::4])
+    return a
+
+
+def whole_faces(shape, axis):
+    """Flat indices of every node on the first and on the last face of ``axis``."""
+    index = np.arange(math.prod(shape)).reshape(shape)
+    return tuple(np.take(index, k, axis=axis).ravel() for k in (0, -1))
+
+
 @pytest.mark.parametrize(
     "shape", [(3,), (11,), (3, 3), (4, 7), (5, 3, 6), (3, 4, 5, 3), (6, 5, 3, 7)], ids=str
 )
 @pytest.mark.parametrize("decades", [0, 150, 307])
 def test_gradient_into_matches_np_gradient(shape, decades):
-    rng = np.random.default_rng(len(shape) + decades)
-    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
-    a.flat[::5] *= -0.0  # signed zeros: the one-sided faces must keep their sign
-    if decades == 307:  # differences overflow, and inf - inf gives NaN on the faces
-        a.flat[1::4] = np.copysign(1.7e308, a.flat[1::4])
+    # given both whole faces, every node of the box is np.gradient's
+    a = extreme_samples(shape, decades)
     views = [a, a.T, a[::-1], *strided_copies(a)]
     for f in views:
         for h in (0.05, 0.1, 1.0 / 3.0, 7.0):
@@ -536,11 +554,106 @@ def test_gradient_into_matches_np_gradient(shape, decades):
                 with np.errstate(over="ignore", invalid="ignore"):
                     expected = np.gradient(f, h, axis=axis, edge_order=2)
                     out = np.full(f.size, np.nan)
-                    got = seminorms._gradient_into(f, h, axis, out)
+                    got = seminorms._gradient_into(f, h, axis, out, whole_faces(f.shape, axis))
                 assert got is out
                 got = got.reshape(f.shape)
                 assert np.array_equal(got, expected, equal_nan=decades == 307)
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def three_level_grid(dim):
+    """Covering grid with 3 time levels, the fewest a grid has."""
+    g = SpaceTimeGrid.covering(dim, 0.1, 0.2, dx=0.05, dt=0.05)
+    assert g.shape[0] == 3
+    return g
+
+
+#: Covering, edge and 3-level grids per dimension.
+GRID_KINDS = {
+    "covering": lambda dim: SpaceTimeGrid.covering(dim, 0.2, 0.3, dx=0.1 if dim == 3 else 0.05),
+    "edge": EDGE_GRIDS.get,
+    "three_level": three_level_grid,
+}
+
+
+def cone_reads(g, axis):
+    """Nodes where the first derivative along ``axis`` is read, as a boolean box.
+
+    The seminorm reads it at every cone node, and the second derivatives
+    along ``axis`` and each later axis read it at their stencils' nodes:
+    both neighbours of a node inside that axis, the next two inward of a
+    node on its first or last node.
+    """
+    mask = g.cone_mask()
+    reads = mask.copy()
+    nodes = np.argwhere(mask)
+    for j in range(axis, mask.ndim):
+        c, last = nodes[:, j], mask.shape[j] - 1
+        for sel, offsets in (((c > 0) & (c < last), (-1, 1)), (c == 0, (1, 2)), (c == last, (-1, -2))):
+            for o in offsets:
+                nb = nodes[sel].copy()
+                nb[:, j] += o
+                reads[tuple(nb.T)] = True
+    return reads
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_KINDS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gradient_into_matches_np_gradient_where_the_cone_reads(kind, dim):
+    g = GRID_KINDS[kind](dim)
+    cone = g.cone_nodes
+    spacings = (g.dt,) + (g.dx,) * dim
+    fields = [extreme_samples(g.shape, decades) for decades in (0, 150, 307)]
+    fields += [f.samples for f in edge_fields(g)]
+    for axis, h in enumerate(spacings):
+        reads = cone_reads(g, axis)
+        # the cone's face lists hold exactly the face nodes it reads
+        for k, face in zip((0, g.shape[axis] - 1), cone.faces[axis]):
+            on_face = np.zeros(g.shape, dtype=bool)
+            on_face[(slice(None),) * axis + (k,)] = True
+            assert np.array_equal(face, np.flatnonzero(reads & on_face))
+        for a in fields:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.gradient(a, h, axis=axis, edge_order=2)[reads]
+                got = seminorms._gradient_into(a, h, axis, np.full(a.size, np.nan), cone.faces[axis])
+            got = got.reshape(g.shape)[reads]
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_KINDS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seminorms_match_references_on_every_grid_kind(kind, dim):
+    g = GRID_KINDS[kind](dim)
+    fields = [Field(g, extreme_samples(g.shape, decades)) for decades in (0, 150, 307)]
+    fields += edge_fields(g)
+    # the time derivative's one-sided formula at one first-level cone node
+    # reads -inf + inf: mu_1 is NaN, not the inf of the centred differences
+    s, _, first, _ = g.cone_nodes.axes[0]
+    spike = np.zeros(g.shape)
+    spike.flat[[first[0], first[0] + s]] = 1.7e308
+    fields.append(Field(g, spike))
+    for f in fields:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [reference_seminorm(f, n) for n in range(MAX_SEMINORM_ORDER + 1)]
+            got = seminorms._seminorm_orders(f, MAX_SEMINORM_ORDER)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_cone_derivative_sup_keeps_a_nan_of_one_face_node():
+    # inf - inf at one first-face node: np.max over the cone reads NaN, and
+    # so must the sup, though the centred differences next to it read inf
+    g = EDGE_GRIDS[2]
+    stencil = g.cone_nodes.axes[1]
+    s, _, first, _ = stencil
+    f = np.zeros(math.prod(g.shape))
+    f[first[0]] = f[first[0] + s] = np.inf
+    with np.errstate(invalid="ignore"):
+        d = np.gradient(f.reshape(g.shape), g.dx, axis=1, edge_order=2)[g.cone_mask()]
+        got = seminorms._cone_derivative_sup(f, g.dx, stencil)
+    assert np.isnan(np.max(np.abs(d))) and np.isinf(np.nanmax(np.abs(d)))
+    assert np.isnan(got)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -568,10 +681,10 @@ def test_seminorm_orders_difference_the_box_once_per_axis(dim, monkeypatch):
     calls = []
     gradient_into = seminorms._gradient_into
 
-    def counted(f, h, axis, out):
+    def counted(f, h, axis, out, faces):
         assert f.shape == EDGE_GRIDS[dim].shape and out.size == f.size
         calls.append(axis)
-        return gradient_into(f, h, axis, out)
+        return gradient_into(f, h, axis, out, faces)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("np.gradient called on the seminorm path")
