@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,11 +32,9 @@ from .linwave import (
 )
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
-from .semilinear import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .suite import (
     CHECK_NAMES,
     CONFIG_CHECKS,
-    RESIDUAL_C,
     SUPPORT_TOL,
     ExperimentConfig,
     fmt,
@@ -70,16 +69,9 @@ def _build(path: str, ctor, **kwargs):
         return ctor(**kwargs)
     except ValidationError as err:
         prefix = f"{path}.{err.parameter}" if path else err.parameter
-        raise ConfigError(prefix, str(err)) from err
+        raise ConfigError(prefix, str(err).removeprefix(f"{err.parameter}: ")) from err
     except (TypeError, ValueError) as err:
         raise ConfigError(path, f"bad fields: {err}") from err
-
-
-def _reject_repeated_checks(names: list[str]) -> None:
-    """A check named twice would run, print and write its outputs twice."""
-    repeated = next((name for j, name in enumerate(names) if name in names[:j]), None)
-    if repeated is not None:
-        raise ConfigError("checks", f"check {repeated!r} is named more than once")
 
 
 def _reject_unknown(doc: dict, path: str, known) -> None:
@@ -155,36 +147,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             margin_cells=gdoc.get("margin_cells", 2),
         )
     quad = _build("quad", QuadratureSpec, **_object(doc, "quad", default={}))
-    tol = doc.get("tol", DEFAULT_TOL)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ConfigError("tol", "must be a positive number")
-    max_iter = doc.get("max_iter", DEFAULT_MAX_ITER)
-    if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise ConfigError("max_iter", "must be a positive integer")
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError("checks", "expected a list of check names")
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError("checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
-    _reject_repeated_checks(checks)
-    outputs = doc.get("outputs", "out")
-    if not isinstance(outputs, str):
-        raise ConfigError("outputs", "expected a directory name")
-    residual_constant = doc.get("residual_constant", RESIDUAL_C)
-    if not (isinstance(residual_constant, (int, float)) and residual_constant > 0):
-        raise ConfigError("residual_constant", "must be a positive number")
-    return ExperimentConfig(
-        problem=problem,
-        ladder=ladder,
-        grid=grid,
-        quad=quad,
-        tol=float(tol),
-        max_iter=max_iter,
-        outputs=outputs,
-        checks=list(checks),
-        residual_constant=float(residual_constant),
-    )
+    sections = {"problem": problem, "ladder": ladder, "grid": grid, "quad": quad}
+    return _build("", ExperimentConfig, **{**doc, **sections})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -261,16 +225,16 @@ def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
-    names = args.check or cfg.checks
-    if not names:
+    if args.check:
+        cfg = _build("", functools.partial(dataclasses.replace, cfg), checks=args.check)
+    if not cfg.checks:
         raise ConfigError("checks", "no checks selected (config 'checks' or --check)")
-    _reject_repeated_checks(names)
     out = _outdir(cfg, args)
     # the oracle solves its own plateau problems
-    solved = solve(cfg, args.threads) if set(names) != {"oracle"} else None
+    solved = solve(cfg, args.threads) if set(cfg.checks) != {"oracle"} else None
     blocks = []
     all_ok = True
-    for name in names:
+    for name in cfg.checks:
         result = CONFIG_CHECKS[name](cfg, solved, args.threads)
         write_csv(os.path.join(out, f"{name}.csv"), result.header, result.rows)
         blocks.append(result.details)

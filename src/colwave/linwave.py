@@ -551,12 +551,18 @@ def linear_value(
     """Solution of the linear problem at one space-time point.
 
     Grid-free, data part only; the space dimension is that of ``x``.
+    ``t`` may be negative (the velocity term is odd in t) but not non-finite.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValidationError("t", f"must be finite, got {t}")
     pts = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     d = pts.shape[1]
     if d not in (1, 2, 3):
         raise ValidationError("dim", f"space dimension must be 1, 2 or 3, got {d}")
-    return float(_data_terms(u0, u1, np.array([float(t)]), pts, quad)[0, 0])
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("x", f"every coordinate must be finite, got {pts[0].tolist()}")
+    return float(_data_terms(u0, u1, np.array([t]), pts, quad)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,7 @@ def solve_net(
     None) per ladder entry.  ``linear_part`` lets callers reuse a
     precomputed L(u0,u1,0).
     """
+    check_count("threads", threads, 1)
     if seeds is not None and len(seeds) != len(ladder):
         raise ValidationError("seeds", f"need {len(ladder)}, one per ladder entry, got {len(seeds)}")
     u_lin = _linear(problem, grid, quad, linear_part)

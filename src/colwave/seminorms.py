@@ -356,7 +356,7 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
     m = len(x)
-    var = float(resid @ resid) / (m - 2) if m > 2 else 0.0
+    var = float(resid @ resid) / (m - 2)
     stderr = math.sqrt(max(var, 0.0) / sxx)
     return ValuationEstimate(slope, intercept, stderr, m)
 
@@ -567,10 +567,8 @@ def _class_of(estimates: list[ValuationEstimate]) -> NetClass:
 def valuation_table(net: Net) -> list[tuple[float, float, int, float, float]]:
     """Rows (eps, mu_n, n, fitted slope, stderr), n = 0..MAX_SEMINORM_ORDER, for CSV export."""
     table = _seminorm_table(net.fields, MAX_SEMINORM_ORDER)
-    rows = []
-    for n in range(MAX_SEMINORM_ORDER + 1):
-        mus = table[:, n]
-        est = fit_decay_exponent(net.ladder.values, mus)
-        for eps, mu in zip(net.ladder.values, mus):
-            rows.append((float(eps), float(mu), int(n), est.slope, est.stderr))
-    return rows
+    return [
+        (float(eps), float(mu), n, est.slope, est.stderr)
+        for n, est in enumerate(_valuations(net.ladder, table))
+        for eps, mu in zip(net.ladder.values, table[:, n])
+    ]

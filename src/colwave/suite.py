@@ -9,12 +9,15 @@ solved by ``solve``; a preset check of a solved net runs the config check.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError, check_count
 from .linwave import QuadratureSpec, check_support, linear_value, solve_linear
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
 from .seminorms import (
@@ -62,7 +65,7 @@ _QUAD_1D = QuadratureSpec(angular_points=8, polar_points=10, time_points_per_dt=
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: what ``colwave`` reads from a config document, and a preset."""
+    """One experiment, read from a config document or a preset; it checks its own fields."""
 
     problem: Problem
     ladder: EpsilonLadder
@@ -73,6 +76,26 @@ class ExperimentConfig:
     outputs: str = "out"
     checks: list[str] = field(default_factory=list)
     residual_constant: float = RESIDUAL_C
+
+    def __post_init__(self):
+        # an infinite tol or residual_constant would make its check unable to fail
+        for name in ("tol", "residual_constant"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 < value < math.inf):
+                raise ValidationError(name, f"must be positive and finite, got {value!r}")
+            setattr(self, name, float(value))
+        check_count("max_iter", self.max_iter, 1)
+        if not isinstance(self.outputs, str):
+            raise ValidationError("outputs", f"expected a directory name, got {self.outputs!r}")
+        if not isinstance(self.checks, list):
+            raise ValidationError("checks", "expected a list of check names")
+        for j, name in enumerate(self.checks):
+            if name not in CHECK_NAMES:
+                raise ValidationError("checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
+            # a check named twice would run, print and write its outputs twice
+            if name in self.checks[:j]:
+                raise ValidationError("checks", f"check {name!r} is named more than once")
 
 
 class Solved(NamedTuple):

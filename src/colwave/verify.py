@@ -320,6 +320,8 @@ def check_wave_oracle(
     Compares on nodes with |x| + t <= ORACLE_INNER_RADIUS, where the
     plateau problem coincides with the constant-data blow-up solution.
     """
+    if len(eps_values) == 0:
+        raise ValidationError("eps_values", "need at least one eps to compare")
     outer_radius, horizon, default_dx = ORACLE_GEOMETRY_1D if dim == 1 else ORACLE_GEOMETRY_2D_3D
     if dx is None:
         dx = default_dx

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import colwave.cli
@@ -20,8 +22,10 @@ from colwave.cli import (
     main,
     parse_config,
 )
-from colwave.errors import ConfigError
+from colwave.errors import ConfigError, ValidationError
+from colwave.nets import make_ladder
 from colwave.seminorms import SpaceTimeGrid
+from colwave.suite import _QUAD_1D, ExperimentConfig, _bump_problem
 
 
 def base_config(tmp_path, **overrides):
@@ -77,6 +81,68 @@ def test_config_dump_and_reload(tmp_path):
     out = tmp_path / "dumped.json"
     dump_config(cfg, out)
     assert config_dict(load_config(out)) == config_dict(cfg)
+
+
+def preset_config(**fields):
+    """The unsolved 1D bump preset of ``preset_nets`` for b = 1, with ``fields`` set."""
+    grid = SpaceTimeGrid.covering(1, 1.0, 0.5, dx=0.02, dt=0.01)
+    return ExperimentConfig(_bump_problem(1), make_ladder(0.5, 0.5, 8), grid, _QUAD_1D, **fields)
+
+
+def test_preset_config_round_trips():
+    first = config_dict(preset_config())
+    assert config_dict(parse_config(first)) == first
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tol", 0.0),
+        ("tol", math.inf),
+        ("tol", math.nan),
+        ("tol", True),
+        ("tol", "1e-10"),
+        ("residual_constant", math.inf),
+        ("residual_constant", -5.0),
+        ("max_iter", 0),
+        ("max_iter", True),
+        ("max_iter", 2.5),
+        ("outputs", 7),
+        ("outputs", None),
+        ("checks", "support"),
+        ("checks", ("support",)),
+        ("checks", ["everything"]),
+        ("checks", ["support", "residual", "support"]),
+    ],
+)
+def test_experiment_config_rejects_bad_fields(name, value):
+    # only parse_config used to check these, so a library or preset config
+    # skipped them: an infinite residual_constant made the residual check
+    # pass at any residual
+    with pytest.raises(ValidationError) as info:
+        preset_config(**{name: value})
+    assert info.value.parameter == name
+
+
+def test_experiment_config_stores_floats():
+    cfg = preset_config(tol=1, residual_constant=np.float64(600.0))
+    assert type(cfg.tol) is float and cfg.tol == 1.0
+    assert type(cfg.residual_constant) is float and cfg.residual_constant == 600.0
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("tol", 0, "must be positive and finite, got 0"),
+        ("residual_constant", -5, "must be positive and finite, got -5"),
+        ("max_iter", 0, "must be an integer >= 1, got 0"),
+    ],
+)
+def test_out_of_range_top_level_field_is_a_config_error(tmp_path, capsys, name, value, message):
+    path, _ = base_config(tmp_path, **{name: value})
+    assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {name}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_ratio_names_field(tmp_path, capsys):

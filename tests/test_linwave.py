@@ -490,6 +490,27 @@ def test_time_reversal(dim):
         assert back == pytest.approx(even - odd, rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "t, coordinate, name",
+    [
+        (math.nan, 0.1, "t"),
+        (math.inf, 0.1, "t"),
+        (-math.inf, 0.1, "t"),
+        (0.3, math.nan, "x"),
+        (0.3, -math.inf, "x"),
+    ],
+)
+def test_linear_value_rejects_non_finite_input(dim, t, coordinate, name):
+    # a NaN t or point used to give 0.0 or NaN, and an infinite t a bare
+    # OverflowError; a negative t stays allowed (test_time_reversal)
+    x = np.zeros(dim)
+    x[-1] = coordinate
+    with pytest.raises(ValidationError) as info:
+        linear_value(GAUSS, PLATEAU_SMALL, t, x, DATA_QUAD)
+    assert info.value.parameter == name
+
+
 # ---------------------------------------------------------------------------
 # Duhamel integral
 # ---------------------------------------------------------------------------

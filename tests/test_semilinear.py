@@ -217,6 +217,16 @@ def test_seeds_of_another_length_rejected(count):
     assert info.value.parameter == "seeds"
 
 
+@pytest.mark.parametrize("threads", [0, -4, True])
+def test_solve_net_rejects_a_thread_count_below_one(threads):
+    # 0 and -4 used to run sequentially without complaint, while the CLI
+    # reads --threads 0 as the CPU count
+    prob = bump_problem()
+    with pytest.raises(ValidationError) as info:
+        solve_net(prob, LADDER, grid_for(prob, dx=0.05), QUAD, threads=threads)
+    assert info.value.parameter == "threads"
+
+
 def _coarse():
     prob = bump_problem()
     return prob, grid_for(prob, dx=0.05)

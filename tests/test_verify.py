@@ -102,6 +102,14 @@ def test_wave_oracle_1d():
     assert rep.per_eps[0][1] <= 1e-4
 
 
+@pytest.mark.parametrize("eps_values", [(), []])
+def test_wave_oracle_rejects_an_empty_eps_list(eps_values):
+    # it used to report ok=True having compared nothing
+    with pytest.raises(ValidationError) as info:
+        check_wave_oracle(1, eps_values)
+    assert info.value.parameter == "eps_values"
+
+
 # ---------------------------------------------------------------------------
 # association
 # ---------------------------------------------------------------------------
