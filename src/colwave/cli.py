@@ -166,9 +166,16 @@ def load_config(path: str) -> ExperimentConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _outdir(cfg: ExperimentConfig | None, args) -> str:
-    out = args.out or (cfg.outputs if cfg else "out")
-    os.makedirs(out, exist_ok=True)
+def _outdir(cfg: ExperimentConfig, args) -> str:
+    return _makedirs(args.out or cfg.outputs)
+
+
+def _makedirs(out: str) -> str:
+    """``out``, made if missing; a path that cannot be a directory is a config error."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("outputs", f"cannot make directory {out!r}: {err.strerror or err}") from err
     return out
 
 
@@ -251,9 +258,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.out:
+        _makedirs(args.out)
     results = run_suite()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "demo_summary.txt"), "w") as fh:
             for r, seconds in results:
                 fh.write(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.details} [{seconds:.1f}s]\n")

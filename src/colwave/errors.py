@@ -33,17 +33,12 @@ class InsufficientDataError(ColwaveError):
 
 
 class DivergenceError(ColwaveError):
-    """Fixed-point iteration produced non-finite values.
+    """A single application of the fixed-point map produced non-finite values.
 
-    Carries the failing iterate index and, when available, the last finite
-    iterate and the increment history recorded up to the failure.
+    Only ``apply_fixed_point_map`` raises it: a diverging Picard solve is a
+    reported outcome (``converged=False``, infinite final increment), not an
+    error.
     """
-
-    def __init__(self, iterate: int, message: str = "", field=None, increments=None):
-        super().__init__(message or f"iteration diverged at iterate {iterate}")
-        self.iterate = iterate
-        self.field = field
-        self.increments = list(increments) if increments is not None else []
 
 
 class LifespanExceededError(ColwaveError):

@@ -4,6 +4,12 @@ The fixed-point map is F(u) = L(u0, u1, 0) + eps**b * L(0, 0, f(u)); for
 small eps the source application contracts, so plain successive
 substitution converges geometrically and the measured increment ratio
 itself estimates the contraction factor.
+
+For larger eps the iteration may blow up.  That is an outcome the checks
+read, so every solve reports it in its ``SolveReport`` (``converged``
+False, infinite final increment) next to the last finite iterate; only
+the single map application ``apply_fixed_point_map`` raises
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ def picard_solve(
 
     Stops when the sup-norm increment on the cone drops to ``tol`` or
     after ``max_iter`` applications (then ``converged`` is False; callers
-    decide).  Non-finite values during the source evaluation raise
-    DivergenceError carrying the last finite iterate.
+    decide).  A map application k whose f(u) or F(u) is not finite ends
+    the solve as well: it returns the last finite iterate with
+    ``iterations == k``, the k - 1 increments before it, ``converged``
+    False and an infinite ``final_increment``.
 
     ``seed`` overrides the starting iterate (default: the linear part);
     ``linear_part`` lets callers reuse a precomputed L(u0,u1,0).
@@ -59,31 +67,22 @@ def picard_solve(
     if not (0.0 < tol < math.inf):
         raise ValidationError("tol", f"must be positive and finite, got {tol}")
     check_count("max_iter", max_iter, 1)
-    if grid.dim != problem.dim:
-        raise ValidationError("grid", "grid dimension does not match the problem")
 
     u_lin = _linear(problem, grid, quad, linear_part)
     factor = problem.small_factor(eps)
     mask = grid.cone_mask(CONE_INFLATION_CELLS)
     u = _on_grid("seed", seed, grid) if seed is not None else u_lin
     history: list[float] = []
-    converged = False
     for k in range(1, max_iter + 1):
-        nxt = _map(problem, factor, u, u_lin, quad, k, history)
+        nxt = _map(problem, factor, u, u_lin, quad)
+        if nxt is None:
+            return u, SolveReport(eps, k, history, converged=False, final_increment=math.inf)
         inc = float(np.max(np.abs((nxt - u.samples)[mask])))
         u = Field(grid, nxt)
         history.append(inc)
         if inc <= tol:
-            converged = True
             break
-    report = SolveReport(
-        eps=eps,
-        iterations=len(history),
-        increment_history=history,
-        converged=converged,
-        final_increment=history[-1],
-    )
-    return u, report
+    return u, SolveReport(eps, k, history, history[-1] <= tol, history[-1])
 
 
 def solve_net(
@@ -99,9 +98,9 @@ def solve_net(
 ) -> tuple[Net, list[SolveReport]]:
     """One Picard solve per ladder entry, sharing the linear part.
 
-    Entries are independent; a diverging entry is recorded with
-    ``converged=False`` (its field is the last finite iterate) and the
-    remaining entries still run.  ``seeds`` holds one starting iterate (or
+    Entries are independent; a diverging entry is reported as
+    ``picard_solve`` reports it (its field is the last finite iterate) and
+    the remaining entries still run.  ``seeds`` holds one starting iterate (or
     None) per ladder entry.  ``linear_part`` lets callers reuse a
     precomputed L(u0,u1,0).
     """
@@ -113,20 +112,7 @@ def solve_net(
     def run(j: int) -> tuple[Field, SolveReport]:
         eps = float(ladder.values[j])
         seed = seeds[j] if seeds is not None else None
-        try:
-            return picard_solve(
-                problem, eps, grid, quad, tol, max_iter, seed=seed, linear_part=u_lin
-            )
-        except DivergenceError as err:
-            field = err.field if err.field is not None else u_lin
-            report = SolveReport(
-                eps=eps,
-                iterations=err.iterate,
-                increment_history=err.increments,
-                converged=False,
-                final_increment=math.inf,
-            )
-            return field, report
+        return picard_solve(problem, eps, grid, quad, tol, max_iter, seed=seed, linear_part=u_lin)
 
     indices = range(len(ladder))
     if threads > 1:
@@ -149,18 +135,27 @@ def apply_fixed_point_map(
 ) -> Field:
     """One application of F(u) = L(u0,u1,0) + eps**b L(0,0,f(u)).
 
-    The same map ``picard_solve`` iterates; an overflowing f(u) or F(u)
-    raises DivergenceError.
+    The same map ``picard_solve`` iterates; where f(u) or F(u) is not
+    finite, this raises DivergenceError (the solvers report it instead).
     """
     u_lin = _linear(problem, grid, quad, linear_part)
     field = _on_grid("field", field, grid)
-    return Field(grid, _map(problem, problem.small_factor(eps), field, u_lin, quad, 1, []))
+    nxt = _map(problem, problem.small_factor(eps), field, u_lin, quad)
+    if nxt is None:
+        raise DivergenceError("the fixed-point map produced non-finite values")
+    return Field(grid, nxt)
 
 
 def _linear(
     problem: Problem, grid: SpaceTimeGrid, quad: QuadratureSpec, given: Field | None
 ) -> Field:
-    """``given``, or else the linear part L(u0,u1,0) of ``problem``."""
+    """``given``, or else the linear part L(u0,u1,0) of ``problem``.
+
+    Every solve and map application enters here, so this is where a grid
+    of another dimension than ``problem`` is rejected.
+    """
+    if grid.dim != problem.dim:
+        raise ValidationError("grid", "grid dimension does not match the problem")
     if given is not None:
         return _on_grid("linear_part", given, grid)
     return solve_linear(problem.u0, problem.u1, None, grid, quad)
@@ -179,24 +174,16 @@ def _map(
     u: Field,
     u_lin: Field,
     quad: QuadratureSpec,
-    iterate: int,
-    history: list[float],
-) -> np.ndarray:
-    """Samples of F(u) = u_lin + factor * L(0,0,f(u)).
-
-    Raises DivergenceError(``iterate``) carrying ``u`` and ``history`` when
-    f(u) or F(u) is not finite.
-    """
+) -> np.ndarray | None:
+    """Samples of F(u) = u_lin + factor * L(0,0,f(u)); None where f(u) or F(u) is not finite."""
     grid = u_lin.grid
     source = problem.f.value(u.samples)
     if not np.all(np.isfinite(source)):
-        raise DivergenceError(iterate, field=u, increments=history)
+        return None
     g = solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, source), grid, quad)
     with np.errstate(over="ignore"):  # overflow to inf is the divergence signal
         nxt = u_lin.samples + factor * g.samples
-    if not np.all(np.isfinite(nxt)):
-        raise DivergenceError(iterate, field=u, increments=history)
-    return nxt
+    return nxt if np.all(np.isfinite(nxt)) else None
 
 
 def residual_sup(field: Field, eps: float, problem: Problem) -> float:

@@ -349,6 +349,8 @@ def fit_decay_exponent(eps_values: np.ndarray, mu_values) -> ValuationEstimate:
             f"need at least 3 ladder points above the floor, got {int(usable.sum())}"
         )
     x = np.log(eps[usable])
+    if x.min() == x.max():  # no spread in log eps: the slope is undefined
+        raise InsufficientDataError("need at least 2 distinct eps among the points above the floor")
     y = np.log(mu[usable])
     xm = x - x.mean()
     sxx = float(xm @ xm)

@@ -85,6 +85,11 @@ class ExperimentConfig:
             if not (real and 0.0 < value < math.inf):
                 raise ValidationError(name, f"must be positive and finite, got {value!r}")
             setattr(self, name, float(value))
+        # a grid of another horizon or radius would solve and check another cone
+        for name in ("dim", "horizon", "support_radius"):
+            ours, theirs = getattr(self.grid, name), getattr(self.problem, name)
+            if ours != theirs:
+                raise ValidationError("grid", f"{name} {ours!r} differs from the problem's {theirs!r}")
         check_count("max_iter", self.max_iter, 1)
         if not isinstance(self.outputs, str):
             raise ValidationError("outputs", f"expected a directory name, got {self.outputs!r}")

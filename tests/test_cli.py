@@ -130,6 +130,19 @@ def test_experiment_config_stores_floats():
     assert type(cfg.residual_constant) is float and cfg.residual_constant == 600.0
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("horizon", SpaceTimeGrid.covering(1, 0.3, 0.5, dx=0.02, dt=0.01)),
+    ("support_radius", SpaceTimeGrid.covering(1, 1.0, 0.4, dx=0.02, dt=0.01)),
+    ("dim", SpaceTimeGrid.covering(2, 1.0, 0.5, dx=0.1, dt=0.05)),
+])
+def test_experiment_config_rejects_a_grid_of_another_cone(name, grid):
+    # the horizon 0.3 grid used to solve the horizon 1.0 problem, and its
+    # support check reported ok having looked only up to t = 0.3
+    with pytest.raises(ValidationError, match=f"^grid: {name} ") as info:
+        ExperimentConfig(_bump_problem(1), make_ladder(0.5, 0.5, 8), grid, _QUAD_1D)
+    assert info.value.parameter == "grid"
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [
@@ -143,6 +156,22 @@ def test_out_of_range_top_level_field_is_a_config_error(tmp_path, capsys, name, 
     assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == f"config error: {name}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-linear", "demo"])
+def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # os.makedirs raised FileExistsError: a traceback and exit 1, the check-failed code
+    def no_suite():
+        raise AssertionError("the suite ran before the output directory was made")
+
+    monkeypatch.setattr(colwave.cli, "run_suite", no_suite)
+    path, _ = base_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = ["demo"] if command == "demo" else [command, "--config", str(path)]
+    assert main(argv + ["--out", str(afile)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err == f"config error: outputs: cannot make directory {str(afile)!r}: File exists\n"
 
 
 def test_malformed_ratio_names_field(tmp_path, capsys):

@@ -159,12 +159,12 @@ def test_fixed_point_map_is_one_picard_sweep(dim):
 def test_fixed_point_map_overflow_is_divergence(dim):
     prob, grid, quad = map_case(dim, NonlinearitySpec("polynomial", (0.0, 0.0, 1.0)))
     huge = Field(grid, np.full(grid.shape, 1e200))
-    with pytest.raises(DivergenceError) as mapped:
+    with pytest.raises(DivergenceError):
         apply_fixed_point_map(prob, 0.25, huge, grid, quad)
-    with pytest.raises(DivergenceError) as swept:
-        picard_solve(prob, 0.25, grid, quad, seed=huge)
-    assert mapped.value.iterate == swept.value.iterate == 1
-    assert mapped.value.field is huge and swept.value.field is huge
+    # the solve reports the divergence at iterate 1 and hands back its seed
+    field, report = picard_solve(prob, 0.25, grid, quad, seed=huge)
+    assert field is huge
+    assert report == SolveReport(0.25, 1, [], converged=False, final_increment=math.inf)
 
 
 def test_fixed_point_map_overflowing_result_is_divergence():
@@ -172,11 +172,61 @@ def test_fixed_point_map_overflowing_result_is_divergence():
     prob, grid, quad = map_case(1, NonlinearitySpec("polynomial", (1.0,)))
     top = Field(grid, np.full(grid.shape, np.finfo(float).max))
     u = Field(grid, np.full(grid.shape, 1e300))
-    with pytest.raises(DivergenceError) as mapped:
+    with pytest.raises(DivergenceError):
         apply_fixed_point_map(prob, 1.0, u, grid, quad, top)
-    with pytest.raises(DivergenceError) as swept:
-        picard_solve(prob, 1.0, grid, quad, seed=u, linear_part=top)
-    assert mapped.value.field is u and swept.value.field is u
+    field, report = picard_solve(prob, 1.0, grid, quad, seed=u, linear_part=top)
+    assert field is u
+    assert report == SolveReport(1.0, 1, [], converged=False, final_increment=math.inf)
+
+
+def _diverging_case():
+    # the b = 2 problem of 20 u^2 whose eps = 0.9 entry blows up under iteration
+    prob = Problem(
+        dim=1,
+        horizon=2.0,
+        support_radius=0.5,
+        u0=InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0),
+        u1=InitialDatum("zero"),
+        f=NonlinearitySpec("polynomial", (0.0, 0.0, 20.0)),
+        small_exponent=2.0,
+    )
+    return prob, grid_for(prob, dx=0.05), QuadratureSpec(angular_points=8, polar_points=8)
+
+
+def test_diverging_solve_reports_the_failing_iterate():
+    prob, grid, quad = _diverging_case()
+    field, report = picard_solve(prob, 0.9, grid, quad, max_iter=40)
+    assert report.iterations == 8 and len(report.increment_history) == 7
+    assert not report.converged and report.final_increment == math.inf
+    # the returned field is the last finite iterate, the one 7 sweeps reach
+    seventh, capped = picard_solve(prob, 0.9, grid, quad, max_iter=7)
+    assert np.array_equal(field.samples, seventh.samples)
+    assert capped.increment_history == report.increment_history and not capped.converged
+
+
+def test_solve_net_entries_are_picard_solves_on_a_diverging_ladder():
+    prob, grid, quad = _diverging_case()
+    ladder = make_ladder(0.9, 0.1, 3)
+    net, reports = solve_net(prob, ladder, grid, quad, max_iter=40)
+    assert [r.converged for r in reports] == [False, True, True]
+    for eps, field, report in zip(ladder.values, net.fields, reports):
+        alone, alone_report = picard_solve(prob, float(eps), grid, quad, max_iter=40)
+        assert np.array_equal(field.samples, alone.samples)
+        assert report == alone_report
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, g: picard_solve(p, 0.25, g, QUAD),
+    lambda p, g: solve_net(p, LADDER, g, QUAD),
+    lambda p, g: apply_fixed_point_map(p, 0.25, Field(g, np.zeros(g.shape)), g, QUAD),
+], ids=["picard_solve", "solve_net", "apply_fixed_point_map"])
+def test_grid_of_another_dimension_rejected(call, linear_solves):
+    # apply_fixed_point_map used to map the 1D problem over the 2D grid
+    grid = SpaceTimeGrid.covering(2, 0.4, 0.3, dx=0.1, dt=0.05)
+    with pytest.raises(ValidationError) as info:
+        call(bump_problem(), grid)
+    assert info.value.parameter == "grid"
+    assert linear_solves == []  # rejected before any data term is evaluated
 
 
 def _twin_grids():

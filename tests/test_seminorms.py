@@ -219,6 +219,16 @@ def test_valuation_insufficient_data():
         valuation(Net(LADDER, tuple(fields)), 0)
 
 
+@pytest.mark.parametrize("eps, mu", [
+    ([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]),
+    ([0.1, 0.1, 0.1, 0.5], [1.0, 2.0, 3.0, 0.0]),  # the distinct eps is below the floor
+])
+def test_fit_needs_two_distinct_eps(eps, mu):
+    # equal eps used to divide by a zero spread: a RuntimeWarning, then ZeroDivisionError
+    with pytest.raises(InsufficientDataError, match="distinct eps"):
+        fit_decay_exponent(eps, mu)
+
+
 def test_fit_stderr_positive_for_noisy_data():
     eps = LADDER.values
     mus = eps * (1.0 + 0.1 * np.array([1, -1] * 4))
