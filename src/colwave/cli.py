@@ -32,12 +32,13 @@ from .linwave import (
 )
 from .nets import EpsilonLadder, InitialDatum, NonlinearitySpec, Problem
 from .seminorms import SpaceTimeGrid, valuation_table
+from .semilinear import unconverged_eps
 from .suite import (
     CHECK_NAMES,
-    CONFIG_CHECKS,
     SUPPORT_TOL,
     ExperimentConfig,
     fmt,
+    run_checks,
     run_suite,
     solve,
     write_csv,
@@ -215,7 +216,7 @@ def _cmd_solve_semilinear(cfg: ExperimentConfig, args) -> int:
     ]
     _write_summary(out, lines)
     print("\n".join(lines))
-    if not all(r.converged for r in reports):
+    if unconverged_eps(reports):
         return EXIT_SOLVER_FAILURE
     return EXIT_OK
 
@@ -226,7 +227,7 @@ def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
     rows = valuation_table(net)
     write_csv(os.path.join(out, "valuation.csv"), "eps,mu,n,slope,stderr", rows)
     print(f"valuation table written ({len(rows)} rows)")
-    if not all(r.converged for r in reports):
+    if unconverged_eps(reports):
         return EXIT_SOLVER_FAILURE
     return EXIT_OK
 
@@ -241,9 +242,8 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     solved = solve(cfg, args.threads) if set(cfg.checks) != {"oracle"} else None
     blocks = []
     all_ok = True
-    for name in cfg.checks:
-        result = CONFIG_CHECKS[name](cfg, solved, args.threads)
-        write_csv(os.path.join(out, f"{name}.csv"), result.header, result.rows)
+    for result, _ in run_checks(cfg, solved, args.threads):
+        write_csv(os.path.join(out, f"{result.name}.csv"), result.header, result.rows)
         blocks.append(result.details)
         print(result.details)
         all_ok = all_ok and result.ok

@@ -125,6 +125,15 @@ def solve_net(
     return Net(ladder, fields), reports
 
 
+def unconverged_eps(reports: list[SolveReport]) -> list[float]:
+    """The eps of each solve in ``reports`` that did not converge, in order.
+
+    A net with such an entry is not a net of solutions: its field is the
+    last iterate, not a fixed point, so no check may measure it.
+    """
+    return [r.eps for r in reports if not r.converged]
+
+
 def apply_fixed_point_map(
     problem: Problem,
     eps: float,

@@ -1,10 +1,11 @@
-"""Every check in one place: the preset suite and the config checks.
+"""Every check in one place: one registry of config checks and the presets that run them.
 
-The eight preset checks (``CHECKS``, one per headline claim) back the
-acceptance tests and ``colwave demo`` through ``run_check``; they share the
-1D nets of ``preset_nets``.  The six config checks (``CONFIG_CHECKS``) back
-``colwave check`` and share the config's net.  A preset is a config too,
-solved by ``solve``; a preset check of a solved net runs the config check.
+A config check (``CONFIG_CHECKS``) reads a config and its solved net.
+``colwave check`` runs the ones a config names; a preset (``PRESETS``) is
+a named config whose ``checks`` are the claims it carries.  ``colwave
+demo`` runs the three checks that read no config (``CONFIG_FREE_CHECKS``),
+then each preset's checks on its net, solved once by ``preset_nets``.
+Both commands run a config's checks through ``run_checks``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +41,7 @@ from .semilinear import (
     picard_solve,
     residual_sup,
     solve_net,
+    unconverged_eps,
 )
 from .verify import (
     ORACLE_TOL,
@@ -48,7 +51,6 @@ from .verify import (
     check_uniqueness_surrogate,
     check_wave_oracle,
     ode_check,
-    oracle_lifespan,
 )
 
 #: Residual bound constant: sup residual <= RESIDUAL_C * (dx^2 + dt^2) + tol/dt^2
@@ -166,35 +168,13 @@ def _bump_problem(dim: int, b: float = 1.0, radius: float = 0.5, horizon: float 
     )
 
 
-def preset_nets() -> dict[float, Solved]:
-    """The 1D bump preset for each b in {0.5, 1, 2} on the 8-entry ladder, keyed by b.
-
-    Each is a config with the default ``tol`` and ``max_iter``; they differ
-    only in b, so they share one grid and one linear part.
-    """
-    grid = SpaceTimeGrid.covering(1, 1.0, 0.5, dx=0.02, dt=0.01)
-    ladder = make_ladder(0.5, 0.5, 8)
-    nets: dict[float, Solved] = {}
-    for b in (0.5, 1.0, 2.0):
-        cfg = ExperimentConfig(_bump_problem(1, b=b), ladder, grid, _QUAD_1D)
-        nets[b] = solve(cfg, linear=nets[0.5].linear if nets else None)
-    return nets
-
-
-def _per_preset(name: str, check, nets: dict[float, Solved], bs) -> CheckResult:
-    """The config check ``check`` on the preset net of each b in ``bs``; ok when every one is."""
-    results = [(b, check(nets[b].config, nets[b], 1)) for b in bs]
-    details = "; ".join(f"b={b}: {r.details}" for b, r in results)
-    return CheckResult(name, all(r.ok for _, r in results), details)
-
-
 # ---------------------------------------------------------------------------
-# 1. linear kernels
+# checks that read no config
 # ---------------------------------------------------------------------------
 
-def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
+def check_linear_kernels() -> CheckResult:
     """Translation-average identity in 1D; plateau means u(t,0)=t in 1D/2D/3D."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     quad = QuadratureSpec(angular_points=16, polar_points=12)
     g = InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0)
     grid = SpaceTimeGrid.covering(1, 0.5, 0.5, dx=0.02, dt=0.01)
@@ -209,7 +189,7 @@ def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
         for t in (0.2, 0.45):
             v = linear_value(ZERO_DATUM, plateau, t, np.zeros(dim), quad)
             err_mean = max(err_mean, abs(v - t))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = err_translate <= 1e-8 and err_mean <= 1e-6 and elapsed < 30.0
     return CheckResult(
         "linear_kernels",
@@ -217,37 +197,6 @@ def check_linear_kernels(nets: dict[float, Solved]) -> CheckResult:
         f"translate_err={err_translate:.2e} (tol 1e-08), mean_err={err_mean:.2e} (tol 1e-06)",
     )
 
-
-# ---------------------------------------------------------------------------
-# 2. cone support
-# ---------------------------------------------------------------------------
-
-def check_cone_support(nets: dict[float, Solved]) -> CheckResult:
-    """Linear and semilinear presets vanish outside the 2-cell inflated cone."""
-    support = _support(nets[1.0].config, nets[1.0], 1)
-    ok = support.ok
-    worst = max(max_outside for _, max_outside, _ in support.rows)
-
-    quad23 = QuadratureSpec(angular_points=12, polar_points=8)
-    for dim, dx in ((2, 0.08), (3, 0.12)):
-        prob = _bump_problem(dim, radius=0.4, horizon=0.4)
-        grid = SpaceTimeGrid.covering(dim, prob.horizon, prob.support_radius, dx=dx, dt=dx / 2)
-        field, rep = picard_solve(prob, 0.25, grid, quad23)
-        outside = check_support(field, prob.support_radius, SUPPORT_TOL)
-        ok = ok and rep.converged and outside.ok
-        worst = max(worst, outside.max_outside)
-
-    return CheckResult(
-        "cone_support",
-        ok,
-        f"max_outside={worst:.2e} (tol {fmt(SUPPORT_TOL)}) over "
-        "1d-linear, 1d-semilinear-net, 2d-semilinear, 3d-semilinear",
-    )
-
-
-# ---------------------------------------------------------------------------
-# 3. residual and refinement order
-# ---------------------------------------------------------------------------
 
 def _residual_problem(dim: int) -> Problem:
     # wide plateau transition keeps the data's fourth derivatives moderate,
@@ -271,9 +220,9 @@ def _residual_problem(dim: int) -> Problem:
     )
 
 
-def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
+def check_residual_convergence() -> CheckResult:
     """Wave-operator defect within budget; second-order under 1D refinement."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-12
     eps = 0.25
     prob = _residual_problem(1)
@@ -299,7 +248,7 @@ def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
     budget3 = _residual_budget(RESIDUAL_C, grid3, tol)
     bound_ok = bound_ok and rep3.converged and sup3 <= budget3
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = bound_ok and order >= 1.8 and elapsed < 300.0
     return CheckResult(
         "residual_convergence",
@@ -309,54 +258,13 @@ def check_residual_convergence(nets: dict[float, Solved]) -> CheckResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# 4. blow-up oracle
-# ---------------------------------------------------------------------------
-
-def check_lifespan_oracle(nets: dict[float, Solved]) -> CheckResult:
-    """ODE oracle value and the 1/(1 - eps t) wave solution in 1D and 3D."""
-    ode_exact = oracle_lifespan(0.5, 1.0) == 2.0
-    rep1 = check_wave_oracle(1)
-    rep3 = check_wave_oracle(3)
-    ok = ode_exact and rep1.ok and rep3.ok
-    errs = lambda r: ", ".join(f"{e:g}:{v:.1e}" for e, v in r.per_eps)
-    return CheckResult(
-        "lifespan_oracle",
-        ok,
-        f"ode(0.5,1)=2.0 exact: {ode_exact}; "
-        f"1d errs {errs(rep1)}; 3d errs {errs(rep3)} (tol 1e-04)",
-    )
-
-
-# ---------------------------------------------------------------------------
-# 5. contraction factor
-# ---------------------------------------------------------------------------
-
-def check_contraction_factor(nets: dict[float, Solved]) -> CheckResult:
-    """Valuation gap >= b - 0.1 and metric ratio <= exp(-(b - 0.1)) for b in {0.5, 1}."""
-    return _per_preset("contraction_factor", _contraction, nets, (0.5, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# 6. association with the linear solution
-# ---------------------------------------------------------------------------
-
-def check_linear_association(nets: dict[float, Solved]) -> CheckResult:
-    """mu_0 difference decay rate >= b - 0.1 for b in {0.5, 1, 2}."""
-    return _per_preset("linear_association", _association, nets, (0.5, 1.0, 2.0))
-
-
-# ---------------------------------------------------------------------------
-# 7. ultra-metric calculus
-# ---------------------------------------------------------------------------
-
 def _tiny_grid() -> SpaceTimeGrid:
     return SpaceTimeGrid(
         dim=1, horizon=0.1, support_radius=0.2, spatial_extent=0.5, dx=0.05, dt=0.05
     )
 
 
-def check_ultrametric_calculus(nets: dict[float, Solved]) -> CheckResult:
+def check_ultrametric_calculus() -> CheckResult:
     """Metric axioms on random triples; exact fits; planted classifications."""
     grid = _tiny_grid()
     ladder = make_ladder(0.5, 0.5, 8)
@@ -422,63 +330,28 @@ def check_ultrametric_calculus(nets: dict[float, Solved]) -> CheckResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# 8. Picard increment scaling
-# ---------------------------------------------------------------------------
-
-def check_picard_scaling(nets: dict[float, Solved]) -> CheckResult:
-    """Successive-increment ratios scale like eps (log-log slope 1 +/- 0.15)."""
-    reports = nets[1.0].reports
-    eps_used = []
-    ratios = []
-    for rep in reports:
-        if rep.converged and len(rep.increment_history) >= 2 and rep.increment_history[0] > 0:
-            eps_used.append(rep.eps)
-            ratios.append(rep.increment_history[1] / rep.increment_history[0])
-    if len(ratios) < 3:
-        return CheckResult("picard_scaling", False, "too few usable increment ratios")
-    slope = fit_decay_exponent(np.array(eps_used), ratios).slope
-    ok = abs(slope - 1.0) <= 0.15
-    return CheckResult("picard_scaling", ok, f"ratio slope={slope:.3f} (need 1 +/- 0.15)")
-
-
-# ---------------------------------------------------------------------------
-# preset runner
-# ---------------------------------------------------------------------------
-
-CHECKS = {
+#: The checks that solve nothing of a config, by name, in the order the demo runs them.
+CONFIG_FREE_CHECKS = {
     "linear_kernels": check_linear_kernels,
-    "cone_support": check_cone_support,
     "residual_convergence": check_residual_convergence,
-    "lifespan_oracle": check_lifespan_oracle,
-    "contraction_factor": check_contraction_factor,
-    "linear_association": check_linear_association,
     "ultrametric_calculus": check_ultrametric_calculus,
-    "picard_scaling": check_picard_scaling,
 }
-
-
-def run_check(name: str, nets: dict[float, Solved]) -> tuple[CheckResult, float]:
-    """Run one preset check on ``nets``, print its pass/fail line; returns it and its seconds."""
-    t0 = time.time()
-    try:
-        result = CHECKS[name](nets)
-    except Exception as exc:  # a crashed check is a failed check
-        result = CheckResult(name, False, f"error: {exc}")
-    seconds = time.time() - t0
-    print(f"{'PASS' if result.ok else 'FAIL'}  {name:<24} {result.details}  [{seconds:.1f}s]")
-    return result, seconds
-
-
-def run_suite() -> list[tuple[CheckResult, float]]:
-    """Solve the preset nets once, then run every preset check, printing one line each."""
-    nets = preset_nets()
-    return [run_check(name, nets) for name in CHECKS]
 
 
 # ---------------------------------------------------------------------------
 # config checks
 # ---------------------------------------------------------------------------
+
+def _unconverged(reports: list[SolveReport]) -> str:
+    """The detail clause naming each entry of ``reports`` that did not converge; "" if none."""
+    eps = unconverged_eps(reports)
+    return f" unconverged eps={','.join(map(fmt, eps))}" if eps else ""
+
+
+def _unmeasured(name: str, header: str, unconverged: str) -> CheckResult:
+    """The failed ``name`` check of a net with an unconverged entry: nothing measured."""
+    return CheckResult(name, False, f"{name} ok=False{unconverged}", header)
+
 
 def _support(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
     radius = cfg.problem.support_radius
@@ -488,34 +361,45 @@ def _support(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult
         for f, r in zip(solved.net.fields, solved.reports)
     ]
     worst = max(rep.max_outside for _, rep in cases)
-    ok = all(rep.ok for _, rep in cases) and all(r.converged for r in solved.reports)
+    unconverged = _unconverged(solved.reports)
+    ok = all(rep.ok for _, rep in cases) and not unconverged
     return CheckResult(
-        "support", ok, f"support ok={ok} max_outside={fmt(worst)} (tol {fmt(SUPPORT_TOL)})",
+        "support", ok,
+        f"support ok={ok} max_outside={fmt(worst)} (tol {fmt(SUPPORT_TOL)}){unconverged}",
         "case,max_outside,ok", [(label, rep.max_outside, rep.ok) for label, rep in cases],
     )
 
 
 def _contraction(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    header = "order,slope_gap"
+    if unconverged := _unconverged(solved.reports):
+        return _unmeasured("contraction", header, unconverged)
     rep = check_contraction(cfg.problem, solved.net, solved.linear, cfg.quad)
     return CheckResult(
         "contraction", rep.ok,
         f"contraction ok={rep.ok} min_gap={fmt(min(rep.slope_gaps.values()))} "
         f"metric_ratio={fmt(rep.metric_ratio)} kappa_bound={fmt(rep.kappa_bound)}",
-        "order,slope_gap", sorted(rep.slope_gaps.items()),
+        header, sorted(rep.slope_gaps.items()),
     )
 
 
 def _association(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    header = "eps,mu0_difference"
+    if unconverged := _unconverged(solved.reports):
+        return _unmeasured("association", header, unconverged)
     rep = check_association(cfg.problem, solved.net, solved.linear, cfg.tol)
     return CheckResult(
         "association", rep.ok,
         f"association ok={rep.ok} rate={fmt(rep.fitted_rate.slope)} "
         f"(need >= {fmt(cfg.problem.small_exponent - RATE_MARGIN)})",
-        "eps,mu0_difference", list(zip(cfg.ladder, rep.mu0_history)),
+        header, list(zip(cfg.ladder, rep.mu0_history)),
     )
 
 
 def _uniqueness(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    header = "order,mu_max"
+    if unconverged := _unconverged(solved.reports):
+        return _unmeasured("uniqueness", header, unconverged)
     rep = check_uniqueness_surrogate(
         cfg.problem, solved.net, cfg.quad, cfg.tol, cfg.max_iter, threads=threads,
         linear_part=solved.linear,
@@ -523,7 +407,7 @@ def _uniqueness(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckRes
     cls = rep.classification.value if rep.classification else "n/a"
     return CheckResult(
         "uniqueness", rep.ok, f"uniqueness ok={rep.ok} class={cls} ({rep.reason})",
-        "order,mu_max", sorted(rep.mu_max.items()),
+        header, sorted(rep.mu_max.items()),
     )
 
 
@@ -543,8 +427,27 @@ def _residual(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResul
     budget = _residual_budget(cfg.residual_constant, cfg.grid, cfg.tol)
     sups = [residual_sup(f, r.eps, cfg.problem) for f, r in zip(solved.net.fields, solved.reports)]
     rows = [(r.eps, sup, budget, sup <= budget) for r, sup in zip(solved.reports, sups)]
-    ok = all(r.converged for r in solved.reports) and all(row[-1] for row in rows)
-    return CheckResult("residual", ok, f"residual ok={ok}", "eps,residual_sup,budget,ok", rows)
+    unconverged = _unconverged(solved.reports)
+    ok = all(row[-1] for row in rows) and not unconverged
+    return CheckResult("residual", ok, f"residual ok={ok}{unconverged}",
+                       "eps,residual_sup,budget,ok", rows)
+
+
+def _picard_scaling(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
+    """Successive-increment ratios of the converged entries scale like eps (slope 1 +/- 0.15)."""
+    rows = [
+        (rep.eps, rep.increment_history[1] / rep.increment_history[0])
+        for rep in solved.reports
+        if rep.converged and len(rep.increment_history) >= 2 and rep.increment_history[0] > 0
+    ]
+    if len(rows) < 3:
+        return CheckResult("picard_scaling", False, "too few usable increment ratios",
+                           "eps,ratio", rows)
+    eps_used, ratios = zip(*rows)
+    slope = fit_decay_exponent(eps_used, ratios).slope
+    ok = abs(slope - 1.0) <= 0.15
+    return CheckResult("picard_scaling", ok, f"ratio slope={slope:.3f} (need 1 +/- 0.15)",
+                       "eps,ratio", rows)
 
 
 #: Config checks by name, in the order ``colwave check --help`` lists them.
@@ -557,6 +460,90 @@ CONFIG_CHECKS = {
     "uniqueness": _uniqueness,
     "oracle": _oracle,
     "residual": _residual,
+    "picard_scaling": _picard_scaling,
 }
 
 CHECK_NAMES = tuple(CONFIG_CHECKS)
+
+
+# ---------------------------------------------------------------------------
+# presets and the runner
+# ---------------------------------------------------------------------------
+
+def _preset(problem: Problem, dx: float, quad: QuadratureSpec, checks: list[str]) -> ExperimentConfig:
+    """``problem`` on the 8-entry ladder and its covering grid of spacing ``dx`` (dt = dx/2)."""
+    grid = SpaceTimeGrid.covering(problem.dim, problem.horizon, problem.support_radius, dx=dx)
+    return ExperimentConfig(problem, make_ladder(0.5, 0.5, 8), grid, quad, checks=checks)
+
+
+_QUAD_2D_3D = QuadratureSpec(angular_points=12, polar_points=8)
+
+#: The preset configs by name, each with the checks of the claims it carries.
+#: The 1D bump differs only in b, so its three presets share one linear part.
+PRESETS = {
+    "1d_b0.5": _preset(_bump_problem(1, b=0.5), 0.02, _QUAD_1D, ["contraction", "association"]),
+    "1d_b1": _preset(_bump_problem(1), 0.02, _QUAD_1D,
+                     ["support", "contraction", "association", "oracle", "picard_scaling"]),
+    "1d_b2": _preset(_bump_problem(1, b=2.0), 0.02, _QUAD_1D, ["association"]),
+    "2d_b1": _preset(_bump_problem(2, radius=0.4, horizon=0.4), 0.08, _QUAD_2D_3D, ["support"]),
+    "3d_b1": _preset(_bump_problem(3, radius=0.4, horizon=0.4), 0.12, _QUAD_2D_3D,
+                     ["support", "oracle"]),
+}
+
+
+def preset_nets() -> dict[str, Solved]:
+    """Every preset solved once, by name.
+
+    Presets with the same data, grid and quadrature share one L(u0, u1, 0).
+    """
+    linears: dict[tuple, Field] = {}
+    nets: dict[str, Solved] = {}
+    for name, cfg in PRESETS.items():
+        key = (cfg.problem.u0, cfg.problem.u1, cfg.grid, cfg.quad)
+        nets[name] = solve(cfg, linear=linears.get(key))
+        linears[key] = nets[name].linear
+    return nets
+
+
+def _timed(name: str, check, crash_fails: bool) -> tuple[CheckResult, float]:
+    """``check()`` and its seconds; a crash raises, or fails the check when ``crash_fails``."""
+    t0 = time.perf_counter()
+    try:
+        result = check()
+    except Exception as exc:
+        if not crash_fails:
+            raise
+        result = CheckResult(name, False, f"error: {exc}")
+    return result, time.perf_counter() - t0
+
+
+def run_checks(
+    cfg: ExperimentConfig, solved: Solved | None, threads: int = 1, crash_fails: bool = False
+) -> Iterator[tuple[CheckResult, float]]:
+    """Each check ``cfg`` names, in order, on its solved net ``solved``, with its seconds.
+
+    ``solved`` is ``None`` only when ``cfg`` names ``oracle`` alone.  A
+    check that raises stops the run, or fails with its error as details
+    when ``crash_fails`` (the demo's rule).
+    """
+    for name in cfg.checks:
+        yield _timed(name, lambda: CONFIG_CHECKS[name](cfg, solved, threads), crash_fails)
+
+
+def _line(label: str, result: CheckResult, seconds: float) -> tuple[CheckResult, float]:
+    """Print the demo line of ``result`` under ``label``; return it so named, with its seconds."""
+    print(f"{'PASS' if result.ok else 'FAIL'}  {label:<24} {result.details}  [{seconds:.1f}s]")
+    return replace(result, name=label), seconds
+
+
+def run_suite() -> list[tuple[CheckResult, float]]:
+    """The config-free checks, then each preset's checks on its net; one printed line each.
+
+    A preset's lines are named ``<preset>/<check>``; a crashed check is a failed line.
+    """
+    results = [_line(name, *_timed(name, check, crash_fails=True))
+               for name, check in CONFIG_FREE_CHECKS.items()]
+    for name, solved in preset_nets().items():
+        results += [_line(f"{name}/{result.name}", result, seconds)
+                    for result, seconds in run_checks(solved.config, solved, crash_fails=True)]
+    return results

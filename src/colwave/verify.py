@@ -5,10 +5,10 @@ measurement: association decay rates, contraction gaps in the fitted
 valuations, damping of seed perturbations, and the closed-form blow-up
 oracle y(t) = 1/(1 - eps t) for the cubic test problem.
 
-The checks that measure a net difference (contraction, uniqueness, M1
-membership) stream it: each ladder entry's difference is formed, measured
-into its seminorm-table row and dropped before the next, so their memory
-does not grow with the ladder length.
+The checks that measure a net difference (contraction, uniqueness) stream
+it: each ladder entry's difference is formed, measured into its
+seminorm-table row and dropped before the next, so their memory does not
+grow with the ladder length.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .seminorms import (
     NetClass,
     SpaceTimeGrid,
     ValuationEstimate,
-    _check_order,
     _class_of,
     _differences,
     _metric,
@@ -44,6 +43,7 @@ from .semilinear import (
     apply_fixed_point_map,
     picard_solve,
     solve_net,
+    unconverged_eps,
 )
 
 #: Empirical slack on fitted rates against the nominal exponent b.
@@ -204,9 +204,12 @@ def check_uniqueness_surrogate(
     u_lin + eps**UNIQUENESS_SEED_EXPONENT * bump.  The iteration damps such
     a perturbation below measurement, so the check passes when the
     difference net classifies as negligible or all its seminorms stay below
-    10 * tol.  A ``problem`` other than the one ``net_a`` solves (another
-    u0 amplitude, say) is a genuinely different problem and must fail the
-    check.  ``linear_part`` reuses a precomputed L(u0,u1,0) of ``problem``.
+    10 * tol.  It fails unmeasured when an entry of the second solve does
+    not converge: a diverged entry's huge last iterate makes the difference
+    decay steeply, and so read as negligible.  A ``problem`` other than the
+    one ``net_a`` solves (another u0 amplitude, say) is a genuinely
+    different problem and must fail the check.  ``linear_part`` reuses a
+    precomputed L(u0,u1,0) of ``problem``.
     """
     ladder, grid = net_a.ladder, net_a.fields[0].grid
     u_lin = _linear(problem, grid, quad, linear_part)
@@ -215,10 +218,13 @@ def check_uniqueness_surrogate(
         Field(grid, u_lin.samples + float(eps) ** UNIQUENESS_SEED_EXPONENT * pattern)
         for eps in ladder.values
     ]
-    net_b, _ = solve_net(
+    net_b, reports_b = solve_net(
         problem, ladder, grid, quad, tol, max_iter, threads=threads, seeds=seeds,
         linear_part=u_lin,
     )
+    unconverged = unconverged_eps(reports_b)
+    if unconverged:
+        return UniquenessReport(None, {}, False, f"seeded solve unconverged at eps {unconverged}")
 
     table = _seminorm_table(_differences(net_a, net_b), MAX_SEMINORM_ORDER)
     mu_max = dict(enumerate(table.max(axis=0).tolist()))
@@ -341,34 +347,3 @@ def check_wave_oracle(
         per_eps.append((float(eps), err))
     ok = all(math.isfinite(e) and e <= ORACLE_TOL for _, e in per_eps)
     return WaveOracleReport(per_eps=per_eps, ok=ok)
-
-
-# ---------------------------------------------------------------------------
-# bounded-iterate membership table
-# ---------------------------------------------------------------------------
-
-@dataclass
-class M1Report:
-    rows: list[tuple[float, int, float]]
-    first_index: int | None
-
-
-def m1_membership(net: Net, linear_field: Field, orders=(0, 1, 2)) -> M1Report:
-    """Per-eps seminorms of u_eps - L(u0,u1,0) against the unit bound.
-
-    Reports (eps, n, mu) rows and the first ladder index from which
-    mu_n <= 1 holds for all tested orders onwards (None if never).  Each
-    difference is formed one entry at a time.
-    """
-    orders = tuple(orders)
-    for n in orders:
-        _check_order(n)
-    table = _seminorm_table((f - linear_field for f in net.fields), max(orders))
-    table = table[:, list(orders)]
-    rows = [
-        (float(eps), int(n), float(mu))
-        for eps, mus in zip(net.ladder.values, table)
-        for n, mu in zip(orders, mus)
-    ]
-    first = next((j for j in range(len(table)) if np.all(table[j:] <= 1.0)), None)
-    return M1Report(rows=rows, first_index=first)

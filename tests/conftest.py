@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 import colwave.linwave
+import colwave.suite
 
 # Property tests draw the same examples on every run and carry no
 # per-example deadline, so a loaded host can neither change which cases
@@ -31,3 +32,9 @@ def linear_solves(monkeypatch):
         if name.split(".")[0] == "colwave" and getattr(module, "solve_linear", None) is original:
             monkeypatch.setattr(module, "solve_linear", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def suite_lines():
+    """The ``colwave demo`` results by line name, from one ``run_suite`` per pytest run."""
+    return {result.name: result for result, _ in colwave.suite.run_suite()}

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from colwave.cli import (
 from colwave.errors import ConfigError, ValidationError
 from colwave.nets import make_ladder
 from colwave.seminorms import SpaceTimeGrid
-from colwave.suite import _QUAD_1D, ExperimentConfig, _bump_problem
+from colwave.suite import _QUAD_1D, PRESETS, ExperimentConfig, _bump_problem
 
 
 def base_config(tmp_path, **overrides):
@@ -84,14 +84,69 @@ def test_config_dump_and_reload(tmp_path):
 
 
 def preset_config(**fields):
-    """The unsolved 1D bump preset of ``preset_nets`` for b = 1, with ``fields`` set."""
-    grid = SpaceTimeGrid.covering(1, 1.0, 0.5, dx=0.02, dt=0.01)
-    return ExperimentConfig(_bump_problem(1), make_ladder(0.5, 0.5, 8), grid, _QUAD_1D, **fields)
+    """The 1D bump preset for b = 1, with ``fields`` set and checked again."""
+    return replace(PRESETS["1d_b1"], **fields)
 
 
 def test_preset_config_round_trips():
-    first = config_dict(preset_config())
-    assert config_dict(parse_config(first)) == first
+    for cfg in PRESETS.values():
+        first = config_dict(cfg)
+        assert config_dict(parse_config(first)) == first
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_lines_reproduce_from_the_cli(tmp_path, capsys, suite_lines, name):
+    # a dumped preset, checked from the command line, prints the demo's detail lines
+    path = tmp_path / "preset.json"
+    dump_config(PRESETS[name], path)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    demo = [suite_lines[f"{name}/{check}"].details for check in PRESETS[name].checks]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in demo)
+
+
+def state_config(tmp_path, b, checks):
+    """A 1D amplitude-3 bump under f = -u^5: the ladder's largest eps entries diverge.
+
+    At b = 1 the eps 0.5 entry diverges, at b = 0.5 also the eps 0.25 one.
+    """
+    problem = {
+        "dim": 1, "horizon": 1.0, "support_radius": 0.5,
+        "u0": {"kind": "gaussian_bump", "outer_radius": 0.5, "amplitude": 3.0},
+        "u1": {"kind": "zero"},
+        "f": {"kind": "polynomial", "coefficients": [0.0, 0.0, 0.0, 0.0, -1.0]},
+        "small_exponent": b,
+    }
+    path, _ = base_config(tmp_path, problem=problem, ladder={"eps0": 0.5, "ratio": 0.5, "count": 8},
+                          grid={"dx": 0.02, "dt": 0.01},
+                          quad={"angular_points": 8, "polar_points": 10}, tol=1e-10, max_iter=50,
+                          checks=checks)
+    return path
+
+
+def test_net_checks_fail_on_an_unconverged_entry(tmp_path, capsys):
+    # association read the diverged entry's huge last iterate as a steep decay
+    # (rate=21.2, ok=True), uniqueness classified it as negligible, and
+    # contraction raised DivergenceError mapping it
+    path = state_config(tmp_path, 1.0, ["association", "uniqueness", "contraction"])
+    assert main(["check", "--config", str(path)]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == (
+        "association ok=False unconverged eps=0.5\n"
+        "uniqueness ok=False unconverged eps=0.5\n"
+        "contraction ok=False unconverged eps=0.5\n"
+    )
+    out = tmp_path / "out"
+    assert (out / "contraction.csv").read_text() == "order,slope_gap\n"
+    assert (out / "summary.txt").read_text().count("ok=False unconverged eps=0.5") == 3
+
+
+def test_contraction_of_a_diverged_net_fails_and_later_checks_run(tmp_path, capsys):
+    # contraction used to raise DivergenceError (exit 3) before association ran
+    path = state_config(tmp_path, 0.5, ["contraction", "association"])
+    assert main(["check", "--config", str(path)]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["contraction ok=False unconverged eps=0.5,0.25",
+                     "association ok=False unconverged eps=0.5,0.25"]
+    assert (tmp_path / "out" / "association.csv").read_text() == "eps,mu0_difference\n"
 
 
 @pytest.mark.parametrize(
@@ -345,8 +400,10 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
     code, blocks = run(together)
     assert code == EXIT_OK
     assert len(solves) == 2  # the config net, then the seeded uniqueness solve
-    assert [b.split()[0] for b in blocks] == list(CHECK_NAMES)
-    assert all(" ok=True" in b for b in blocks)
+    # picard_scaling keeps the detail line of the demo check it was
+    assert [b.split()[0] for b in blocks] == [*CHECK_NAMES[:-1], "ratio"]
+    assert all(" ok=True" in b for b in blocks[:-1])
+    assert blocks[-1] == "ratio slope=0.996 (need 1 +/- 0.15)"
     headers = {
         "support": "case,max_outside,ok",
         "contraction": "order,slope_gap",
@@ -354,6 +411,7 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
         "uniqueness": "order,mu_max",
         "oracle": "eps,max_error",
         "residual": "eps,residual_sup,budget,ok",
+        "picard_scaling": "eps,ratio",
     }
     for name, header in headers.items():
         lines = (together / f"{name}.csv").read_text().splitlines()
@@ -375,7 +433,7 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
     path.write_text(json.dumps(doc))
     code, failed = run(tmp_path / "failed")
     assert code == EXIT_CHECK_FAILED
-    assert failed == blocks[:-1] + ["residual ok=False"]
+    assert failed == blocks[:-2] + ["residual ok=False", blocks[-1]]
     assert len(solves) == 2
 
 

@@ -30,11 +30,9 @@ from colwave.seminorms import (
 from colwave.semilinear import apply_fixed_point_map, solve_net
 from colwave.verify import (
     ContractionReport,
-    M1Report,
     UniquenessReport,
     check_contraction,
     check_uniqueness_surrogate,
-    m1_membership,
 )
 from helpers import shift_u0
 
@@ -139,18 +137,6 @@ def reference_uniqueness(net_a, net_b, tol=verify.DEFAULT_TOL):
     return UniquenessReport(cls, mu_max, False, "difference not negligible")
 
 
-def reference_m1(net, linear, orders):
-    diff = Net(net.ladder, tuple(f - linear for f in net.fields))
-    table = whole_table(diff, max(orders))[:, list(orders)]
-    rows = [
-        (float(eps), int(n), float(mu))
-        for eps, mus in zip(net.ladder.values, table)
-        for n, mu in zip(orders, mus)
-    ]
-    first = next((j for j in range(len(table)) if np.all(table[j:] <= 1.0)), None)
-    return M1Report(rows, first)
-
-
 def error_of(fn, *args):
     """(type, parameter, message) of the ValidationError ``fn(*args)`` raises."""
     with pytest.raises(ValidationError) as info:
@@ -198,13 +184,6 @@ def test_uniqueness_matches_whole_difference(solved, monkeypatch, data_perturbat
     assert rep.ok is (data_perturbation == 0.0)
 
 
-@pytest.mark.parametrize("orders", [(0, 1, 2), (2, 0), (1,)])
-def test_m1_membership_matches_whole_difference(solved, orders):
-    _, _, net, linear = solved
-    rep = m1_membership(net, linear, orders)
-    assert rep == reference_m1(net, linear, orders)
-
-
 # ---------------------------------------------------------------------------
 # the same errors
 # ---------------------------------------------------------------------------
@@ -225,9 +204,6 @@ def test_mismatched_nets_raise_the_whole_net_errors(solved):
     for a, b in ((net, other_ladder), (other_ladder, net), (net, moved)):
         assert error_of(ultra_metric, a, b, 3) == error_of(reference_ultra_metric, a, b, 3)
     moved_linear = Field(other_grid, linear.samples)
-    assert error_of(m1_membership, net, moved_linear, (0, 1, 2)) == error_of(
-        reference_m1, net, moved_linear, (0, 1, 2)
-    )
     args = (problem, net, moved_linear, quad)
     streamed = error_of(check_contraction, *args)
     assert streamed == error_of(reference_contraction, *args)
@@ -242,16 +218,10 @@ def test_overflowing_difference_raises_the_whole_net_error():
     net_u = Net(LADDER, tuple(Field(grid, big if j == 5 else e * grid.meshes()[1])
                               for j, e in enumerate(LADDER)))
     net_v = Net(LADDER, tuple(Field(grid, -f.samples) for f in net_u.fields))
-    # entry 5 of net_w minus the linear field overflows, the others vanish
-    net_w = Net(LADDER, tuple(Field(grid, big if j == 5 else -big) for j in range(len(LADDER))))
-    linear = Field(grid, -big)
     with np.errstate(over="ignore"):
         expected = error_of(reference_ultra_metric, net_u, net_v, 3)
         assert expected[1] == "samples"
         assert error_of(ultra_metric, net_u, net_v, 3) == expected
-        assert error_of(m1_membership, net_w, linear, (0, 1, 2)) == error_of(
-            reference_m1, net_w, linear, (0, 1, 2)
-        ) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +258,6 @@ def test_difference_measures_do_not_grow_with_the_ladder():
         peaks[count] = (
             traced_peak(ultra_metric, net_u, net_v, 3),
             traced_peak(check_contraction, problem, net_u, linear, quad),
-            traced_peak(m1_membership, net_u, linear),
         )
     for short, long in zip(peaks[4], peaks[8]):
         assert long - short < field_bytes

@@ -46,11 +46,6 @@ def _references(node, outside=frozenset()):
         yield from _references(child, outside)
 
 
-#: Public functions and methods kept without a caller in the package:
-#: whether the M1 membership test becomes a check or goes is still open
-#: (ROADMAP).
-UNCALLED_KEPT = {"m1_membership"}
-
 #: Public functions and methods named like a numpy attribute.  The scan
 #: counts every ``array.shape`` as a use of ``SpaceTimeGrid.shape``, so it
 #: cannot see whether these have a caller; each one here was checked by hand.
@@ -122,7 +117,7 @@ def test_every_export_has_a_caller():
     assert {"meshes", "small_factor"} <= set(functions)  # methods are scanned
     exported = [n for n in colwave.__all__ if inspect.isfunction(getattr(colwave, n))]
     assert exported and set(exported) <= set(functions)
-    assert [n for n in functions if n not in used and n not in UNCALLED_KEPT] == []
+    assert [n for n in functions if n not in used] == []
     numpy_names = {n for n in functions if hasattr(np, n) or hasattr(np.ndarray, n)}
     assert numpy_names == NUMPY_NAMES_REVIEWED
     # the residual gathers its nodes from the cone; the whole-box mask is gone
@@ -131,7 +126,6 @@ def test_every_export_has_a_caller():
     unpassed = [
         (d.name, p)
         for d, method in defs
-        if d.name not in UNCALLED_KEPT
         for p, i in _defaulted(d, method)
         if (d.name, p) not in passed and (d.name, i) not in passed
     ]

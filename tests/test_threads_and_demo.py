@@ -87,26 +87,29 @@ def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
 
 
 def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
-    # the preset checks share the three preset nets instead of re-solving them
+    # each preset's checks share its net instead of re-solving it
     solves = []
 
     def counted(problem, *args, **kwargs):
-        solves.append(problem.small_exponent)
+        solves.append(problem)
         return solve_net(problem, *args, **kwargs)
 
     for module in (suite, verify):
         monkeypatch.setattr(module, "solve_net", counted)
     results = suite.run_suite()
-    assert [r.name for r, _ in results] == list(suite.CHECKS)
+    presets = suite.PRESETS.items()
+    lines = [f"{name}/{check}" for name, cfg in presets for check in cfg.checks]
+    assert [r.name for r, _ in results] == list(suite.CONFIG_FREE_CHECKS) + lines
     assert all(r.ok for r, _ in results)
-    assert solves == [0.5, 1.0, 2.0]
+    assert solves == [cfg.problem for _, cfg in presets]
 
 
 def test_preset_nets_share_one_linear_part(linear_solves):
-    # the three presets differ only in b: one data-term evaluation serves all
+    # the 1D presets differ only in b: one data-term evaluation serves all
+    # three, and one more each the 2D and the 3D preset
     nets = suite.preset_nets()
-    assert [h for h in linear_solves if h is None] == [None]
-    linears = [linear for _, _, _, linear in nets.values()]
+    assert [h for h in linear_solves if h is None] == [None] * 3
+    linears = [nets[name].linear for name in ("1d_b0.5", "1d_b1", "1d_b2")]
     assert all(linear is linears[0] for linear in linears)
 
 

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import colwave.seminorms as seminorms
 import colwave.verify as verify
-from colwave.errors import LifespanExceededError, UnsupportedOrderError, ValidationError
+from colwave.errors import LifespanExceededError, ValidationError
 from colwave.linwave import QuadratureSpec, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
@@ -26,7 +27,6 @@ from colwave.verify import (
     check_uniqueness_surrogate,
     check_wave_oracle,
     cubic_oracle_problem,
-    m1_membership,
     ode_check,
     oracle_lifespan,
 )
@@ -225,6 +225,23 @@ def test_uniqueness_data_perturbation_detected():
     assert rep.mu_max[0] > 0.1
 
 
+def test_uniqueness_fails_unmeasured_when_the_seeded_solve_diverges(monkeypatch):
+    # the seeded solve's eps 0.5 entry is planted as diverged, its last
+    # iterate huge: the difference net then decays steeply, and it used to
+    # classify as negligible and pass
+    def diverging_solve_net(*args, **kwargs):
+        net_b, reports = solve_net(*args, **kwargs)
+        huge = Field(net_b.grid, net_b.fields[0].samples * 1e70)
+        diverged = replace(reports[0], converged=False, final_increment=math.inf)
+        return Net(net_b.ladder, (huge,) + net_b.fields[1:]), [diverged] + reports[1:]
+
+    prob = bump_problem()
+    net, _ = solved(prob)
+    monkeypatch.setattr(verify, "solve_net", diverging_solve_net)
+    rep = check_uniqueness_surrogate(prob, net, QUAD)
+    assert rep == UniquenessReport(None, {}, False, "seeded solve unconverged at eps [0.5]")
+
+
 @pytest.mark.parametrize("data_perturbation", [0.0, 0.5])
 def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturbation):
     # mu_max comes from one derivative-stack pass per field; it must equal
@@ -286,41 +303,3 @@ def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbatio
     diff = net - net_b
     mu_max = {n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)}
     assert rep == UniquenessReport(classify(diff), mu_max, ok, reason)
-
-
-@pytest.mark.parametrize("orders", [(0, 1, 2), (2, 0), (1,)])
-def test_m1_membership_matches_per_order_seminorms(orders):
-    # the rows come from one derivative-stack pass per entry; they must equal
-    # per-order seminorms bit for bit, and the unit bound is crossed inside
-    # the ladder: entry j is the linear part plus 2**(2-j)/mu of itself
-    prob = bump_problem()
-    _, linear = solved(prob)
-    mu = seminorm(linear, max(orders))
-    net = Net(LADDER, tuple(linear + linear * (2.0 ** (2 - j) / mu) for j in range(len(LADDER))))
-    rep = m1_membership(net, linear, orders)
-    expected = [
-        (float(eps), n, seminorm(f - linear, n))
-        for eps, f in zip(LADDER.values, net.fields)
-        for n in orders
-    ]
-    assert rep.rows == expected
-    mus = np.array([m for _, _, m in expected]).reshape(len(LADDER), len(orders))
-    first = next(j for j in range(len(mus)) if np.all(mus[j:] <= 1.0))
-    assert rep.first_index == first > 0
-
-
-def test_m1_membership_takes_orders_from_a_generator():
-    prob = bump_problem()
-    net, linear = solved(prob)
-    rep = m1_membership(net, linear, (n for n in (2, 0)))
-    assert rep == m1_membership(net, linear, (2, 0))
-    assert len(rep.rows) == 2 * len(net.ladder)
-
-
-@pytest.mark.parametrize("orders", [(True,), (1.5,), (2, True), (2, -1), (0, 3)], ids=repr)
-def test_m1_membership_rejects_bad_orders(orders):
-    # (2, True) read mu_1 as the row of order True, (2, -1) read mu_2
-    prob = bump_problem()
-    net, linear = solved(prob)
-    with pytest.raises(UnsupportedOrderError, match="integer"):
-        m1_membership(net, linear, orders)
