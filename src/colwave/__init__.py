@@ -39,14 +39,7 @@ from .linwave import (
     solve_linear,
 )
 from .semilinear import SolveReport, picard_solve, residual_sup, solve_net
-from .verify import (
-    check_association,
-    check_contraction,
-    check_uniqueness_surrogate,
-    check_wave_oracle,
-    ode_check,
-    oracle_lifespan,
-)
+from .verify import check_wave_oracle, oracle_lifespan
 
 __version__ = "0.1.0"
 
@@ -79,11 +72,7 @@ __all__ = [
     "picard_solve",
     "residual_sup",
     "solve_net",
-    "check_association",
-    "check_contraction",
-    "check_uniqueness_surrogate",
     "check_wave_oracle",
-    "ode_check",
     "oracle_lifespan",
     "__version__",
 ]

@@ -14,7 +14,7 @@ differencing the whole box, and a NaN derivative at any cone node makes
 the seminorm NaN, as ``np.max`` over the whole box would.
 
 A seminorm table reads its fields one at a time, so the measures of a
-difference U - V (``ultra_metric`` here, the checks in ``verify``) form
+difference U - V (``ultra_metric`` here, the net checks in ``suite``) form
 each entry's difference as it is read and drop it before the next: their
 memory holds one difference field and the derivative buffer, whatever the
 ladder length.

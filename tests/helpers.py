@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 
+import colwave.suite
+from colwave.linwave import solve_linear
 from colwave.seminorms import Field, SpaceTimeGrid
+from colwave.semilinear import solve_net
 
 
 def sampled_field(grid: SpaceTimeGrid, fn) -> Field:
@@ -19,6 +22,31 @@ def constant_field(grid: SpaceTimeGrid, value: float) -> Field:
 def shift_u0(problem, shift: float):
     """``problem`` with ``shift`` added to its u0 amplitude: another problem unless 0."""
     return replace(problem, u0=replace(problem.u0, amplitude=problem.u0.amplitude + shift))
+
+
+def checked_as_shifted(solved, shift: float):
+    """``solved`` with the config and linear part of its problem under ``shift_u0``.
+
+    Only the net and its solve reports stay: unless ``shift`` is 0, the net
+    solves another problem than the config's, and a check that re-solves
+    the config (``uniqueness``) must fail on it.
+    """
+    cfg = replace(solved.config, problem=shift_u0(solved.config.problem, shift))
+    linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
+    return solved._replace(config=cfg, linear=linear)
+
+
+def recorded_seeded_nets(monkeypatch) -> list:
+    """The list each seeded solve of the ``uniqueness`` check appends its net to."""
+    seeded = []
+
+    def recording_solve_net(*args, **kwargs):
+        result = solve_net(*args, **kwargs)
+        seeded.append(result[0])
+        return result
+
+    monkeypatch.setattr(colwave.suite, "solve_net", recording_solve_net)
+    return seeded
 
 
 def datum_gradient(datum, points) -> np.ndarray:

@@ -19,10 +19,13 @@ CLAIMS = {
     "cone_support": ["1d_b1/support", "2d_b1/support", "3d_b1/support"],
     "residual_convergence": ["residual_convergence"],
     "lifespan_oracle": ["1d_b1/oracle", "3d_b1/oracle"],
-    "contraction_factor": ["1d_b0.5/contraction", "1d_b1/contraction"],
-    "linear_association": ["1d_b0.5/association", "1d_b1/association", "1d_b2/association"],
+    "contraction_factor": ["1d_b0.5/contraction", "1d_b1/contraction", "2d_b1/contraction",
+                           "3d_b1/contraction"],
+    "linear_association": ["1d_b0.5/association", "1d_b1/association", "1d_b2/association",
+                           "2d_b1/association", "3d_b1/association"],
+    "uniqueness": ["2d_b1/uniqueness", "3d_b1/uniqueness"],
     "ultrametric_calculus": ["ultrametric_calculus"],
-    "picard_scaling": ["1d_b1/picard_scaling"],
+    "picard_scaling": ["1d_b1/picard_scaling", "2d_b1/picard_scaling", "3d_b1/picard_scaling"],
 }
 
 

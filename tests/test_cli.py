@@ -12,7 +12,6 @@ import pytest
 import colwave.cli
 import colwave.semilinear
 import colwave.suite
-import colwave.verify
 from colwave.cli import (
     CHECK_NAMES,
     EXIT_CHECK_FAILED,
@@ -124,19 +123,26 @@ def state_config(tmp_path, b, checks):
 
 
 def test_net_checks_fail_on_an_unconverged_entry(tmp_path, capsys):
-    # association read the diverged entry's huge last iterate as a steep decay
-    # (rate=21.2, ok=True), uniqueness classified it as negligible, and
-    # contraction raised DivergenceError mapping it
-    path = state_config(tmp_path, 1.0, ["association", "uniqueness", "contraction"])
+    # every check that reads the net fails on it and names the entry.
+    # association read the diverged entry's huge last iterate as a steep
+    # decay (rate=21.2, ok=True), uniqueness classified it as negligible,
+    # contraction raised DivergenceError mapping it, and picard_scaling
+    # fitted the other entries (slope=0.925) and passed
+    checks = [name for name in CHECK_NAMES if name != "oracle"]  # the oracle reads no net
+    path = state_config(tmp_path, 1.0, checks)
     assert main(["check", "--config", str(path)]) == EXIT_CHECK_FAILED
-    assert capsys.readouterr().out == (
-        "association ok=False unconverged eps=0.5\n"
-        "uniqueness ok=False unconverged eps=0.5\n"
-        "contraction ok=False unconverged eps=0.5\n"
-    )
+    lines = capsys.readouterr().out.splitlines()
     out = tmp_path / "out"
-    assert (out / "contraction.csv").read_text() == "order,slope_gap\n"
-    assert (out / "summary.txt").read_text().count("ok=False unconverged eps=0.5") == 3
+    assert (out / "summary.txt").read_text().splitlines() == lines
+    assert len(lines) == len(checks)
+    for name, line in zip(checks, lines):
+        rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+        if name in ("support", "residual"):  # they measure every entry and fail on this one
+            assert line.startswith(f"{name} ok=False ") and line.endswith(" unconverged eps=0.5")
+            assert len(rows) > 0
+        else:  # every other net check fails unmeasured
+            assert line == f"{name} ok=False unconverged eps=0.5"
+            assert rows == []
 
 
 def test_contraction_of_a_diverged_net_fails_and_later_checks_run(tmp_path, capsys):
@@ -388,8 +394,7 @@ def test_all_checks_solve_once_and_match_single_runs(tmp_path, monkeypatch, caps
         solves.append(args[0])
         return colwave.semilinear.solve_net(*args, **kwargs)
 
-    for module in (colwave.suite, colwave.verify):
-        monkeypatch.setattr(module, "solve_net", counted)
+    monkeypatch.setattr(colwave.suite, "solve_net", counted)
 
     def run(out, *flags):
         solves.clear()

@@ -1,6 +1,6 @@
 """Streamed net differences against whole-net references.
 
-``ultra_metric`` and the checks of ``verify`` form each ladder entry's
+``ultra_metric`` and the net checks of ``suite`` form each ladder entry's
 difference as the seminorm table reads it.  The references here hold
 every net whole, as the measures did before they streamed; results must
 agree bit for bit, errors must read the same, and peak memory must not
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import colwave.seminorms as seminorms
-import colwave.verify as verify
+import colwave.suite as suite
 from colwave.errors import InsufficientDataError, ValidationError
 from colwave.linwave import QuadratureSpec, solve_linear
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
@@ -27,14 +27,9 @@ from colwave.seminorms import (
     fit_decay_exponent,
     ultra_metric,
 )
-from colwave.semilinear import apply_fixed_point_map, solve_net
-from colwave.verify import (
-    ContractionReport,
-    UniquenessReport,
-    check_contraction,
-    check_uniqueness_surrogate,
-)
-from helpers import shift_u0
+from colwave.semilinear import SolveReport, apply_fixed_point_map
+from colwave.suite import CheckResult, ExperimentConfig, Solved, fmt
+from helpers import checked_as_shifted, recorded_seeded_nets
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
@@ -58,13 +53,11 @@ SETUPS = {
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["1d", "3d"])
 def solved(request):
-    """(problem, quad, solved net on LADDER, its linear part) per dimension."""
+    """The net of each dimension's problem on LADDER, as ``suite.solve`` gives it."""
     problem, spacing, quad = SETUPS[request.param]
     grid = SpaceTimeGrid.covering(problem.dim, problem.horizon, problem.support_radius,
                                   **spacing)
-    linear = solve_linear(problem.u0, problem.u1, None, grid, quad)
-    net, _ = solve_net(problem, LADDER, grid, quad, linear_part=linear)
-    return problem, quad, net, linear
+    return suite.solve(ExperimentConfig(problem, LADDER, grid, quad))
 
 
 def grid_3d():
@@ -92,49 +85,54 @@ def reference_ultra_metric(net_u, net_v, n_terms):
     return seminorms._metric(whole_fits(net_u - net_v, n_terms - 1))
 
 
-def reference_contraction(problem, net_u, u_lin, quad):
-    """``check_contraction`` with V, F(U), F(V) and both differences held whole."""
-    b = problem.small_exponent
-    ladder, grid = net_u.ladder, u_lin.grid
-    pert = verify.CONTRACTION_PERTURBATION * np.broadcast_to(
-        verify._bump_pattern(problem, grid), grid.shape
+def reference_contraction(cfg, solved):
+    """``suite._contraction`` with V, F(U), F(V) and both differences held whole."""
+    b = cfg.problem.small_exponent
+    net_u, u_lin, grid = solved.net, solved.linear, cfg.grid
+    pert = suite.CONTRACTION_PERTURBATION * np.broadcast_to(
+        suite._bump_pattern(cfg.problem, grid), grid.shape
     )
-    net_v = Net(ladder, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
+    net_v = Net(cfg.ladder, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
 
     def mapped(net):
-        return Net(ladder, tuple(
-            apply_fixed_point_map(problem, float(eps), f, grid, quad, u_lin)
-            for eps, f in zip(ladder.values, net.fields)
+        return Net(cfg.ladder, tuple(
+            apply_fixed_point_map(cfg.problem, float(eps), f, grid, cfg.quad, u_lin)
+            for eps, f in zip(cfg.ladder.values, net.fields)
         ))
 
     before = whole_fits(net_u - net_v)
     after = whole_fits(mapped(net_u) - mapped(net_v))
-    gaps = {
-        n: math.inf if math.isinf(a.slope) else a.slope - c.slope
-        for n, (c, a) in enumerate(zip(before, after))
-    }
+    gaps = [math.inf if math.isinf(a.slope) else a.slope - c.slope for c, a in zip(before, after)]
     d_before, d_after = seminorms._metric(before), seminorms._metric(after)
     ratio = d_after / d_before if d_before > 0.0 else 0.0
-    ok = all(g >= b - verify.RATE_MARGIN for g in gaps.values()) and ratio <= math.exp(
-        -(b - verify.RATE_MARGIN)
+    ok = all(g >= b - suite.RATE_MARGIN for g in gaps) and ratio <= math.exp(
+        -(b - suite.RATE_MARGIN)
     ) + 1e-12
-    return ContractionReport(gaps, math.exp(-b), ratio, ok)
+    return CheckResult(
+        "contraction", ok,
+        f"contraction ok={ok} min_gap={fmt(min(gaps))} metric_ratio={fmt(ratio)} "
+        f"kappa_bound={fmt(math.exp(-b))}",
+        "order,slope_gap", list(enumerate(gaps)),
+    )
 
 
-def reference_uniqueness(net_a, net_b, tol=verify.DEFAULT_TOL):
-    """``check_uniqueness_surrogate``'s verdict from the whole difference net."""
+def reference_uniqueness(cfg, net_a, net_b):
+    """``suite._uniqueness``'s result from the whole difference of ``net_a`` and seeded ``net_b``."""
     diff = net_a - net_b
     table = whole_table(diff, MAX_SEMINORM_ORDER)
-    mu_max = dict(enumerate(table.max(axis=0).tolist()))
+    mu_max = table.max(axis=0).tolist()
     try:
-        cls = seminorms._class_of(whole_fits(diff, table=table))
+        cls = seminorms._class_of(whole_fits(diff, table=table)).value
     except InsufficientDataError:
-        cls = None
-    if cls is NetClass.NEGLIGIBLE_AT_TESTED_ORDER:
-        return UniquenessReport(cls, mu_max, True, "difference negligible at tested orders")
-    if all(v <= 10.0 * tol for v in mu_max.values()):
-        return UniquenessReport(cls, mu_max, True, "all seminorms below 10*tol")
-    return UniquenessReport(cls, mu_max, False, "difference not negligible")
+        cls = "n/a"
+    if cls == NetClass.NEGLIGIBLE_AT_TESTED_ORDER.value:
+        ok, reason = True, "difference negligible at tested orders"
+    elif all(v <= 10.0 * cfg.tol for v in mu_max):
+        ok, reason = True, "all seminorms below 10*tol"
+    else:
+        ok, reason = False, "difference not negligible"
+    return CheckResult("uniqueness", ok, f"uniqueness ok={ok} class={cls} ({reason})",
+                       "order,mu_max", list(enumerate(mu_max)))
 
 
 def error_of(fn, *args):
@@ -149,7 +147,7 @@ def error_of(fn, *args):
 # ---------------------------------------------------------------------------
 
 def test_ultra_metric_matches_whole_difference(solved):
-    _, _, net, linear = solved
+    net, linear = solved.net, solved.linear
     lin_net = Net(LADDER, (linear,) * len(LADDER))
     for a, b in ((net, lin_net), (lin_net, net), (net, net)):
         for n_terms in range(1, MAX_SEMINORM_ORDER + 2):
@@ -159,29 +157,19 @@ def test_ultra_metric_matches_whole_difference(solved):
 
 
 def test_contraction_matches_whole_nets(solved):
-    problem, quad, net, linear = solved
-    rep = check_contraction(problem, net, linear, quad)
-    assert rep == reference_contraction(problem, net, linear, quad)
-    assert rep.ok
+    result = suite._contraction(solved.config, solved, 1)
+    assert result == reference_contraction(solved.config, solved)
+    assert result.ok
 
 
 @pytest.mark.parametrize("data_perturbation", [0.0, 0.5])
 def test_uniqueness_matches_whole_difference(solved, monkeypatch, data_perturbation):
-    problem, quad, net, linear = solved
-    seeded = []
-
-    def recording_solve_net(*args, **kwargs):
-        result = solve_net(*args, **kwargs)
-        seeded.append(result[0])
-        return result
-
-    monkeypatch.setattr(verify, "solve_net", recording_solve_net)
-    # the linear part of the unperturbed data serves only the unperturbed problem
-    rep = check_uniqueness_surrogate(shift_u0(problem, data_perturbation), net, quad,
-                                     linear_part=linear if data_perturbation == 0.0 else None)
+    solved = checked_as_shifted(solved, data_perturbation)
+    seeded = recorded_seeded_nets(monkeypatch)
+    result = suite._uniqueness(solved.config, solved, 1)
     (net_b,) = seeded
-    assert rep == reference_uniqueness(net, net_b)
-    assert rep.ok is (data_perturbation == 0.0)
+    assert result == reference_uniqueness(solved.config, solved.net, net_b)
+    assert result.ok is (data_perturbation == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +185,12 @@ def shifted_grid(grid):
 
 
 def test_mismatched_nets_raise_the_whole_net_errors(solved):
-    problem, quad, net, linear = solved
+    net = solved.net
     other_ladder = Net(make_ladder(0.5, 0.25, 8), net.fields)
     other_grid = shifted_grid(net.grid)
     moved = Net(LADDER, tuple(Field(other_grid, f.samples) for f in net.fields))
     for a, b in ((net, other_ladder), (other_ladder, net), (net, moved)):
         assert error_of(ultra_metric, a, b, 3) == error_of(reference_ultra_metric, a, b, 3)
-    moved_linear = Field(other_grid, linear.samples)
-    args = (problem, net, moved_linear, quad)
-    streamed = error_of(check_contraction, *args)
-    assert streamed == error_of(reference_contraction, *args)
-    assert streamed[1] == "net"
 
 
 def test_overflowing_difference_raises_the_whole_net_error():
@@ -251,13 +234,16 @@ def test_difference_measures_do_not_grow_with_the_ladder():
     grid.cone_nodes  # built once per grid, before any measurement
     peaks = {}
     for count in (4, 8):
-        ladder = make_ladder(0.5, 0.5, count)
-        net_u = Net(ladder, tuple(linear + Field(grid, e * pattern) for e in ladder))
-        net_v = Net(ladder, tuple(Field(grid, e**3 * pattern) for e in ladder))
-        check_contraction(problem, net_u, linear, quad)  # fills the operator caches
+        cfg = ExperimentConfig(problem, make_ladder(0.5, 0.5, count), grid, quad)
+        net_u = Net(cfg.ladder, tuple(linear + Field(grid, e * pattern) for e in cfg.ladder))
+        net_v = Net(cfg.ladder, tuple(Field(grid, e**3 * pattern) for e in cfg.ladder))
+        # a planted net, each entry reported converged so that contraction measures it
+        reports = [SolveReport(float(e), 1, [0.0], True, 0.0) for e in cfg.ladder]
+        solved = Solved(cfg, net_u, reports, linear)
+        suite._contraction(cfg, solved, 1)  # fills the operator caches
         peaks[count] = (
             traced_peak(ultra_metric, net_u, net_v, 3),
-            traced_peak(check_contraction, problem, net_u, linear, quad),
+            traced_peak(suite._contraction, cfg, solved, 1),
         )
     for short, long in zip(peaks[4], peaks[8]):
         assert long - short < field_bytes

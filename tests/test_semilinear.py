@@ -9,7 +9,6 @@ from colwave.linwave import QuadratureSpec, check_support, field_from_binary, so
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
     Field,
-    Net,
     NetClass,
     SpaceTimeGrid,
     classify,
@@ -25,11 +24,7 @@ from colwave.semilinear import (
     solve_net,
 )
 from colwave.suite import RESIDUAL_C, _residual_problem, write_csv
-from colwave.verify import (
-    check_association,
-    check_uniqueness_surrogate,
-    cubic_oracle_problem,
-)
+from colwave.verify import cubic_oracle_problem
 from helpers import sampled_field, whole_box_defect
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
@@ -308,14 +303,6 @@ def _support_inf_tol(tmp_path):
     return check_support(Field(grid, np.ones(grid.shape)), prob.support_radius, tol=math.inf)
 
 
-def _association_inf_tol(tmp_path):
-    # a net whose mu_0 history grows would pass as associated
-    prob, grid = _coarse()
-    lin = solve_linear(prob.u0, prob.u1, None, grid, QUAD)
-    net = Net(make_ladder(0.5, 0.5, 4), [lin * (1.0 + 0.01 * (j + 1)) for j in range(4)])
-    return check_association(prob, net, lin, tol=math.inf)
-
-
 def _picard_inf_tol(tmp_path):
     # one sweep would report convergence
     prob, grid = _coarse()
@@ -325,12 +312,6 @@ def _picard_inf_tol(tmp_path):
 def _solve_net_inf_tol(tmp_path):
     prob, grid = _coarse()
     return solve_net(prob, LADDER, grid, QUAD, tol=math.inf)
-
-
-def _uniqueness_inf_tol(tmp_path):
-    prob, grid = _coarse()
-    net, _ = solve_net(prob, make_ladder(0.5, 0.5, 3), grid, QUAD)
-    return check_uniqueness_surrogate(prob, net, QUAD, tol=math.inf)
 
 
 def _picard_fractional_max_iter(tmp_path):
@@ -382,10 +363,8 @@ def _fit_negative_mu(tmp_path):
     _dump_nan_radius,
     _support_nan_radius,
     _support_inf_tol,
-    _association_inf_tol,
     _picard_inf_tol,
     _solve_net_inf_tol,
-    _uniqueness_inf_tol,
     _picard_fractional_max_iter,
     _fit_length_mismatch,
     _fit_nan_mu,

@@ -5,7 +5,6 @@ import pytest
 
 import colwave.cli as cli
 import colwave.suite as suite
-import colwave.verify as verify
 from colwave.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, main
 from colwave.errors import ConfigError
 from colwave.linwave import QuadratureSpec
@@ -87,21 +86,23 @@ def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
 
 
 def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
-    # each preset's checks share its net instead of re-solving it
+    # each preset's checks share its net instead of re-solving it; after
+    # every net is solved, uniqueness solves its preset once more from its
+    # own seeds
     solves = []
 
     def counted(problem, *args, **kwargs):
         solves.append(problem)
         return solve_net(problem, *args, **kwargs)
 
-    for module in (suite, verify):
-        monkeypatch.setattr(module, "solve_net", counted)
+    monkeypatch.setattr(suite, "solve_net", counted)
     results = suite.run_suite()
     presets = suite.PRESETS.items()
     lines = [f"{name}/{check}" for name, cfg in presets for check in cfg.checks]
     assert [r.name for r, _ in results] == list(suite.CONFIG_FREE_CHECKS) + lines
     assert all(r.ok for r, _ in results)
-    assert solves == [cfg.problem for _, cfg in presets]
+    seeded = [cfg.problem for _, cfg in presets if "uniqueness" in cfg.checks]
+    assert solves == [cfg.problem for _, cfg in presets] + seeded
 
 
 def test_preset_nets_share_one_linear_part(linear_solves):

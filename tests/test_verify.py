@@ -1,3 +1,9 @@
+"""The paper's claims as checks: the closed-form oracles and the net checks.
+
+The oracles live in ``colwave.verify``; the association, contraction and
+uniqueness checks of a solved net are config checks of ``colwave.suite``.
+"""
+
 import math
 from dataclasses import replace
 
@@ -5,9 +11,9 @@ import numpy as np
 import pytest
 
 import colwave.seminorms as seminorms
-import colwave.verify as verify
+import colwave.suite as suite
 from colwave.errors import LifespanExceededError, ValidationError
-from colwave.linwave import QuadratureSpec, solve_linear
+from colwave.linwave import QuadratureSpec
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
     MAX_SEMINORM_ORDER,
@@ -15,22 +21,15 @@ from colwave.seminorms import (
     Net,
     SpaceTimeGrid,
     classify,
+    fit_decay_exponent,
     seminorm,
     ultra_metric,
     valuation,
 )
 from colwave.semilinear import apply_fixed_point_map, solve_net
-from colwave.verify import (
-    UniquenessReport,
-    check_association,
-    check_contraction,
-    check_uniqueness_surrogate,
-    check_wave_oracle,
-    cubic_oracle_problem,
-    ode_check,
-    oracle_lifespan,
-)
-from helpers import shift_u0
+from colwave.suite import CheckResult, ExperimentConfig
+from colwave.verify import check_wave_oracle, cubic_oracle_problem, oracle_lifespan
+from helpers import checked_as_shifted, recorded_seeded_nets
 
 QUAD = QuadratureSpec(angular_points=8, polar_points=10)
 LADDER = make_ladder(0.5, 0.5, 8)
@@ -48,19 +47,32 @@ def bump_problem(b=1.0, f=NonlinearitySpec("sine")):
     )
 
 
-def grid_1d(dx=0.04):
-    return SpaceTimeGrid.covering(1, 1.0, 0.5, dx=dx, dt=dx / 2)
+def config(prob):
+    """The problem on LADDER and its covering grid of spacing 0.04."""
+    grid = SpaceTimeGrid.covering(1, 1.0, 0.5, dx=0.04, dt=0.02)
+    return ExperimentConfig(prob, LADDER, grid, QUAD)
 
 
-def solved(prob):
-    """The problem's net on LADDER and its linear part, on the default grid."""
-    grid = grid_1d()
-    net, _ = solve_net(prob, LADDER, grid, QUAD)
-    return net, solve_linear(prob.u0, prob.u1, None, grid, QUAD)
+def check(config_check, prob):
+    """``config_check`` of the problem's config on its solved net."""
+    solved = suite.solve(config(prob))
+    return config_check(solved.config, solved, 1)
+
+
+def fitted_rate(result):
+    """The decay exponent of an ``eps,mu0_difference`` table, as the association fits it."""
+    eps, mu0 = zip(*result.rows)
+    return fit_decay_exponent(eps, mu0).slope
+
+
+def detail(result, key):
+    """The float the detail line prints as ``key=value``."""
+    (value,) = [word.split("=")[1] for word in result.details.split() if word.startswith(key + "=")]
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
-# ODE / wave oracles
+# oracles
 # ---------------------------------------------------------------------------
 
 def test_oracle_values():
@@ -68,17 +80,6 @@ def test_oracle_values():
     assert oracle_lifespan(0.1, 0.0) == 1.0
     with pytest.raises(LifespanExceededError):
         oracle_lifespan(0.5, 2.0)
-
-
-def test_ode_check_defects():
-    t = np.linspace(0.0, 1.5, 301)
-    rep = ode_check(0.5, t)
-    assert rep.max_analytic_defect <= 1e-12
-    # finite-difference defect shrinks at second order
-    rep2 = ode_check(0.5, np.linspace(0.0, 1.5, 601))
-    assert rep2.max_fd_defect <= rep.max_fd_defect / 3.0
-    with pytest.raises(LifespanExceededError):
-        ode_check(0.5, np.linspace(0.0, 2.5, 11))
 
 
 def test_rescaled_ode_identity():
@@ -115,26 +116,22 @@ def test_wave_oracle_rejects_an_empty_eps_list(eps_values):
 # ---------------------------------------------------------------------------
 
 def test_association_trivial_for_zero_nonlinearity():
-    prob = bump_problem(f=NonlinearitySpec("zero"))
-    rep = check_association(prob, *solved(prob))
-    assert rep.associated
-    assert rep.strong_rate_ok
-    assert rep.ok
-    assert max(rep.mu0_history) <= 1e-12
+    result = check(suite._association, bump_problem(f=NonlinearitySpec("zero")))
+    assert result.ok
+    assert max(mu0 for _, mu0 in result.rows) <= 1e-12
 
 
 def test_association_rate_cubic_b1():
-    prob = bump_problem(f=NonlinearitySpec("polynomial", (0.0, 0.0, 2.0)))
-    rep = check_association(prob, *solved(prob))
-    assert rep.associated
-    assert 0.9 <= rep.fitted_rate.slope <= 1.3
+    cubic = NonlinearitySpec("polynomial", (0.0, 0.0, 2.0))
+    result = check(suite._association, bump_problem(f=cubic))
+    assert result.ok
+    assert 0.9 <= fitted_rate(result) <= 1.3
 
 
 def test_association_rate_b2():
-    prob = bump_problem(b=2.0)
-    rep = check_association(prob, *solved(prob))
-    assert rep.fitted_rate.slope >= 1.9
-    assert rep.strong_rate_ok
+    result = check(suite._association, bump_problem(b=2.0))
+    assert result.ok
+    assert fitted_rate(result) >= 1.9
 
 
 # ---------------------------------------------------------------------------
@@ -142,27 +139,24 @@ def test_association_rate_b2():
 # ---------------------------------------------------------------------------
 
 def test_contraction_zero_nonlinearity_sentinel():
-    prob = bump_problem(f=NonlinearitySpec("zero"))
-    rep = check_contraction(prob, *solved(prob), QUAD)
-    assert rep.ok
-    assert all(math.isinf(g) for g in rep.slope_gaps.values())
-    assert rep.metric_ratio == 0.0
+    result = check(suite._contraction, bump_problem(f=NonlinearitySpec("zero")))
+    assert result.ok
+    assert all(math.isinf(gap) for _, gap in result.rows)
+    assert detail(result, "metric_ratio") == 0.0
 
 
 def test_contraction_gap_b1():
-    prob = bump_problem()
-    rep = check_contraction(prob, *solved(prob), QUAD)
-    assert rep.ok
-    assert min(rep.slope_gaps.values()) >= 0.9
-    assert rep.metric_ratio <= math.exp(-0.9) + 1e-12
-    assert rep.kappa_bound == pytest.approx(math.exp(-1.0))
+    result = check(suite._contraction, bump_problem())
+    assert result.ok
+    assert min(gap for _, gap in result.rows) >= 0.9
+    assert detail(result, "metric_ratio") <= math.exp(-0.9) + 1e-12
+    assert detail(result, "kappa_bound") == pytest.approx(math.exp(-1.0))
 
 
 def test_contraction_gap_b_half():
-    prob = bump_problem(b=0.5)
-    rep = check_contraction(prob, *solved(prob), QUAD)
-    assert rep.ok
-    assert rep.metric_ratio <= math.exp(-0.4) + 1e-12
+    result = check(suite._contraction, bump_problem(b=0.5))
+    assert result.ok
+    assert detail(result, "metric_ratio") <= math.exp(-0.4) + 1e-12
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0])
@@ -170,10 +164,10 @@ def test_contraction_matches_per_order_reference(monkeypatch, b):
     # the gaps and the metric ratio come from one seminorm table per
     # difference net; they must equal per-order valuations and the
     # ultra-metric of freshly formed differences bit for bit
-    prob = bump_problem(b=b)
-    net_u, u_lin = solved(prob)
+    solved = suite.solve(config(bump_problem(b=b)))
+    prob, net_u, u_lin = solved.config.problem, solved.net, solved.linear
     grid = u_lin.grid
-    pert = verify.CONTRACTION_PERTURBATION * verify._bump_pattern(prob, grid)
+    pert = suite.CONTRACTION_PERTURBATION * suite._bump_pattern(prob, grid)
     net_v = Net(LADDER, tuple(Field(grid, f.samples + pert) for f in net_u.fields))
 
     def mapped(net):
@@ -183,10 +177,10 @@ def test_contraction_matches_per_order_reference(monkeypatch, b):
         ))
 
     net_fu, net_fv = mapped(net_u), mapped(net_v)
-    gaps = {
-        n: valuation(net_fu - net_fv, n).slope - valuation(net_u - net_v, n).slope
+    gaps = [
+        valuation(net_fu - net_fv, n).slope - valuation(net_u - net_v, n).slope
         for n in range(MAX_SEMINORM_ORDER + 1)
-    }
+    ]
     n_terms = MAX_SEMINORM_ORDER + 1
     ratio = ultra_metric(net_fu, net_fv, n_terms) / ultra_metric(net_u, net_v, n_terms)
 
@@ -198,31 +192,28 @@ def test_contraction_matches_per_order_reference(monkeypatch, b):
 
     orders = seminorms._seminorm_orders
     monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
-    rep = check_contraction(prob, net_u, u_lin, QUAD)
-    assert rep.slope_gaps == gaps
-    assert rep.metric_ratio == ratio
+    result = suite._contraction(solved.config, solved, 1)
+    assert result.rows == list(enumerate(gaps))
+    assert detail(result, "metric_ratio") == ratio
     # one derivative stack per entry of each of the two difference nets
     assert stacks == [MAX_SEMINORM_ORDER] * (2 * len(LADDER))
 
 
 # ---------------------------------------------------------------------------
-# uniqueness surrogate
+# uniqueness
 # ---------------------------------------------------------------------------
 
 def test_uniqueness_seed_perturbation_damped():
-    prob = bump_problem()
-    net, _ = solved(prob)
-    rep = check_uniqueness_surrogate(prob, net, QUAD)
-    assert rep.ok
-    assert all(v <= 1e-9 for v in rep.mu_max.values())
+    result = check(suite._uniqueness, bump_problem())
+    assert result.ok
+    assert all(mu <= 1e-9 for _, mu in result.rows)
 
 
 def test_uniqueness_data_perturbation_detected():
-    prob = bump_problem()
-    net, _ = solved(prob)
-    rep = check_uniqueness_surrogate(shift_u0(prob, 0.5), net, QUAD)
-    assert not rep.ok
-    assert rep.mu_max[0] > 0.1
+    solved = checked_as_shifted(suite.solve(config(bump_problem())), 0.5)
+    result = suite._uniqueness(solved.config, solved, 1)
+    assert not result.ok
+    assert result.rows[0][1] > 0.1
 
 
 def test_uniqueness_fails_unmeasured_when_the_seeded_solve_diverges(monkeypatch):
@@ -235,35 +226,26 @@ def test_uniqueness_fails_unmeasured_when_the_seeded_solve_diverges(monkeypatch)
         diverged = replace(reports[0], converged=False, final_increment=math.inf)
         return Net(net_b.ladder, (huge,) + net_b.fields[1:]), [diverged] + reports[1:]
 
-    prob = bump_problem()
-    net, _ = solved(prob)
-    monkeypatch.setattr(verify, "solve_net", diverging_solve_net)
-    rep = check_uniqueness_surrogate(prob, net, QUAD)
-    assert rep == UniquenessReport(None, {}, False, "seeded solve unconverged at eps [0.5]")
+    solved = suite.solve(config(bump_problem()))
+    monkeypatch.setattr(suite, "solve_net", diverging_solve_net)
+    assert suite._uniqueness(solved.config, solved, 1) == CheckResult(
+        "uniqueness", False, "uniqueness ok=False class=n/a (seeded solve unconverged at eps [0.5])",
+        "order,mu_max",
+    )
 
 
 @pytest.mark.parametrize("data_perturbation", [0.0, 0.5])
 def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturbation):
     # mu_max comes from one derivative-stack pass per field; it must equal
     # the per-order seminorms of the difference net bit for bit
-    seeded = []
-
-    def recording_solve_net(*args, **kwargs):
-        result = solve_net(*args, **kwargs)
-        seeded.append(result[0])
-        return result
-
-    monkeypatch.setattr(verify, "solve_net", recording_solve_net)
-    prob = bump_problem()
-    net, _ = solved(prob)
-    rep = check_uniqueness_surrogate(shift_u0(prob, data_perturbation), net, QUAD)
+    solved = checked_as_shifted(suite.solve(config(bump_problem())), data_perturbation)
+    seeded = recorded_seeded_nets(monkeypatch)
+    result = suite._uniqueness(solved.config, solved, 1)
     (net_b,) = seeded
-    diff = net - net_b
-    expected = {
-        n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)
-    }
-    assert rep.mu_max == expected
-    assert all(type(v) is float for v in rep.mu_max.values())
+    diff = solved.net - net_b
+    expected = [max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)]
+    assert result.rows == list(enumerate(expected))
+    assert all(type(mu) is float for _, mu in result.rows)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +254,7 @@ def test_uniqueness_mu_max_matches_per_order_seminorms(monkeypatch, data_perturb
 )
 def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbation, ok, reason):
     # mu_max and the class come from one seminorm table of the difference
-    # net: one derivative stack per entry, and the report classify gives
+    # net: one derivative stack per entry, and the class classify gives
     prob = Problem(
         dim=3, horizon=0.3, support_radius=0.3,
         u0=InitialDatum("gaussian_bump", outer_radius=0.3, amplitude=1.0),
@@ -280,26 +262,24 @@ def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbatio
     )
     grid = SpaceTimeGrid.covering(3, 0.3, 0.3, dx=0.1, dt=0.05)
     quad = QuadratureSpec(angular_points=8, polar_points=4)
-    ladder = make_ladder(0.5, 0.5, 4)
-    net, _ = solve_net(prob, ladder, grid, quad)
-    seeded, stacks = [], []
-
-    def recording_solve_net(*args, **kwargs):
-        result = solve_net(*args, **kwargs)
-        seeded.append(result[0])
-        return result
+    cfg = ExperimentConfig(prob, make_ladder(0.5, 0.5, 4), grid, quad)
+    solved = checked_as_shifted(suite.solve(cfg), data_perturbation)
+    seeded = recorded_seeded_nets(monkeypatch)
+    stacks = []
 
     def recording_orders(field, n, buf=None):
         stacks.append(n)
         return orders(field, n, buf)
 
     orders = seminorms._seminorm_orders
-    monkeypatch.setattr(verify, "solve_net", recording_solve_net)
     monkeypatch.setattr(seminorms, "_seminorm_orders", recording_orders)
-    rep = check_uniqueness_surrogate(shift_u0(prob, data_perturbation), net, quad)
-    assert stacks == [MAX_SEMINORM_ORDER] * len(ladder)
+    result = suite._uniqueness(solved.config, solved, 1)
+    assert stacks == [MAX_SEMINORM_ORDER] * len(cfg.ladder)
     monkeypatch.undo()
     (net_b,) = seeded
-    diff = net - net_b
-    mu_max = {n: max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)}
-    assert rep == UniquenessReport(classify(diff), mu_max, ok, reason)
+    diff = solved.net - net_b
+    mu_max = [max(seminorm(f, n) for f in diff.fields) for n in range(MAX_SEMINORM_ORDER + 1)]
+    assert result == CheckResult(
+        "uniqueness", ok, f"uniqueness ok={ok} class={classify(diff).value} ({reason})",
+        "order,mu_max", list(enumerate(mu_max)),
+    )
