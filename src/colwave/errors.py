@@ -33,11 +33,13 @@ class InsufficientDataError(ColwaveError):
 
 
 class DivergenceError(ColwaveError):
-    """A single application of the fixed-point map produced non-finite values.
+    """A finite input produced non-finite values.
 
-    Only ``apply_fixed_point_map`` raises it: a diverging Picard solve is a
-    reported outcome (``converged=False``, infinite final increment), not an
-    error.
+    ``solve_linear`` raises it when the Duhamel term of a finite source
+    overflows, and ``apply_fixed_point_map`` when a single application of
+    the fixed-point map produces non-finite values.  A diverging Picard
+    solve is a reported outcome (``converged=False``, infinite final
+    increment), not an error.
     """
 
 

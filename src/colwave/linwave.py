@@ -77,7 +77,13 @@ levels on (the measured crossover), it runs as one FFT along time
 zero-padded to a 5-smooth length at least ``2 * lags - 1``, else level by
 level.  Every length that does not wrap gives the same linear
 correlation, so the lengths move results only by rounding; the two paths
-agree to rounding, and each is deterministic.  Past the box the source is
+agree to rounding, and each is deterministic.  ``_source_levels`` adds
+the levels into ``solve_linear``'s ``out[1:]``; level by level, it
+transforms each grid level on its own and each level's lag sum straight
+back into ``out``, so no batch of padded transforms is alive (the 1D and
+time-FFT paths keep batched transforms).  A finite source whose Duhamel
+term overflows makes ``solve_linear`` raise DivergenceError, without a
+floating-point warning.  Past the box the source is
 zero at the nodes: the interpolant falls to zero over the cell
 beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
 of the box edge, so only sources nonzero on boundary nodes see this.
@@ -94,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import DivergenceError, ValidationError, check_count
 from .nets import InitialDatum
 from .seminorms import Field, SpaceTimeGrid
 
@@ -440,9 +446,12 @@ def _stencil_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
         return _cached_spectra(grid, quad)
 
 
-def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
-    """Duhamel term of ``h`` at grid levels 1..n_time.
+def _source_levels(h: Field, quad: QuadratureSpec, out: np.ndarray) -> None:
+    """Add the Duhamel term of ``h`` at grid levels 1..n_time to ``out``.
 
+    ``out`` holds those ``n_time`` levels (``solve_linear`` passes its
+    ``out[1:]``); each level's sum is added to it with ``+=``, so a zeroed
+    ``out`` receives ``0.0 + x`` as a separate sum would.
     With ``p = time_points_per_dt`` and ``ds = dt / p``, the source H[j] at
     sub-level j is linear in time between grid levels, and level n is the
     trapezoid ``ds * sum_{k=1..np} S_k * H[np-k] - ds/2 * S_np * H[0]``.
@@ -460,41 +469,63 @@ def _source_levels(h: Field, quad: QuadratureSpec) -> np.ndarray:
     sub-level spectra are blended from theirs.  The lag sum is a causal
     convolution in time: in 1D, and from ``TIME_FFT_LEVELS`` levels on in
     2D/3D, all levels at once through one FFT along time zero-padded to a
-    5-smooth length ``>= 2 * lags - 1``; else level by level.
+    5-smooth length ``>= 2 * lags - 1``, with batched spatial transforms;
+    else level by level, each grid level transformed on its own into the
+    spectra and each level's lag sum transformed back straight into its
+    level of ``out``, so no batch of padded transforms is ever alive.
+    Every row is transformed independently, so both ways of batching give
+    the same bits.
     """
     grid = h.grid
     tp = quad.time_points_per_dt
     d, n = grid.dim, len(grid.axis)
     lags = grid.n_time * tp
     ds = grid.dt / tp
-    axes = tuple(range(1, d + 1))
     s_hat, s_time, length = _stencil_spectra(grid, quad)
     shape = (length,) * d
+    if s_time is None:
+        space = tuple(range(d))
+        h_hat = np.empty((lags,) + s_hat.shape[1:], dtype=complex)
+        for m in range(grid.n_time + (tp > 1)):
+            spectrum = np.fft.rfftn(h.samples[m], s=shape, axes=space)
+            if m > 0:
+                # linear interpolation in time commutes with the spatial FFT:
+                # blend the sub-levels of the cell below from its grid levels
+                below = h_hat[(m - 1) * tp]
+                for j in range(1, tp):
+                    h_hat[(m - 1) * tp + j] = (1.0 - j / tp) * below + (j / tp) * spectrum
+            if m < grid.n_time:
+                h_hat[m * tp] = spectrum
+        h_hat[0] *= 0.5  # every level's lag sum holds S_p * H[0] once, at trapezoid weight 1/2
+        for level in range(1, grid.n_time + 1):
+            p = level * tp
+            acc = np.einsum("k...,k...->...", s_hat[:p], h_hat[p - 1 :: -1])
+            out[level - 1] += ds * _inverse(acc, d, n, length)
+        return
+    axes = tuple(range(1, d + 1))
     if tp == 1:
         h_hat = np.fft.rfftn(h.samples[:-1], s=shape, axes=axes)
     else:
-        # linear interpolation in time commutes with the spatial FFT: blend
-        # the spectra of the grid levels into those of the sub-levels
         levels = np.fft.rfftn(h.samples, s=shape, axes=axes)
         h_hat = np.empty((lags,) + levels.shape[1:], dtype=complex)
         h_hat[::tp] = levels[:-1]
         for j in range(1, tp):
             h_hat[j::tp] = (1.0 - j / tp) * levels[:-1] + (j / tp) * levels[1:]
-    h_hat[0] *= 0.5  # every level's lag sum holds S_p * H[0] once, at trapezoid weight 1/2
-    if s_time is None:
-        acc = np.empty((grid.n_time,) + s_hat.shape[1:], dtype=complex)
-        for level in range(1, grid.n_time + 1):
-            p = level * tp
-            acc[level - 1] = np.einsum("k...,k...->...", s_hat[:p], h_hat[p - 1 :: -1])
-    else:
-        # entry p - 1 of the convolution is sum_{k=1..p} S_k * H[p-k]
-        conv = np.fft.ifft(s_time * np.fft.fft(h_hat, n=len(s_time), axis=0), axis=0)
-        acc = conv[tp - 1 : lags : tp]
-    # irfftn's steps, each axis cropped to the box's n nodes as soon as it
-    # is transformed, so rows past the box are never transformed
-    for axis in axes[:-1]:
-        acc = np.fft.ifft(acc, axis=axis)[(slice(None),) * axis + (slice(0, n),)]
-    return ds * np.fft.irfft(acc, n=length, axis=d)[..., :n]
+    h_hat[0] *= 0.5
+    # entry p - 1 of the convolution is sum_{k=1..p} S_k * H[p-k]
+    conv = np.fft.ifft(s_time * np.fft.fft(h_hat, n=len(s_time), axis=0), axis=0)
+    out += ds * _inverse(conv[tp - 1 : lags : tp], d, n, length)
+
+
+def _inverse(acc: np.ndarray, d: int, n: int, length: int) -> np.ndarray:
+    """``irfftn`` over the last ``d`` axes of ``acc``, cropped to the box's ``n`` nodes.
+
+    irfftn's steps, each axis cropped to ``n`` as soon as it is
+    transformed, so rows past the box are never transformed.
+    """
+    for axis in range(-d, -1):
+        acc = np.fft.ifft(acc, axis=axis)[(Ellipsis, slice(0, n)) + (slice(None),) * (-1 - axis)]
+    return np.fft.irfft(acc, n=length, axis=-1)[..., :n]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +568,11 @@ def solve_linear(
         mirror = [np.abs(np.arange(len(grid.axis)) - half)] * grid.dim
         out = orthant[np.ix_(np.arange(grid.n_time + 1), *mirror)]
     if h is not None:
-        out[1:] += _source_levels(h, quad)
+        # a finite source whose Duhamel term overflows is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _source_levels(h, quad, out[1:])
+        if not np.all(np.isfinite(out)):
+            raise DivergenceError("the Duhamel term of the source overflowed")
     return Field(grid, out)
 
 

@@ -189,10 +189,16 @@ def _map(
     source = problem.f.value(u.samples)
     if not np.all(np.isfinite(source)):
         return None
-    g = solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, source), grid, quad)
+    try:
+        g = solve_linear(ZERO_DATUM, ZERO_DATUM, Field(grid, source), grid, quad).samples
+    except DivergenceError:  # the Duhamel term of the finite source overflowed
+        return None
+    del source
+    # u_lin + factor * g in g's buffer, in that operation order
     with np.errstate(over="ignore"):  # overflow to inf is the divergence signal
-        nxt = u_lin.samples + factor * g.samples
-    return nxt if np.all(np.isfinite(nxt)) else None
+        np.multiply(factor, g, out=g)
+        np.add(u_lin.samples, g, out=g)
+    return g if np.all(np.isfinite(g)) else None
 
 
 def residual_sup(field: Field, eps: float, problem: Problem) -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from colwave.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    EXIT_SOLVER_FAILURE,
     load_config,
     main,
     parse_config,
@@ -153,6 +155,26 @@ def test_contraction_of_a_diverged_net_fails_and_later_checks_run(tmp_path, caps
     assert lines == ["contraction ok=False unconverged eps=0.5,0.25",
                      "association ok=False unconverged eps=0.5,0.25"]
     assert (tmp_path / "out" / "association.csv").read_text() == "eps,mu0_difference\n"
+
+
+def test_overflowing_duhamel_term_exits_as_an_unconverged_solve(tmp_path, capsys):
+    # expm1 of the amplitude-705 bump is finite but its Duhamel term is not:
+    # the solve exited 2 with "all samples must be finite" after pocketfft
+    # warnings; each entry now ends at its first sweep with the linear part
+    problem = {
+        "dim": 1, "horizon": 1.0, "support_radius": 0.5,
+        "u0": {"kind": "gaussian_bump", "outer_radius": 0.5, "amplitude": 705.0},
+        "u1": {"kind": "zero"}, "f": {"kind": "exp_minus_one"}, "small_exponent": 1.0,
+    }
+    path, _ = base_config(tmp_path, problem=problem, grid={"dx": 0.02, "dt": 0.01},
+                          quad={"angular_points": 8, "polar_points": 10})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve-semilinear", "--config", str(path)]) == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        f"solve-semilinear eps={eps} iterations=1 converged=False final_increment=inf"
+        for eps in ("0.5", "0.25", "0.125")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -710,6 +710,13 @@ def test_spectra_length_covers_reach(dim, dx):
     assert length >= n + reach and linwave._fft_length(length) == length
 
 
+def source_levels(h, quad):
+    """``linwave._source_levels`` added into zeroed levels 1..n_time."""
+    out = np.zeros((h.grid.n_time,) + h.grid.spatial_shape)
+    linwave._source_levels(h, quad, out)
+    return out
+
+
 def direct_duhamel(h, quad):
     """FFT-free Duhamel levels: the lag stencils correlated node by node."""
     grid = h.grid
@@ -749,7 +756,7 @@ def test_duhamel_does_not_wrap_at_full_reach(dim, dx, tp):
     assert _reach(_stencils(grid, quad)) >= n // 2 - 1
     rng = np.random.default_rng(dim * 10 + tp)
     h = Field(grid, 1.0 + rng.random(grid.shape))
-    got = linwave._source_levels(h, quad)
+    got = source_levels(h, quad)
     want = direct_duhamel(h, quad)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
@@ -779,7 +786,7 @@ def test_duhamel_level_zero_source_at_half_weight(dim, dx, dt, tp):
             w = 0.5 if j == 0 else 1.0 - j / tp
             want[level - 1] += w * np.sum(stencils[p - j - 1] * window, axis=space)
     want *= grid.dt / tp
-    got = linwave._source_levels(Field(grid, samples), quad)
+    got = source_levels(Field(grid, samples), quad)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -855,7 +862,7 @@ def test_pruned_transforms_match_whole_box(dim, dx, dt, time_fft, tp):
         if want is not None:
             assert_same_bits(got, want)
     h = Field(grid, np.random.default_rng(dim * 10 + tp).standard_normal(grid.shape))
-    got = linwave._source_levels(h, quad)
+    got = source_levels(h, quad)
     want = whole_box_duhamel(h, quad)
     if tp == 1:
         assert_same_bits(got, want)

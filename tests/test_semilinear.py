@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from colwave.errors import DivergenceError, ValidationError
 from colwave import linwave
 from colwave.linwave import QuadratureSpec, check_support, field_from_binary, solve_linear
-from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
+from colwave.nets import ZERO_DATUM, InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
+    CONE_INFLATION_CELLS,
     Field,
     NetClass,
     SpaceTimeGrid,
@@ -171,6 +173,25 @@ def test_fixed_point_map_overflowing_result_is_divergence():
     field, report = picard_solve(prob, 1.0, grid, quad, seed=u, linear_part=top)
     assert field is u
     assert report == SolveReport(1.0, 1, [], converged=False, final_increment=math.inf)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_overflowing_duhamel_term_of_a_finite_source_is_divergence(dim):
+    # expm1(709) is finite, but the Duhamel sums over it overflow: solve_linear
+    # raised ValidationError from its Field, after pocketfft overflow warnings,
+    # and the solve and the map let it escape
+    prob, grid, quad = map_case(dim, NonlinearitySpec("exp_minus_one"))
+    seed = Field(grid, np.where(grid.cone_mask(CONE_INFLATION_CELLS), 709.0, 0.0))
+    source = Field(grid, prob.f.value(seed.samples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="Duhamel term"):
+            solve_linear(ZERO_DATUM, ZERO_DATUM, source, grid, quad)
+        with pytest.raises(DivergenceError):
+            apply_fixed_point_map(prob, 0.5, seed, grid, quad)
+        field, report = picard_solve(prob, 0.5, grid, quad, seed=seed)
+    assert field is seed
+    assert report == SolveReport(0.5, 1, [], converged=False, final_increment=math.inf)
 
 
 def _diverging_case():

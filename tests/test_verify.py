@@ -159,6 +159,25 @@ def test_contraction_gap_b_half():
     assert detail(result, "metric_ratio") <= math.exp(-0.4) + 1e-12
 
 
+def test_contraction_fails_on_the_metric_ratio_alone(monkeypatch):
+    # both differences of every entry planted at 1/eps times their size:
+    # U - V grows like eps**-1 and F(U) - F(V) like eps**(b - 1), so the
+    # gaps still reach b, but min(p_n, 1) clips both metrics to about 1 and
+    # only the ratio clause, ratio <= exp(-(b - RATE_MARGIN)), can fail
+    solved = suite.solve(config(bump_problem()))
+    scales = np.repeat(1.0 / LADDER.values, 2)  # u - v, then F(u) - F(v), per entry
+
+    def planted(fields, max_order):
+        return table((f * s for f, s in zip(fields, scales, strict=True)), max_order)
+
+    table = suite._seminorm_table
+    monkeypatch.setattr(suite, "_seminorm_table", planted)
+    result = suite._contraction(solved.config, solved, 1)
+    assert min(gap for _, gap in result.rows) >= 1.0 - suite.RATE_MARGIN
+    assert detail(result, "metric_ratio") > 0.9 > math.exp(-(1.0 - suite.RATE_MARGIN))
+    assert not result.ok
+
+
 @pytest.mark.parametrize("b", [0.5, 1.0])
 def test_contraction_matches_per_order_reference(monkeypatch, b):
     # the gaps and the metric ratio come from one seminorm table per
