@@ -22,6 +22,7 @@ from .errors import (
     DivergenceError,
     LifespanExceededError,
     ValidationError,
+    check_count,
 )
 from .linwave import (
     QuadratureSpec,
@@ -272,20 +273,6 @@ def _cmd_demo(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("COLWAVE_THREADS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise ConfigError("threads", f"COLWAVE_THREADS is not an integer: {env!r}") from None
-    if value == 0:
-        value = os.cpu_count() or 1
-    if value < 0:
-        raise ConfigError("threads", "must be >= 0")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colwave",
@@ -293,18 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in ("solve-linear", "solve-semilinear", "valuation", "check"):
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (0 = auto; env COLWAVE_THREADS as fallback)")
-
-    for name in ("solve-linear", "solve-semilinear", "valuation"):
-        add_common(sub.add_parser(name))
-    p_check = sub.add_parser("check")
-    add_common(p_check)
-    p_check.add_argument("--check", action="append", choices=CHECK_NAMES,
-                         help="check to run (repeatable; defaults to config 'checks')")
+        if name != "solve-linear":  # the commands that solve a net
+            p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
+    sub.choices["check"].add_argument("--check", action="append", choices=CHECK_NAMES,
+                                      help="check to run (repeatable; defaults to config 'checks')")
     p_oracle = sub.add_parser("oracle")
     p_oracle.add_argument("--eps", type=float, required=True)
     p_oracle.add_argument("--t", type=float, required=True)
@@ -321,7 +304,8 @@ def main(argv=None) -> int:
             return _cmd_oracle(args)
         if args.command == "demo":
             return _cmd_demo(args)
-        args.threads = _resolve_threads(args.threads)
+        if "threads" in args:  # the commands that solve a net
+            _build("", check_count, parameter="threads", value=args.threads, minimum=1)
         cfg = load_config(args.config)
         if args.command == "solve-linear":
             return _cmd_solve_linear(cfg, args)

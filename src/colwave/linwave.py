@@ -429,18 +429,19 @@ def _cached_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     # zero padding to at least 2 * lags - 1 keeps the time convolution linear
     s_time = np.fft.fft(s_hat, n=_fft_length(2 * lags - 1), axis=0)
     s_time.flags.writeable = False
-    return s_hat, s_time, length
+    return None, s_time, length
 
 
 def _stencil_spectra(grid: SpaceTimeGrid, quad: QuadratureSpec):
     """Conjugated spatial spectra of the lag stencils S_1..S_lags, read-only.
 
     Returns ``(s_hat, s_time, length)``: the spectra at the per-axis FFT
-    length ``length``; their spectrum along time, zero-padded, in 1D and
-    from ``TIME_FFT_LEVELS`` levels on in 2D/3D (else None); and
-    ``length`` itself.  Built once per ``(grid, quad)``: the cache holds
-    one grid's spectra, and the lock makes concurrent solves on one grid
-    share a single build.
+    length ``length``, which the level-by-level lag sum reads; their
+    spectrum along time, zero-padded, which the time convolution reads in
+    1D and from ``TIME_FFT_LEVELS`` levels on in 2D/3D; and ``length``
+    itself.  Exactly one of the two spectra is set, the other is None.
+    Built once per ``(grid, quad)``: the cache holds one grid's spectra,
+    and the lock makes concurrent solves on one grid share a single build.
     """
     with _SPECTRA_LOCK:
         return _cached_spectra(grid, quad)

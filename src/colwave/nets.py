@@ -262,5 +262,7 @@ class Problem:
                 )
 
     def small_factor(self, eps: float) -> float:
-        """The factor eps**b multiplying f in the right-hand side."""
+        """The factor eps**b multiplying f in the right-hand side; eps must lie in (0, 1]."""
+        if not (0.0 < eps <= 1.0):
+            raise ValidationError("eps", f"must lie in (0, 1], got {eps}")
         return float(eps**self.small_exponent)

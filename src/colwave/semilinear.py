@@ -15,7 +15,6 @@ DivergenceError.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import DivergenceError, ValidationError, check_count
 from .linwave import QuadratureSpec, solve_linear
 from .nets import EpsilonLadder, Problem, ZERO_DATUM
-from .seminorms import CONE_INFLATION_CELLS, Field, Net, SpaceTimeGrid
+from .seminorms import Field, Net, SpaceTimeGrid
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
@@ -52,32 +51,31 @@ def picard_solve(
 ) -> tuple[Field, SolveReport]:
     """Iterate u -> L(u0,u1,0) + eps**b L(0,0,f(u)) to the fixed point.
 
-    Stops when the sup-norm increment on the cone drops to ``tol`` or
-    after ``max_iter`` applications (then ``converged`` is False; callers
-    decide).  A map application k whose f(u) or F(u) is not finite ends
-    the solve as well: it returns the last finite iterate with
-    ``iterations == k``, the k - 1 increments before it, ``converged``
-    False and an infinite ``final_increment``.
+    Stops when the sup-norm increment on the cone (the grid's cached
+    ``cone_nodes.flat``) drops to ``tol`` or after ``max_iter``
+    applications (then ``converged`` is False; callers decide).  A map
+    application k whose f(u) or F(u) is not finite ends the solve as well:
+    it returns the last finite iterate with ``iterations == k``, the k - 1
+    increments before it, ``converged`` False and an infinite
+    ``final_increment``.
 
     ``seed`` overrides the starting iterate (default: the linear part);
     ``linear_part`` lets callers reuse a precomputed L(u0,u1,0).
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps", f"must lie in (0, 1], got {eps}")
+    factor = problem.small_factor(eps)
     if not (0.0 < tol < math.inf):
         raise ValidationError("tol", f"must be positive and finite, got {tol}")
     check_count("max_iter", max_iter, 1)
 
     u_lin = _linear(problem, grid, quad, linear_part)
-    factor = problem.small_factor(eps)
-    mask = grid.cone_mask(CONE_INFLATION_CELLS)
+    cone = grid.cone_nodes.flat
     u = _on_grid("seed", seed, grid) if seed is not None else u_lin
     history: list[float] = []
     for k in range(1, max_iter + 1):
         nxt = _map(problem, factor, u, u_lin, quad)
         if nxt is None:
             return u, SolveReport(eps, k, history, converged=False, final_increment=math.inf)
-        inc = float(np.max(np.abs((nxt - u.samples)[mask])))
+        inc = float(np.max(np.abs(nxt.take(cone) - u.samples.take(cone))))
         u = Field(grid, nxt)
         history.append(inc)
         if inc <= tol:
@@ -116,6 +114,8 @@ def solve_net(
 
     indices = range(len(ladder))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, indices))
     else:
@@ -147,9 +147,10 @@ def apply_fixed_point_map(
     The same map ``picard_solve`` iterates; where f(u) or F(u) is not
     finite, this raises DivergenceError (the solvers report it instead).
     """
+    factor = problem.small_factor(eps)
     u_lin = _linear(problem, grid, quad, linear_part)
     field = _on_grid("field", field, grid)
-    nxt = _map(problem, problem.small_factor(eps), field, u_lin, quad)
+    nxt = _map(problem, factor, field, u_lin, quad)
     if nxt is None:
         raise DivergenceError("the fixed-point map produced non-finite values")
     return Field(grid, nxt)
@@ -204,22 +205,20 @@ def _map(
 def residual_sup(field: Field, eps: float, problem: Problem) -> float:
     """Max |u_tt - Lap(u) - eps**b f(u)| over the interior cone nodes.
 
-    Those are the cone nodes off every spatial face (all of them on a
-    covering grid).  The defect is gathered there alone, each term in the
-    whole-box operation order (one-sided in time on the first and last
-    level), so the sup is bit for bit the whole box's.
+    Those are the grid's cached ``cone_nodes.off_faces``: the cone nodes
+    off every spatial face (all of them on a covering grid).  The defect
+    is gathered there alone, each term in the whole-box operation order
+    (one-sided in time on the first and last level), so the sup is bit
+    for bit the whole box's.
 
     The discrete defect of a converged solution shrinks at second order in
     the grid spacings plus the stopping-tolerance contribution tol/dt^2.
     """
+    factor = problem.small_factor(eps)
     grid = field.grid
     if grid.dim != problem.dim:
         raise ValidationError("grid", "grid dimension does not match the problem")
-    mask = grid.cone_mask(CONE_INFLATION_CELLS)
-    for axis in range(1, grid.dim + 1):
-        mask[(slice(None),) * axis + ([0, -1],)] = False
-    nodes = np.flatnonzero(mask)
-    del mask
+    nodes = grid.cone_nodes.off_faces
     strides = [math.prod(grid.shape[a + 1 :]) for a in range(grid.dim + 1)]
     u = np.ascontiguousarray(field.samples).reshape(-1)
     centre = u.take(nodes)
@@ -228,7 +227,7 @@ def residual_sup(field: Field, eps: float, problem: Problem) -> float:
     for s in strides[1:]:
         lo = nodes - s
         wave -= (u[2 * s :].take(lo) - twice + u.take(lo)) / grid.dx**2
-    res = wave - problem.small_factor(eps) * problem.f.value(centre)
+    res = wave - factor * problem.f.value(centre)
     return float(np.max(np.abs(res)))
 
 

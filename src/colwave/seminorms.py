@@ -161,17 +161,18 @@ class SpaceTimeGrid:
         """Euclidean norm of every spatial node, in lattice shape."""
         return np.sqrt(np.sum(self.spatial_points**2, axis=-1)).reshape(self.spatial_shape)
 
-    def cone_mask(self, inflation_cells: int = CONE_INFLATION_CELLS) -> np.ndarray:
+    def cone_mask(self) -> np.ndarray:
         """Boolean (n_time+1, *spatial) mask of the inflated cone."""
-        bound = self.times + self.support_radius + inflation_cells * self.dx + 1e-12
+        bound = self.times + self.support_radius + CONE_INFLATION_CELLS * self.dx + 1e-12
         expand = (slice(None),) + (None,) * self.dim
         return self.node_radius[None] <= bound[expand]
 
     @cached_property
     def cone_nodes(self) -> "ConeNodes":
-        """Flat indices of ``cone_mask(CONE_INFLATION_CELLS)``, their stencil subsets and reads."""
-        mask = self.cone_mask(CONE_INFLATION_CELLS)
+        """Flat indices of ``cone_mask()``, their stencil subsets and reads."""
+        mask = self.cone_mask()
         flat = np.flatnonzero(mask)
+        off = np.ones(len(flat), dtype=bool)  # off every spatial face
         axes = []
         for a, c in enumerate(np.unravel_index(flat, mask.shape)):
             last = mask.shape[a] - 1
@@ -181,9 +182,12 @@ class SpaceTimeGrid:
                 first, inner, end = flat[:lo], flat[lo:hi], flat[hi:]
             else:
                 first, end = flat[c == 0], flat[c == last]
+                inside = (c > 0) & (c < last)
                 # covering grids keep the cone off every spatial face: no copy then
-                inner = flat if not (len(first) or len(end)) else flat[(c > 0) & (c < last)]
+                inner = flat if inside.all() else flat[inside]
+                off &= inside
             axes.append((stride, inner, first, end))
+        off_faces = flat if off.all() else flat[off]
         faces = []
         read = mask.copy()
         for a in reversed(range(mask.ndim)):
@@ -200,9 +204,10 @@ class SpaceTimeGrid:
                 q = np.flatnonzero(r[k])  # C order over the other axes
                 ends.append(q // stride * (n * stride) + k * stride + q % stride)
             faces.insert(0, tuple(ends))
-        for arr in (flat, *(x for ax in axes for x in ax[1:]), *(x for fc in faces for x in fc)):
+        stencils = (*(x for ax in axes for x in ax[1:]), *(x for fc in faces for x in fc))
+        for arr in (flat, off_faces, *stencils):
             arr.flags.writeable = False
-        return ConeNodes(flat, tuple(axes), tuple(faces))
+        return ConeNodes(flat, off_faces, tuple(axes), tuple(faces))
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Full space-time meshgrid (T, X[, Y[, Z]]) in grid shape."""
@@ -213,15 +218,20 @@ class SpaceTimeGrid:
 class ConeNodes:
     """Flat indices of the inflated-cone nodes, split per axis for the FD stencils.
 
-    ``axes[a]`` is ``(stride, interior, first, last)``: the flat stride of
-    axis ``a`` and the cone nodes strictly inside that axis, on its first
-    node and on its last node.  ``faces[a]`` is ``(first, last)``: the nodes
-    of the axis's first and last face that the first derivative along it
-    is read at, by the cone's sup or by a second-derivative stencil of a
-    cone node along that axis or a later one.
+    Built once per grid from ``cone_mask()`` by ``SpaceTimeGrid.cone_nodes``,
+    the one source of the cone for the seminorms, the Picard increment and
+    the residual.  ``flat`` holds every cone node in C order, and
+    ``off_faces`` those off every spatial face (``flat`` itself on a
+    covering grid).  ``axes[a]`` is ``(stride, interior, first, last)``:
+    the flat stride of axis ``a`` and the cone nodes strictly inside that
+    axis, on its first node and on its last node.  ``faces[a]`` is
+    ``(first, last)``: the nodes of the axis's first and last face that
+    the first derivative along it is read at, by the cone's sup or by a
+    second-derivative stencil of a cone node along that axis or a later one.
     """
 
     flat: np.ndarray
+    off_faces: np.ndarray
     axes: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     faces: tuple[tuple[np.ndarray, np.ndarray], ...]
 

@@ -49,6 +49,15 @@ def recorded_seeded_nets(monkeypatch) -> list:
     return seeded
 
 
+def cone_mask(grid: SpaceTimeGrid, inflation_cells: int) -> np.ndarray:
+    """Boolean grid-shape mask of the cone inflated by ``inflation_cells`` cells.
+
+    ``grid.cone_mask()`` with another inflation than the package's one cell.
+    """
+    bound = grid.times + grid.support_radius + inflation_cells * grid.dx + 1e-12
+    return grid.node_radius[None] <= bound[(slice(None),) + (None,) * grid.dim]
+
+
 def datum_gradient(datum, points) -> np.ndarray:
     """Spatial gradient of a radial ``InitialDatum`` at ``points``; shape (..., d).
 

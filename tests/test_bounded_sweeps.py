@@ -19,6 +19,7 @@ from colwave.nets import ZERO_DATUM, make_ladder
 from colwave.seminorms import Field, SpaceTimeGrid
 from colwave.semilinear import picard_solve, solve_net
 from colwave.suite import _bump_problem
+from helpers import cone_mask
 
 
 def batched_source_levels(h, quad):
@@ -95,7 +96,7 @@ def assert_same_bits(got, want):
 def test_sourced_solve_bit_identical_to_batched_levels(batched, name):
     problem, grid, quad = case(name)
     rng = np.random.default_rng(len(name))
-    cone = grid.cone_mask(0)
+    cone = cone_mask(grid, 0)
     # a source that is exactly zero off the cone and -0.0 on part of it, and
     # a negative subnormal one, whose Duhamel term is -0.0 at many nodes:
     # added to the zeroed field it must give 0.0 there

@@ -25,7 +25,7 @@ from colwave.linwave import (
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, ZERO_DATUM, make_ladder
 from colwave.seminorms import Field, SpaceTimeGrid, seminorm
 from colwave.semilinear import solve_net
-from helpers import constant_field, datum_gradient
+from helpers import cone_mask, constant_field, datum_gradient
 
 QUAD = QuadratureSpec(angular_points=16, polar_points=12)
 GAUSS = InitialDatum("gaussian_bump", outer_radius=0.5, amplitude=1.0)
@@ -94,7 +94,7 @@ def test_initial_conditions_exact_and_velocity_consistent():
 
 def test_linearity_in_data_and_source():
     grid = SpaceTimeGrid.covering(1, 0.4, 0.5, dx=0.05, dt=0.025)
-    h = Field(grid, np.cos(grid.meshes()[1]) * grid.cone_mask(0))
+    h = Field(grid, np.cos(grid.meshes()[1]) * cone_mask(grid, 0))
     base = solve_linear(GAUSS, PLATEAU_SMALL, h, grid, QUAD)
     a = 3.7
     scaled = solve_linear(
@@ -668,11 +668,12 @@ def test_stencil_spectra_read_only(tp):
     s_hat, s_time, _ = linwave._stencil_spectra(grid, quad)
     assert (s_time is None) == (tp == 1)
     assert (s_time is None) == (grid.n_time < TIME_FFT_LEVELS)
-    for arr in (s_hat, s_time):
-        if arr is not None:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    # the cache holds the one spectrum its lag sum reads
+    arr = s_hat if s_time is None else s_time
+    assert (s_hat is None) == (s_time is not None)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0.0
 
 
 def test_fft_length_is_smallest_5_smooth():
@@ -704,8 +705,11 @@ def test_spectra_length_covers_reach(dim, dx):
     grid = SpaceTimeGrid.covering(dim, 0.6, 0.4, dx=dx)
     n = len(grid.axis)
     reach = _reach(_stencils(grid, QUAD))
-    s_hat, _, length = linwave._stencil_spectra(grid, QUAD)
-    assert s_hat.shape[1:] == (length,) * (dim - 1) + (length // 2 + 1,)
+    s_hat, s_time, length = linwave._stencil_spectra(grid, QUAD)
+    # 1D sums its lags by the FFT along time, which reads s_time alone
+    spectra = s_time if dim == 1 else s_hat
+    assert (s_hat is None) == (dim == 1)
+    assert spectra.shape[1:] == (length,) * (dim - 1) + (length // 2 + 1,)
     assert length == linwave._fft_length(n + reach) < n + n // 2
     assert length >= n + reach and linwave._fft_length(length) == length
 
@@ -857,10 +861,10 @@ def test_pruned_transforms_match_whole_box(dim, dx, dt, time_fft, tp):
     got_spectra = linwave._stencil_spectra(grid, quad)
     want_spectra = whole_box_spectra(grid, quad)
     assert (got_spectra[1] is None) == (want_spectra[1] is None) == (not time_fft)
+    assert (got_spectra[0] is None) == time_fft  # the time FFT path reads s_time alone
     assert got_spectra[2] == want_spectra[2]
-    for got, want in zip(got_spectra[:2], want_spectra[:2]):
-        if want is not None:
-            assert_same_bits(got, want)
+    k = 1 if time_fft else 0
+    assert_same_bits(got_spectra[k], want_spectra[k])
     h = Field(grid, np.random.default_rng(dim * 10 + tp).standard_normal(grid.shape))
     got = source_levels(h, quad)
     want = whole_box_duhamel(h, quad)

@@ -9,7 +9,6 @@ from colwave import linwave
 from colwave.linwave import QuadratureSpec, check_support, field_from_binary, solve_linear
 from colwave.nets import ZERO_DATUM, InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import (
-    CONE_INFLATION_CELLS,
     Field,
     NetClass,
     SpaceTimeGrid,
@@ -95,7 +94,7 @@ def test_fixed_point_property_of_converged_solution():
     field, report = picard_solve(prob, 0.25, grid, QUAD, tol=tol)
     assert report.converged
     mapped = apply_fixed_point_map(prob, 0.25, field, grid, QUAD)
-    gap = float(np.max(np.abs((mapped.samples - field.samples)[grid.cone_mask(1)])))
+    gap = float(np.max(np.abs((mapped.samples - field.samples)[grid.cone_mask()])))
     assert gap <= tol
 
 
@@ -181,7 +180,7 @@ def test_overflowing_duhamel_term_of_a_finite_source_is_divergence(dim):
     # raised ValidationError from its Field, after pocketfft overflow warnings,
     # and the solve and the map let it escape
     prob, grid, quad = map_case(dim, NonlinearitySpec("exp_minus_one"))
-    seed = Field(grid, np.where(grid.cone_mask(CONE_INFLATION_CELLS), 709.0, 0.0))
+    seed = Field(grid, np.where(grid.cone_mask(), 709.0, 0.0))
     source = Field(grid, prob.f.value(seed.samples))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -284,8 +283,8 @@ def test_seeds_of_another_length_rejected(count):
 
 @pytest.mark.parametrize("threads", [0, -4, True])
 def test_solve_net_rejects_a_thread_count_below_one(threads):
-    # 0 and -4 used to run sequentially without complaint, while the CLI
-    # reads --threads 0 as the CPU count
+    # 0 and -4 used to run sequentially without complaint; the CLI's
+    # --threads follows this same rule
     prob = bump_problem()
     with pytest.raises(ValidationError) as info:
         solve_net(prob, LADDER, grid_for(prob, dx=0.05), QUAD, threads=threads)
@@ -516,6 +515,52 @@ def test_residual_sup_matches_whole_box_defect(kind, dim):
             for eps in (1.0, 0.3):
                 res, mask = whole_box_defect(field, eps, prob)
                 assert residual_sup(field, eps, prob) == float(np.max(np.abs(res[mask])))
+
+
+def whole_box_increments(problem, eps, grid, quad, seed, linear, sweeps):
+    """The first ``sweeps`` Picard increments, each over the whole box through ``grid.cone_mask()``."""
+    mask = grid.cone_mask()
+    u, history = seed, []
+    for _ in range(sweeps):
+        nxt = apply_fixed_point_map(problem, eps, u, grid, quad, linear).samples
+        history.append(float(np.max(np.abs((nxt - u.samples)[mask]))))
+        u = Field(grid, nxt)
+    return history
+
+
+@pytest.mark.parametrize("kind", ["covering", "edge", "three_level"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_increment_history_matches_whole_box_mask(kind, dim):
+    # the increments gathered at the cone nodes are the whole-box mask's, bit for bit
+    grid = residual_grid(kind, dim)
+    bump = InitialDatum("gaussian_bump", outer_radius=0.2, amplitude=2.0)
+    prob = Problem(dim, grid.horizon, grid.support_radius, bump, ZERO_DATUM,
+                   NonlinearitySpec("polynomial", (0.0, 1.0, 3.0)))
+    quad = QuadratureSpec(angular_points=8, polar_points=4)
+    lin = solve_linear(prob.u0, prob.u1, None, grid, quad)
+    T = grid.meshes()[0]
+    strided = Field(grid, np.asfortranarray(lin.samples * (1.0 + 0.5 * np.cos(7.0 * T))))
+    assert not strided.samples.flags.c_contiguous
+    for seed in (lin, strided):
+        _, report = picard_solve(prob, 0.5, grid, quad, tol=1e-12, seed=seed, linear_part=lin)
+        assert report.converged and report.iterations > 2
+        want = whole_box_increments(prob, 0.5, grid, quad, seed, lin, report.iterations)
+        assert report.increment_history == want
+
+
+@pytest.mark.parametrize("eps", [-0.25, 0.0, math.nan, 2.0])
+def test_eps_outside_the_unit_interval_rejected_before_any_data_term(eps, linear_solves):
+    # Problem.small_factor checks eps for every caller, before any data term
+    prob, grid, quad = map_case(1)
+    field = Field(grid, np.zeros(grid.shape))
+    calls = [lambda: picard_solve(prob, eps, grid, quad),
+             lambda: apply_fixed_point_map(prob, eps, field, grid, quad),
+             lambda: residual_sup(field, eps, prob)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"eps: must lie in \(0, 1\], got ") as info:
+            call()
+        assert info.value.parameter == "eps"
+    assert linear_solves == []
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -20,8 +20,8 @@ from colwave.seminorms import (
     valuation,
     valuation_table,
 )
-from colwave.seminorms import MAX_SEMINORM_ORDER
-from helpers import constant_field, sampled_field
+from colwave.seminorms import CONE_INFLATION_CELLS, MAX_SEMINORM_ORDER
+from helpers import cone_mask, constant_field, sampled_field
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
@@ -93,9 +93,10 @@ def test_covering_grid_contains_cone():
 
 def test_cone_mask_grows_with_time():
     g = small_grid()
-    mask = g.cone_mask(1)
+    mask = g.cone_mask()
+    assert np.array_equal(mask, cone_mask(g, CONE_INFLATION_CELLS))
     assert mask[0].sum() < mask[-1].sum()
-    assert g.cone_mask(2)[0].any()
+    assert cone_mask(g, 2)[0].any()
 
 
 # ---------------------------------------------------------------------------

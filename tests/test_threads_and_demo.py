@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,6 @@ import pytest
 import colwave.cli as cli
 import colwave.suite as suite
 from colwave.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, main
-from colwave.errors import ConfigError
 from colwave.linwave import QuadratureSpec
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import SpaceTimeGrid
@@ -30,23 +33,7 @@ def test_solve_net_threads_match_serial():
     assert [r.iterations for r in rep1] == [r.iterations for r in rep2]
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("COLWAVE_THREADS", raising=False)
-    assert cli._resolve_threads(None) == 1
-    monkeypatch.setenv("COLWAVE_THREADS", "3")
-    assert cli._resolve_threads(None) == 3
-    assert cli._resolve_threads(2) == 2
-    assert cli._resolve_threads(0) >= 1
-    with pytest.raises(ConfigError, match="threads"):
-        cli._resolve_threads(-1)
-    monkeypatch.setenv("COLWAVE_THREADS", "abc")
-    with pytest.raises(ConfigError, match="threads"):
-        cli._resolve_threads(None)
-    assert cli._resolve_threads(2) == 2
-
-
-def test_bad_threads_env_exit_code(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("COLWAVE_THREADS", "abc")
+def threads_config(tmp_path, checks=("support",)):
     doc = {
         "problem": {
             "dim": 1, "horizon": 0.5, "support_radius": 0.4,
@@ -54,24 +41,66 @@ def test_bad_threads_env_exit_code(monkeypatch, tmp_path, capsys):
             "u1": {"kind": "zero"},
             "f": {"kind": "sine"},
         },
+        "ladder": {"eps0": 0.5, "ratio": 0.5, "count": 4},
         "grid": {"dx": 0.05},
+        "quad": {"angular_points": 8, "polar_points": 8},
         "outputs": str(tmp_path / "out"),
+        "checks": list(checks),
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert main(["solve-semilinear", "--config", str(path)]) == EXIT_CONFIG_ERROR
-    assert "threads" in capsys.readouterr().err
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["solve-semilinear", "valuation", "check"])
+def test_thread_count_below_one_is_a_config_error(tmp_path, capsys, command, value):
+    # the library's rule: at least one thread, checked before any output is made
+    path = threads_config(tmp_path)
+    assert main([command, "--config", path, "--threads", value]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: threads: must be an integer >= 1, got {value}\n"
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_linear_takes_no_threads(tmp_path, monkeypatch):
+    # it solves no net, so it takes no --threads and reads no thread count
+    # from the environment
+    path = threads_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["solve-linear", "--config", path, "--threads", "2"])
+    assert info.value.code == EXIT_CONFIG_ERROR
+    monkeypatch.setenv("COLWAVE_THREADS", "abc")
+    assert main(["solve-linear", "--config", path]) == EXIT_OK
+
+
+def test_threaded_check_writes_the_serial_files(tmp_path, capsys):
+    path = threads_config(tmp_path, checks=["uniqueness"])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["check", "--config", path, "--out", str(out), "--threads", threads]) == EXIT_OK
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs["1"]) == ["summary.txt", "uniqueness.csv"]
+    assert outputs["2"] == outputs["1"]
+    assert capsys.readouterr().out.count("uniqueness ok=True") == 2
+
+
+def test_cli_import_loads_no_thread_pool():
+    # solve_net imports the pool only when it runs on more than one thread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, colwave.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_demo_takes_no_threads(monkeypatch, tmp_path):
-    # demo runs single-threaded: the flag and the environment variable were
-    # validated and then ignored
+    # demo runs single-threaded: it takes no --threads
     monkeypatch.setattr(cli, "run_suite", lambda: [(CheckResult("a", True, "fine"), 0.1)])
     with pytest.raises(SystemExit) as info:
         main(["demo", "--threads", "2"])
     assert info.value.code == 2
-    monkeypatch.setenv("COLWAVE_THREADS", "abc")
     assert main(["demo", "--out", str(tmp_path)]) == EXIT_OK
 
 
