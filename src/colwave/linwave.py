@@ -614,11 +614,8 @@ def check_support(field: Field, r: float, tol: float = 1e-10) -> SupportReport:
         raise ValidationError("r", f"must be finite, got {r}")
     if not (0.0 <= tol < math.inf):
         raise ValidationError("tol", f"must be nonnegative and finite, got {tol}")
-    grid = field.grid
-    bound = grid.times + r + 2.0 * grid.dx
-    expand = (slice(None),) + (None,) * grid.dim
-    mask = grid.node_radius[None] > bound[expand]
-    max_outside = float(np.max(np.abs(field.samples[mask]))) if mask.any() else 0.0
+    outside = ~field.grid.within_radius(field.grid.times + r + 2.0 * field.grid.dx)
+    max_outside = float(np.max(np.abs(field.samples[outside]), initial=0.0))
     return SupportReport(max_outside=max_outside, ok=max_outside <= tol, tol=tol)
 
 

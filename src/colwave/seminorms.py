@@ -6,10 +6,11 @@ second-order one-sided on the first and last node of an axis, as
 ``np.gradient(..., edge_order=2)`` gives them.  Only the nodes of the
 inflated cone are evaluated.  Each first derivative is one flat strided
 difference into a buffer shared by every entry of a net, patched
-one-sided only at the face nodes the cone reads (``ConeNodes.faces``); it
-is read at the cone nodes, and its second derivatives gather
-``np.gradient``'s stencils at those nodes alone, each centred one taking
-its sup before dividing by ``2h``.  Every value is bit-identical to
+one-sided only at the face nodes of a grown cone (the cone two time steps
+later plus one cell, ``ConeNodes.faces``), which hold every face node the
+cone reads.  It is read at the cone nodes, and its second derivatives
+gather ``np.gradient``'s stencils at those nodes alone, each centred one
+taking its sup before dividing by ``2h``.  Every value is bit-identical to
 differencing the whole box, and a NaN derivative at any cone node makes
 the seminorm NaN, as ``np.max`` over the whole box would.
 
@@ -56,6 +57,13 @@ MODERATE_SLOPE_MAX = 20.0
 #: Sup over the cone is taken on nodes with |x| <= t + r + (this many) * dx
 #: to avoid aliasing at the cone boundary.
 CONE_INFLATION_CELLS = 1
+
+
+def _face_nodes(mask: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """Flat indices, in C order, of the ``mask`` nodes whose index along ``axis`` is ``k``."""
+    stride = math.prod(mask.shape[axis + 1 :])
+    q = np.flatnonzero(np.take(mask, k, axis=axis))  # C order over the other axes
+    return q + (q // stride * (mask.shape[axis] - 1) + k) * stride
 
 
 @dataclass(frozen=True)
@@ -161,49 +169,38 @@ class SpaceTimeGrid:
         """Euclidean norm of every spatial node, in lattice shape."""
         return np.sqrt(np.sum(self.spatial_points**2, axis=-1)).reshape(self.spatial_shape)
 
+    def within_radius(self, bounds: np.ndarray) -> np.ndarray:
+        """Boolean (n_time+1, *spatial) mask of the nodes with |x| <= ``bounds[n]`` at level n."""
+        return self.node_radius[None] <= bounds[(slice(None),) + (None,) * self.dim]
+
     def cone_mask(self) -> np.ndarray:
         """Boolean (n_time+1, *spatial) mask of the inflated cone."""
-        bound = self.times + self.support_radius + CONE_INFLATION_CELLS * self.dx + 1e-12
-        expand = (slice(None),) + (None,) * self.dim
-        return self.node_radius[None] <= bound[expand]
+        return self.within_radius(self.times + self.support_radius + CONE_INFLATION_CELLS * self.dx + 1e-12)
 
     @cached_property
     def cone_nodes(self) -> "ConeNodes":
-        """Flat indices of ``cone_mask()``, their stencil subsets and reads."""
+        """Flat indices of ``cone_mask()``, their stencil subsets and the grown cone's face nodes."""
         mask = self.cone_mask()
         flat = np.flatnonzero(mask)
-        off = np.ones(len(flat), dtype=bool)  # off every spatial face
-        axes = []
-        for a, c in enumerate(np.unravel_index(flat, mask.shape)):
-            last = mask.shape[a] - 1
+        reach = np.minimum(self.times + 2.0 * self.dt, self.horizon) + self.support_radius
+        grown = self.within_radius(reach + (CONE_INFLATION_CELLS + 1) * self.dx + 1e-12)
+        off, axes, faces = None, [], []  # off: the cone nodes off every spatial face
+        for a, n in enumerate(mask.shape):
             stride = math.prod(mask.shape[a + 1 :])
             if a == 0:  # time leads the C order: its faces are a prefix and a suffix
-                lo, hi = np.searchsorted(c, [1, last])
-                first, inner, end = flat[:lo], flat[lo:hi], flat[hi:]
+                lo, hi = np.count_nonzero(mask[0]), len(flat) - np.count_nonzero(mask[-1])
+                first, inner, last = flat[:lo], flat[lo:hi], flat[hi:]
             else:
-                first, end = flat[c == 0], flat[c == last]
-                inside = (c > 0) & (c < last)
-                # covering grids keep the cone off every spatial face: no copy then
-                inner = flat if inside.all() else flat[inside]
-                off &= inside
-            axes.append((stride, inner, first, end))
-        off_faces = flat if off.all() else flat[off]
-        faces = []
-        read = mask.copy()
-        for a in reversed(range(mask.ndim)):
-            # the derivative along axis a is read at the cone nodes and by the
-            # stencils of the second derivatives along axes a, a + 1, ...
-            n, stride = mask.shape[a], axes[a][0]
-            m, r = np.moveaxis(mask, a, 0), np.moveaxis(read, a, 0)
-            r[1:] |= m[:-1]
-            r[:-1] |= m[1:]
-            r[2] |= m[0]
-            r[-3] |= m[-1]
-            ends = []
-            for k in (0, n - 1):
-                q = np.flatnonzero(r[k])  # C order over the other axes
-                ends.append(q // stride * (n * stride) + k * stride + q % stride)
-            faces.insert(0, tuple(ends))
+                first, last = _face_nodes(mask, a, 0), _face_nodes(mask, a, n - 1)
+                inner = flat  # covering grids keep the cone off every spatial face
+                if len(first) or len(last):
+                    c = flat // stride % n
+                    inside = (c > 0) & (c < n - 1)
+                    inner = flat[inside]
+                    off = inside if off is None else off & inside
+            axes.append((stride, inner, first, last))
+            faces.append((_face_nodes(grown, a, 0), _face_nodes(grown, a, n - 1)))
+        off_faces = flat if off is None else flat[off]
         stencils = (*(x for ax in axes for x in ax[1:]), *(x for fc in faces for x in fc))
         for arr in (flat, off_faces, *stencils):
             arr.flags.writeable = False
@@ -225,9 +222,10 @@ class ConeNodes:
     covering grid).  ``axes[a]`` is ``(stride, interior, first, last)``:
     the flat stride of axis ``a`` and the cone nodes strictly inside that
     axis, on its first node and on its last node.  ``faces[a]`` is
-    ``(first, last)``: the nodes of the axis's first and last face that
-    the first derivative along it is read at, by the cone's sup or by a
-    second-derivative stencil of a cone node along that axis or a later one.
+    ``(first, last)``: the nodes of the axis's first and last face in the
+    grown cone, the cone at time ``min(t + 2 dt, T)`` plus one more cell.
+    A first derivative is read at most two time steps and one space step
+    from a cone node, so these hold every face node it is read at.
     """
 
     flat: np.ndarray

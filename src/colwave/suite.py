@@ -425,11 +425,12 @@ def _contraction(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckRe
     gaps = [math.inf if math.isinf(a.slope) else a.slope - c.slope for c, a in zip(before, after)]
     d_before, d_after = _metric(before), _metric(after)
     ratio = d_after / d_before if d_before > 0.0 else 0.0
-    ok = all(g >= b - RATE_MARGIN for g in gaps) and ratio <= math.exp(-(b - RATE_MARGIN)) + 1e-12
+    bound = math.exp(-(b - RATE_MARGIN)) + 1e-12
+    ok = all(g >= b - RATE_MARGIN for g in gaps) and ratio <= bound
     return CheckResult(
         "contraction", ok,
         f"contraction ok={ok} min_gap={fmt(min(gaps))} metric_ratio={fmt(ratio)} "
-        f"kappa_bound={fmt(math.exp(-b))}",
+        f"kappa_bound={fmt(bound)}",
         header, list(enumerate(gaps)),
     )
 
@@ -520,7 +521,7 @@ def _residual(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResul
 
 
 def _picard_scaling(cfg: ExperimentConfig, solved: Solved, threads: int) -> CheckResult:
-    """Successive-increment ratios of the entries scale like eps (slope 1 +/- 0.15)."""
+    """Successive-increment ratios of the entries scale like eps**b (slope b +/- 0.15)."""
     header = "eps,ratio"
     if unconverged := _unconverged(solved.reports):
         return _unmeasured("picard_scaling", header, unconverged)
@@ -532,9 +533,9 @@ def _picard_scaling(cfg: ExperimentConfig, solved: Solved, threads: int) -> Chec
     if len(rows) < 3:
         return CheckResult("picard_scaling", False, "too few usable increment ratios", header, rows)
     eps_used, ratios = zip(*rows)
-    slope = fit_decay_exponent(eps_used, ratios).slope
-    ok = abs(slope - 1.0) <= 0.15
-    return CheckResult("picard_scaling", ok, f"ratio slope={slope:.3f} (need 1 +/- 0.15)",
+    slope, b = fit_decay_exponent(eps_used, ratios).slope, cfg.problem.small_exponent
+    ok = abs(slope - b) <= 0.15
+    return CheckResult("picard_scaling", ok, f"ratio slope={slope:.3f} (need {b:g} +/- 0.15)",
                        header, rows)
 
 
@@ -569,10 +570,11 @@ _QUAD_2D_3D = QuadratureSpec(angular_points=12, polar_points=8)
 #: The preset configs by name, each with the checks of the claims it carries.
 #: The 1D bump differs only in b, so its three presets share one linear part.
 PRESETS = {
-    "1d_b0.5": _preset(_bump_problem(1, b=0.5), 0.02, _QUAD_1D, ["contraction", "association"]),
+    "1d_b0.5": _preset(_bump_problem(1, b=0.5), 0.02, _QUAD_1D,
+                       ["contraction", "association", "picard_scaling"]),
     "1d_b1": _preset(_bump_problem(1), 0.02, _QUAD_1D,
                      ["support", "contraction", "association", "oracle", "picard_scaling"]),
-    "1d_b2": _preset(_bump_problem(1, b=2.0), 0.02, _QUAD_1D, ["association"]),
+    "1d_b2": _preset(_bump_problem(1, b=2.0), 0.02, _QUAD_1D, ["association", "picard_scaling"]),
     "2d_b1": _preset(_bump_problem(2, radius=0.4, horizon=0.4), 0.08, _QUAD_2D_3D,
                      ["support", "contraction", "association", "uniqueness", "picard_scaling"]),
     "3d_b1": _preset(_bump_problem(3, radius=0.4, horizon=0.4), 0.12, _QUAD_2D_3D,

@@ -1,5 +1,6 @@
 """Field and problem builders that only the tests need."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,13 +50,43 @@ def recorded_seeded_nets(monkeypatch) -> list:
     return seeded
 
 
-def cone_mask(grid: SpaceTimeGrid, inflation_cells: int) -> np.ndarray:
+def cone_mask(grid: SpaceTimeGrid, inflation_cells: int, lag: int = 0) -> np.ndarray:
     """Boolean grid-shape mask of the cone inflated by ``inflation_cells`` cells.
 
-    ``grid.cone_mask()`` with another inflation than the package's one cell.
+    ``grid.cone_mask()`` with another inflation than the package's one
+    cell, or with each level holding the cone of time ``min(t + lag dt, T)``.
     """
-    bound = grid.times + grid.support_radius + inflation_cells * grid.dx + 1e-12
+    times = np.minimum(grid.times + lag * grid.dt, grid.horizon)
+    bound = times + grid.support_radius + inflation_cells * grid.dx + 1e-12
     return grid.node_radius[None] <= bound[(slice(None),) + (None,) * grid.dim]
+
+
+def read_faces(grid: SpaceTimeGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the flat nodes of its first and last face that the seminorms read.
+
+    The reference read set: the first derivative along axis ``a`` is read
+    at every cone node and by the second-derivative stencils along axes
+    ``a``, ``a + 1``, ... of cone nodes (both neighbours of a node inside
+    the axis, the next two inward of a node on its first or last node).
+    The cone mask is dilated by those stencils one axis at a time, from
+    the last axis back.
+    """
+    mask = grid.cone_mask()
+    read = mask.copy()
+    faces = []
+    for a in reversed(range(mask.ndim)):
+        n, stride = mask.shape[a], math.prod(mask.shape[a + 1 :])
+        m, r = np.moveaxis(mask, a, 0), np.moveaxis(read, a, 0)
+        r[1:] |= m[:-1]
+        r[:-1] |= m[1:]
+        r[2] |= m[0]
+        r[-3] |= m[-1]
+        ends = []
+        for k in (0, n - 1):
+            q = np.flatnonzero(r[k])  # C order over the other axes
+            ends.append(q // stride * (n * stride) + k * stride + q % stride)
+        faces.insert(0, tuple(ends))
+    return faces
 
 
 def datum_gradient(datum, points) -> np.ndarray:

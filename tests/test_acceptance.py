@@ -25,7 +25,8 @@ CLAIMS = {
                            "2d_b1/association", "3d_b1/association"],
     "uniqueness": ["2d_b1/uniqueness", "3d_b1/uniqueness"],
     "ultrametric_calculus": ["ultrametric_calculus"],
-    "picard_scaling": ["1d_b1/picard_scaling", "2d_b1/picard_scaling", "3d_b1/picard_scaling"],
+    "picard_scaling": ["1d_b0.5/picard_scaling", "1d_b1/picard_scaling", "1d_b2/picard_scaling",
+                       "2d_b1/picard_scaling", "3d_b1/picard_scaling"],
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import colwave.seminorms as seminorms
+import colwave.suite as suite
 from colwave.errors import InsufficientDataError, UnsupportedOrderError, ValidationError
 from colwave.nets import make_ladder
 from colwave.seminorms import (
@@ -21,7 +22,7 @@ from colwave.seminorms import (
     valuation_table,
 )
 from colwave.seminorms import CONE_INFLATION_CELLS, MAX_SEMINORM_ORDER
-from helpers import cone_mask, constant_field, sampled_field
+from helpers import cone_mask, constant_field, read_faces, sampled_field
 
 LADDER = make_ladder(0.5, 0.5, 8)
 
@@ -608,6 +609,69 @@ def cone_reads(g, axis):
     return reads
 
 
+def grown_faces(g, axis, lag=2):
+    """Flat nodes of the grown cone on the first and on the last face of ``axis``.
+
+    The grown cone holds at each level the cone of time ``min(t + lag dt, T)``
+    plus one more cell; ``ConeNodes.faces`` takes ``lag = 2``.
+    """
+    grown = cone_mask(g, CONE_INFLATION_CELLS + 1, lag).reshape(-1)
+    return [w[grown[w]] for w in whole_faces(g.shape, axis)]
+
+
+def random_grid(rng, dim, kind):
+    """A small seeded covering or edge grid; every third one has 3 levels and dt = dx."""
+    while True:
+        dx = rng.uniform(0.02, 0.1) * dim ** 0.5
+        horizon, radius = rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.6)
+        dt = rng.uniform(0.3, 1.0) * dx
+        if rng.integers(3) == 0:  # a whole number of cells keeps the snapped dx at dt
+            horizon, radius, dt = 2 * dx, round(radius / dx) * dx, dx
+        try:
+            if kind == "covering":
+                return SpaceTimeGrid.covering(dim, horizon, radius, dx=dx, dt=dt,
+                                              margin_cells=int(rng.integers(2, 4)))
+            return SpaceTimeGrid(dim=dim, horizon=horizon, support_radius=radius,
+                                 spatial_extent=radius + horizon, dx=dx, dt=dt)
+        except ValidationError:  # the snapped dt exceeds the snapped dx: draw again
+            continue
+
+
+@pytest.mark.parametrize("kind", ["covering", "edge"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_face_lists_are_the_grown_cones_and_hold_every_read(kind, dim):
+    # as on the GRID_KINDS grids below, on 40 random grids per case
+    rng = np.random.default_rng([dim, kind == "edge"])
+    grids = [random_grid(rng, dim, kind) for _ in range(40)]
+    assert sum(g.shape[0] == 3 and math.isclose(g.dt, g.dx) for g in grids) >= 5
+    for g in grids:
+        faces = g.cone_nodes.faces
+        for axis, reads in enumerate(read_faces(g)):
+            for face, grown, read in zip(faces[axis], grown_faces(g, axis), reads):
+                assert np.array_equal(face, grown)
+                assert np.isin(read, face).all()
+
+
+def test_reference_read_sets_agree():
+    # the dilation of helpers.read_faces against the per-node stencil reads
+    for g in (GRID_KINDS[k](dim) for k in GRID_KINDS for dim in (1, 2, 3)):
+        for axis, reads in enumerate(read_faces(g)):
+            box = cone_reads(g, axis).reshape(-1)
+            assert all(np.array_equal(read, w[box[w]])
+                       for read, w in zip(reads, whole_faces(g.shape, axis)))
+
+
+def test_grown_cone_without_the_time_lag_misses_reads():
+    # a cone node on the last level reads the first level two steps below,
+    # where the cone is 2 dt narrower than the node's own
+    g = suite._tiny_grid()
+    assert g.shape[0] == 3 and g.dt == g.dx
+    missed = [not np.isin(read, face).all()
+              for axis, reads in enumerate(read_faces(g))
+              for face, read in zip(grown_faces(g, axis, lag=0), reads)]
+    assert any(missed)
+
+
 @pytest.mark.parametrize("kind", sorted(GRID_KINDS))
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_gradient_into_matches_np_gradient_where_the_cone_reads(kind, dim):
@@ -618,11 +682,11 @@ def test_gradient_into_matches_np_gradient_where_the_cone_reads(kind, dim):
     fields += [f.samples for f in edge_fields(g)]
     for axis, h in enumerate(spacings):
         reads = cone_reads(g, axis)
-        # the cone's face lists hold exactly the face nodes it reads
-        for k, face in zip((0, g.shape[axis] - 1), cone.faces[axis]):
-            on_face = np.zeros(g.shape, dtype=bool)
-            on_face[(slice(None),) * axis + (k,)] = True
-            assert np.array_equal(face, np.flatnonzero(reads & on_face))
+        # the cone's face lists are the grown cone's face nodes, and they
+        # hold every face node it reads
+        for face, grown, read in zip(cone.faces[axis], grown_faces(g, axis), read_faces(g)[axis]):
+            assert np.array_equal(face, grown)
+            assert np.isin(read, face).all()
         for a in fields:
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = np.gradient(a, h, axis=axis, edge_order=2)[reads]

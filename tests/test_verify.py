@@ -150,7 +150,9 @@ def test_contraction_gap_b1():
     assert result.ok
     assert min(gap for _, gap in result.rows) >= 0.9
     assert detail(result, "metric_ratio") <= math.exp(-0.9) + 1e-12
-    assert detail(result, "kappa_bound") == pytest.approx(math.exp(-1.0))
+    # the bound the check applies, which the printed ratio stays below
+    assert detail(result, "kappa_bound") == math.exp(-(1.0 - suite.RATE_MARGIN)) + 1e-12
+    assert detail(result, "metric_ratio") <= detail(result, "kappa_bound")
 
 
 def test_contraction_gap_b_half():
@@ -302,3 +304,26 @@ def test_uniqueness_one_derivative_stack_per_entry(monkeypatch, data_perturbatio
         "uniqueness", ok, f"uniqueness ok={ok} class={classify(diff).value} ({reason})",
         "order,mu_max", list(enumerate(mu_max)),
     )
+
+
+# ---------------------------------------------------------------------------
+# picard_scaling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset, b", [("1d_b0.5", 0.5), ("1d_b2", 2.0)])
+def test_picard_scaling_fits_the_rate_b(preset, b):
+    # each Picard step carries eps**b, so the increment ratios scale like
+    # eps**b: a correct net with b != 1 passes against b, not against 1
+    cfg = suite.PRESETS[preset]
+    result = suite._picard_scaling(cfg, suite.solve(cfg), 1)
+    assert result.ok
+    assert abs(detail(result, "slope") - b) <= 0.01
+    assert result.details.endswith(f" (need {b:g} +/- 0.15)")
+
+
+def test_picard_scaling_fails_on_ratios_of_the_wrong_rate():
+    # the b = 1 net checked as if it solved b = 2: its ratios scale like eps**1
+    solved = suite.solve(suite.PRESETS["1d_b1"])
+    result = suite._picard_scaling(suite.PRESETS["1d_b2"], solved, 1)
+    assert not result.ok
+    assert result.details == "ratio slope=1.000 (need 2 +/- 0.15)"
