@@ -58,9 +58,10 @@ from .semilinear import (
 from .verify import ORACLE_TOL, check_wave_oracle
 
 #: Residual bound constant: sup residual <= RESIDUAL_C * (dx^2 + dt^2) + tol/dt^2
-#: for the preset problems below.  The constant tracks the fourth
-#: derivatives of the preset data (measured C_eff plateaus near 570 in 1D
-#: and 370 in 3D); fixed here with at least 2x headroom.
+#: for the plateau problems of ``check_residual_convergence``.  It tracks the
+#: fourth derivatives of their data (measured C_eff plateaus near 570 in 1D
+#: and 370 in 3D), with at least 2x headroom; the Gaussian bumps of
+#: ``PRESETS`` need a far larger ``residual_constant`` (see the README).
 RESIDUAL_C = 1200.0
 
 #: Largest |u| allowed outside the 2-cell inflated cone |x| <= t + r + 2 dx.

@@ -2,10 +2,12 @@
 
 ``_source_levels`` transforms the grid levels one at a time on the level
 loop path and writes each level's sum into the sweep's output, and
-``_map`` forms ``F(u)`` in the Duhamel output's buffer.  Fields, reports
-and signed zeros must stay those of the batched operator below, which
-transforms every level at once and returns the levels for the caller to
-add, and a 3D sweep must hold only a few fields at a time.
+``_map`` forms ``F(u)`` in the Duhamel output's buffer; the time-FFT
+path releases each transform temporary once the next one exists.  Fields,
+reports and signed zeros must stay those of the batched operator below,
+which transforms every level at once and returns the levels for the caller
+to add, a 3D sweep must hold only a few fields at a time, and a time-FFT
+apply fewer than two time spectra.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ from colwave.linwave import TIME_FFT_LEVELS, QuadratureSpec, solve_linear
 from colwave.nets import ZERO_DATUM, make_ladder
 from colwave.seminorms import Field, SpaceTimeGrid
 from colwave.semilinear import picard_solve, solve_net
-from colwave.suite import _bump_problem
+from colwave.suite import PRESETS, _bump_problem
 from helpers import cone_mask
 
 
@@ -65,25 +67,35 @@ def batched(monkeypatch):
     return use
 
 
-# (dim, dx, dt, time_points_per_dt): 1D always sums its lags by the FFT
-# along time, the 2D grid with dt 0.012 has TIME_FFT_LEVELS levels or more,
-# the others go level by level
+# (dim, dx, dt, time_points_per_dt), or a preset's config: 1D always sums
+# its lags by the FFT along time, the *_time_fft grids have
+# TIME_FFT_LEVELS levels or more, the others go level by level.  The time
+# spectrum of the 1d_b1 preset grid (101x155, 341 KiB) is large enough for
+# numpy to form its product with the stencils in the FFT's output buffer,
+# those of 1d and 1d_tp2 are not.
 CASES = {
     "1d": (1, 0.05, 0.025, 1),
+    "1d_tp2": (1, 0.05, 0.025, 2),
+    "1d_b1": PRESETS["1d_b1"],
     "2d_tp2": (2, 0.1, 0.05, 2),
     "2d_time_fft": (2, 0.1, 0.012, 1),
     "3d": (3, 0.12, 0.06, 1),
+    "3d_time_fft": (3, 0.12, 0.01, 1),
 }
 
 
 def case(name):
-    dim, dx, dt, tp = CASES[name]
-    problem = _bump_problem(dim, radius=0.4, horizon=0.4 if dim == 3 else 0.6)
-    grid = SpaceTimeGrid.covering(dim, problem.horizon, problem.support_radius, dx=dx, dt=dt)
-    quad = QuadratureSpec(angular_points=12, polar_points=8, time_points_per_dt=tp)
+    if name in PRESETS:
+        cfg = CASES[name]
+        problem, grid, quad = cfg.problem, cfg.grid, cfg.quad
+    else:
+        dim, dx, dt, tp = CASES[name]
+        problem = _bump_problem(dim, radius=0.4, horizon=0.4 if dim == 3 else 0.6)
+        grid = SpaceTimeGrid.covering(dim, problem.horizon, problem.support_radius, dx=dx, dt=dt)
+        quad = QuadratureSpec(angular_points=12, polar_points=8, time_points_per_dt=tp)
     _, s_time, _ = linwave._stencil_spectra(grid, quad)
-    assert (s_time is not None) == (dim == 1 or grid.n_time >= TIME_FFT_LEVELS)
-    assert (s_time is not None) == (name in ("1d", "2d_time_fft"))
+    assert (s_time is not None) == (grid.dim == 1 or grid.n_time >= TIME_FFT_LEVELS)
+    assert (s_time is not None) == (name.startswith("1d") or name.endswith("time_fft"))
     return problem, grid, quad
 
 
@@ -145,3 +157,28 @@ def test_3d_sweep_holds_at_most_seven_fields():
         tracemalloc.stop()
     assert report.converged and report.iterations > 1
     assert peak <= 7 * linear.samples.nbytes
+
+
+@pytest.mark.parametrize("name, shape, bound", [
+    ("1d_b1", (101, 155), 1.6),
+    ("3d_time_fft", (41, 19, 19, 19), 2.0),
+])
+def test_time_fft_apply_holds_under_two_time_spectra(name, shape, bound):
+    # the time FFT of the source spectrum and, while it forms, the source
+    # spectrum itself (half a time spectrum); later the inverse's first
+    # transform instead.  In 3D that transform stays alive for the second
+    # one, about 0.4 time spectra more.  A separate array for each step
+    # would hold 2.5 time spectra on both grids.
+    _, grid, quad = case(name)
+    assert grid.shape == shape
+    _, s_time, _ = linwave._stencil_spectra(grid, quad)
+    h = Field(grid, np.random.default_rng(0).standard_normal(grid.shape))
+    out = np.zeros(grid.shape)
+    tracemalloc.start()
+    try:
+        linwave._source_levels(h, quad, out[1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out)) and np.any(out != 0.0)
+    assert peak <= bound * s_time.nbytes
