@@ -80,15 +80,13 @@ correlation, so the lengths move results only by rounding; the two paths
 agree to rounding, and each is deterministic.  ``_source_levels`` adds
 the levels into ``solve_linear``'s ``out[1:]``; level by level, it
 transforms each grid level on its own and each level's lag sum straight
-back into ``out``, so no batch of padded transforms is alive; the time
-FFT path batches its transforms, runs them in place and frees each
-temporary once the next exists, so it holds the source spectrum and
-about one time spectrum.  A finite source whose Duhamel term overflows
-makes ``solve_linear`` raise DivergenceError, without a floating-point
-warning.  Past the box the source is zero at the nodes: the interpolant
-falls to zero over the cell beyond the last node.  Picard sources vanish
-within ``margin_cells >= 2`` of the box edge, so only sources nonzero on
-boundary nodes see this.
+back into ``out``, so no batch of padded transforms is alive (the 1D and
+time-FFT paths batch theirs, in place).  A finite source whose Duhamel
+term overflows makes ``solve_linear`` raise DivergenceError, without a
+floating-point warning.  Past the box the source is
+zero at the nodes: the interpolant falls to zero over the cell
+beyond the last node.  Picard sources vanish within ``margin_cells >= 2``
+of the box edge, so only sources nonzero on boundary nodes see this.
 """
 
 from __future__ import annotations
@@ -472,12 +470,11 @@ def _source_levels(h: Field, quad: QuadratureSpec, out: np.ndarray) -> None:
     sub-level spectra are blended from theirs.  The lag sum is a causal
     convolution in time: in 1D, and from ``TIME_FFT_LEVELS`` levels on in
     2D/3D, all levels at once through one FFT along time zero-padded to a
-    5-smooth length ``>= 2 * lags - 1``, with batched transforms run in
-    place: besides the source spectrum (half a time spectrum) about one
-    time spectrum is alive.  The product with ``s_time`` stays one
-    expression, which numpy may form in the FFT's buffer as ``fft *
-    s_time``; complex products do not commute bit for bit.  Else it goes
-    level by level, each grid level transformed on its own into the
+    5-smooth length ``>= 2 * lags - 1``, batched and in place, so the source
+    spectrum and about one time spectrum are alive; ``s_time * fft`` stays
+    one expression, as numpy may form it as ``fft * s_time`` in the FFT's
+    buffer and complex products do not commute bit for bit.  Else level
+    by level, each grid level transformed on its own into the
     spectra and each level's lag sum transformed back straight into its
     level of ``out``, so no batch of padded transforms is ever alive.
     Every row is transformed independently, so both ways of batching give
@@ -517,8 +514,7 @@ def _source_levels(h: Field, quad: QuadratureSpec, out: np.ndarray) -> None:
         h_hat = np.empty((lags,) + levels.shape[1:], dtype=complex)
         h_hat[::tp] = levels[:-1]
         for j in range(1, tp):
-            np.multiply(1.0 - j / tp, levels[:-1], out=h_hat[j::tp])
-            h_hat[j::tp] += (j / tp) * levels[1:]
+            h_hat[j::tp] = (1.0 - j / tp) * levels[:-1] + (j / tp) * levels[1:]
         del levels
     h_hat[0] *= 0.5
     # keep the product one expression (see the docstring)

@@ -67,35 +67,35 @@ def batched(monkeypatch):
     return use
 
 
-# (dim, dx, dt, time_points_per_dt), or a preset's config: 1D always sums
-# its lags by the FFT along time, the *_time_fft grids have
-# TIME_FFT_LEVELS levels or more, the others go level by level.  The time
-# spectrum of the 1d_b1 preset grid (101x155, 341 KiB) is large enough for
-# numpy to form its product with the stencils in the FFT's output buffer,
-# those of 1d and 1d_tp2 are not.
+def bump(dim, dx, dt, tp):
+    """A bump problem on its covering grid of spacings ``dx``, ``dt``, ``tp`` sub-steps per dt."""
+    problem = _bump_problem(dim, radius=0.4, horizon=0.4 if dim == 3 else 0.6)
+    grid = SpaceTimeGrid.covering(dim, problem.horizon, problem.support_radius, dx=dx, dt=dt)
+    return problem, grid, QuadratureSpec(angular_points=12, polar_points=8, time_points_per_dt=tp)
+
+
+# (problem, grid, quad): the TIME_FFT_CASES sum their lags by the FFT along
+# time (1D always, 2D/3D from TIME_FFT_LEVELS levels on), the others go level
+# by level.  The time spectrum of the 1d_b1 preset grid (101x155, 341 KiB)
+# is large enough for numpy to form its product with the stencils in the
+# FFT's output buffer, those of 1d and 1d_tp2 are not.
 CASES = {
-    "1d": (1, 0.05, 0.025, 1),
-    "1d_tp2": (1, 0.05, 0.025, 2),
-    "1d_b1": PRESETS["1d_b1"],
-    "2d_tp2": (2, 0.1, 0.05, 2),
-    "2d_time_fft": (2, 0.1, 0.012, 1),
-    "3d": (3, 0.12, 0.06, 1),
-    "3d_time_fft": (3, 0.12, 0.01, 1),
+    "1d": bump(1, 0.05, 0.025, 1),
+    "1d_tp2": bump(1, 0.05, 0.025, 2),
+    "1d_b1": (PRESETS["1d_b1"].problem, PRESETS["1d_b1"].grid, PRESETS["1d_b1"].quad),
+    "2d_tp2": bump(2, 0.1, 0.05, 2),
+    "2d_time_fft": bump(2, 0.1, 0.012, 1),
+    "3d": bump(3, 0.12, 0.06, 1),
+    "3d_time_fft": bump(3, 0.12, 0.01, 1),
 }
+TIME_FFT_CASES = ("1d", "1d_tp2", "1d_b1", "2d_time_fft", "3d_time_fft")
 
 
 def case(name):
-    if name in PRESETS:
-        cfg = CASES[name]
-        problem, grid, quad = cfg.problem, cfg.grid, cfg.quad
-    else:
-        dim, dx, dt, tp = CASES[name]
-        problem = _bump_problem(dim, radius=0.4, horizon=0.4 if dim == 3 else 0.6)
-        grid = SpaceTimeGrid.covering(dim, problem.horizon, problem.support_radius, dx=dx, dt=dt)
-        quad = QuadratureSpec(angular_points=12, polar_points=8, time_points_per_dt=tp)
+    problem, grid, quad = CASES[name]
     _, s_time, _ = linwave._stencil_spectra(grid, quad)
     assert (s_time is not None) == (grid.dim == 1 or grid.n_time >= TIME_FFT_LEVELS)
-    assert (s_time is not None) == (name.startswith("1d") or name.endswith("time_fft"))
+    assert (s_time is not None) == (name in TIME_FFT_CASES)
     return problem, grid, quad
 
 
