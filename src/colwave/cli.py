@@ -261,12 +261,16 @@ def _cmd_oracle(args) -> int:
 def _cmd_demo(args) -> int:
     if args.out:
         _makedirs(args.out)
-    results = run_suite()
+    summary, all_ok = [], True
+    for r, seconds in run_suite():
+        verdict = "PASS" if r.ok else "FAIL"
+        print(f"{verdict}  {r.name:<24} {r.details}  [{seconds:.1f}s]")
+        summary.append(f"{verdict} {r.name} {r.details} [{seconds:.1f}s]\n")
+        all_ok = all_ok and r.ok
     if args.out:
         with open(os.path.join(args.out, "demo_summary.txt"), "w") as fh:
-            for r, seconds in results:
-                fh.write(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.details} [{seconds:.1f}s]\n")
-    return EXIT_OK if all(r.ok for r, _ in results) else EXIT_CHECK_FAILED
+            fh.writelines(summary)
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,15 @@ _CHUNK = 1 << 21
 #: ``n_time / 2`` products per lag and only reads every
 #: ``time_points_per_dt``-th convolution entry, the FFT about ``log(lags)``,
 #: so the crossover is counted in levels, not lags.  Measured per apply
-#: (loop against FFT) on a 2-vCPU host: in 1D at 105 nodes the FFT wins
-#: from 10 levels (0.062 against 0.037 ms; 20 levels 0.121 against 0.052;
-#: 30 levels, 2 steps per dt, 0.275 against 0.124); in 3D at 19^3 nodes the
-#: loop wins at 7 levels (1.63 against 3.00 ms) and loses at 40 (33.6
-#: against 30.0); in 2D at 47^2 nodes the loop wins at 10 levels with 2
-#: steps (1.09 against 1.66 ms) and 20 with 4 (4.83 against 5.17), and
-#: loses at 40 levels (5.46 against 4.65) and at 60 with 2 steps (51^2:
-#: 24.6 against 15.8).
+#: (loop/FFT in ms, medians of 7 alternating rounds, 2-vCPU host).  1D,
+#: 105 nodes, dx 0.02: the FFT wins from 10 levels (0.210/0.056; 20
+#: levels 0.449/0.079; 30 with 2 steps per dt 0.886/0.159).  3D, 19^3,
+#: dx 0.12: the loop wins at 7 levels (2.79/4.95) and ties at 40
+#: (32.1/33.5).  2D, 47^2, dx 0.05: the loop wins at 20 levels with 4
+#: steps (7.06/7.97), ties at 10 with 2 (1.46/1.46) and loses at 10 and
+#: 20 with one step (1.05/0.96, 2.62/1.95), at 40 (7.66/5.39) and at 60
+#: with 2 steps on 51^2 (27.7/21.4).  So the 2D crossover now lies below
+#: 40 levels; the constant stays, as moving it moves 2D outputs by rounding.
 TIME_FFT_LEVELS = 40
 _SPECTRA_LOCK = threading.Lock()
 
@@ -521,8 +522,12 @@ def _source_levels(h: Field, quad: QuadratureSpec, out: np.ndarray) -> None:
     conv = s_time * np.fft.fft(h_hat, n=len(s_time), axis=0)
     del h_hat
     # entry p - 1 of the convolution is sum_{k=1..p} S_k * H[p-k]
-    acc = _inverse(np.fft.ifft(conv, axis=0, out=conv)[tp - 1 : lags : tp], d, n, length)
+    acc = np.fft.ifft(conv, axis=0, out=conv)[tp - 1 : lags : tp]
+    if d > 1:
+        # the first spatial inverse runs here, so conv is freed before the other d - 1
+        acc = np.fft.ifft(acc, axis=1)[:, :n]
     del conv
+    acc = _inverse(acc, d - (d > 1), n, length)
     out += np.multiply(ds, acc, out=acc)
 
 

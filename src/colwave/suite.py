@@ -8,8 +8,9 @@ CSV table.  A check that reads the net fails, and all but ``support`` and
 ``colwave check`` runs the ones a config names; a preset (``PRESETS``) is
 a named config whose ``checks`` are the claims it carries.  ``colwave
 demo`` runs the three checks that read no config (``CONFIG_FREE_CHECKS``),
-then each preset's checks on its net, solved once by ``preset_nets``.
-Both commands run a config's checks through ``run_checks``.
+then each preset's checks on its net, one preset net at a time
+(``run_suite``).  Both commands solve a config's net by ``solve`` and run
+its checks through ``run_checks``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .semilinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     SolveReport,
-    _linear,
     apply_fixed_point_map,
     picard_solve,
     residual_sup,
@@ -131,9 +131,9 @@ class Solved(NamedTuple):
     linear: Field
 
 
-def solve(cfg: ExperimentConfig, threads: int = 1, linear: Field | None = None) -> Solved:
-    """The config's net, on ``linear`` or else on L(u0, u1, 0) evaluated once here."""
-    linear = _linear(cfg.problem, cfg.grid, cfg.quad, linear)
+def solve(cfg: ExperimentConfig, threads: int = 1) -> Solved:
+    """The config's net, on L(u0, u1, 0) evaluated once here."""
+    linear = solve_linear(cfg.problem.u0, cfg.problem.u1, None, cfg.grid, cfg.quad)
     net, reports = solve_net(cfg.problem, cfg.ladder, cfg.grid, cfg.quad, cfg.tol, cfg.max_iter,
                              threads=threads, linear_part=linear)
     return Solved(cfg, net, reports, linear)
@@ -569,7 +569,6 @@ def _preset(problem: Problem, dx: float, quad: QuadratureSpec, checks: list[str]
 _QUAD_2D_3D = QuadratureSpec(angular_points=12, polar_points=8)
 
 #: The preset configs by name, each with the checks of the claims it carries.
-#: The 1D bump differs only in b, so its three presets share one linear part.
 PRESETS = {
     "1d_b0.5": _preset(_bump_problem(1, b=0.5), 0.02, _QUAD_1D,
                        ["contraction", "association", "picard_scaling"]),
@@ -582,20 +581,6 @@ PRESETS = {
                      ["support", "contraction", "association", "uniqueness", "oracle",
                       "picard_scaling"]),
 }
-
-
-def preset_nets() -> dict[str, Solved]:
-    """Every preset solved once, by name.
-
-    Presets with the same data, grid and quadrature share one L(u0, u1, 0).
-    """
-    linears: dict[tuple, Field] = {}
-    nets: dict[str, Solved] = {}
-    for name, cfg in PRESETS.items():
-        key = (cfg.problem.u0, cfg.problem.u1, cfg.grid, cfg.quad)
-        nets[name] = solve(cfg, linear=linears.get(key))
-        linears[key] = nets[name].linear
-    return nets
 
 
 def _timed(name: str, check, crash_fails: bool) -> tuple[CheckResult, float]:
@@ -623,20 +608,15 @@ def run_checks(
         yield _timed(name, lambda: CONFIG_CHECKS[name](cfg, solved, threads), crash_fails)
 
 
-def _line(label: str, result: CheckResult, seconds: float) -> tuple[CheckResult, float]:
-    """Print the demo line of ``result`` under ``label``; return it so named, with its seconds."""
-    print(f"{'PASS' if result.ok else 'FAIL'}  {label:<24} {result.details}  [{seconds:.1f}s]")
-    return replace(result, name=label), seconds
+def run_suite() -> Iterator[tuple[CheckResult, float]]:
+    """The config-free checks, then each preset's checks on its net, with their seconds.
 
-
-def run_suite() -> list[tuple[CheckResult, float]]:
-    """The config-free checks, then each preset's checks on its net; one printed line each.
-
-    A preset's lines are named ``<preset>/<check>``; a crashed check is a failed line.
+    A preset's results are named ``<preset>/<check>``; a crashed check
+    fails.  Each preset net is solved just before its checks and dropped
+    after them, so at most one is alive.
     """
-    results = [_line(name, *_timed(name, check, crash_fails=True))
-               for name, check in CONFIG_FREE_CHECKS.items()]
-    for name, solved in preset_nets().items():
-        results += [_line(f"{name}/{result.name}", result, seconds)
-                    for result, seconds in run_checks(solved.config, solved, crash_fails=True)]
-    return results
+    for name, check in CONFIG_FREE_CHECKS.items():
+        yield _timed(name, check, crash_fails=True)
+    for name, cfg in PRESETS.items():
+        for result, seconds in run_checks(cfg, solve(cfg), crash_fails=True):
+            yield replace(result, name=f"{name}/{result.name}"), seconds

@@ -161,14 +161,15 @@ def test_3d_sweep_holds_at_most_seven_fields():
 
 @pytest.mark.parametrize("name, shape, bound", [
     ("1d_b1", (101, 155), 1.6),
-    ("3d_time_fft", (41, 19, 19, 19), 2.0),
+    ("2d_time_fft", (51, 25, 25), 1.6),
+    ("3d_time_fft", (41, 19, 19, 19), 1.6),
 ])
 def test_time_fft_apply_holds_under_two_time_spectra(name, shape, bound):
     # the time FFT of the source spectrum and, while it forms, the source
     # spectrum itself (half a time spectrum); later the inverse's first
-    # transform instead.  In 3D that transform stays alive for the second
-    # one, about 0.4 time spectra more.  A separate array for each step
-    # would hold 2.5 time spectra on both grids.
+    # transform instead; in 2D/3D the time FFT is freed before the later
+    # transforms run.  A separate array for each step would hold 2.5 time
+    # spectra.
     _, grid, quad = case(name)
     assert grid.shape == shape
     _, s_time, _ = linwave._stencil_spectra(grid, quad)

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from colwave.linwave import QuadratureSpec
 from colwave.nets import InitialDatum, NonlinearitySpec, Problem, make_ladder
 from colwave.seminorms import SpaceTimeGrid
 from colwave.semilinear import solve_net
-from colwave.suite import CheckResult
+from colwave.suite import CheckResult, solve
 
 
 def test_solve_net_threads_match_serial():
@@ -114,10 +116,10 @@ def test_demo_exit_codes(monkeypatch, tmp_path, capsys):
     assert main(["demo"]) == EXIT_CHECK_FAILED
 
 
-def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
-    # each preset's checks share its net instead of re-solving it; after
-    # every net is solved, uniqueness solves its preset once more from its
-    # own seeds
+def test_suite_solves_each_preset_net_once(monkeypatch):
+    # each preset's checks share its net instead of re-solving it;
+    # uniqueness solves its preset once more from its own seeds, before the
+    # next preset is solved
     solves = []
 
     def counted(problem, *args, **kwargs):
@@ -125,22 +127,30 @@ def test_suite_solves_each_preset_net_once(monkeypatch, capsys):
         return solve_net(problem, *args, **kwargs)
 
     monkeypatch.setattr(suite, "solve_net", counted)
-    results = suite.run_suite()
+    results = list(suite.run_suite())
     presets = suite.PRESETS.items()
     lines = [f"{name}/{check}" for name, cfg in presets for check in cfg.checks]
     assert [r.name for r, _ in results] == list(suite.CONFIG_FREE_CHECKS) + lines
     assert all(r.ok for r, _ in results)
-    seeded = [cfg.problem for _, cfg in presets if "uniqueness" in cfg.checks]
-    assert solves == [cfg.problem for _, cfg in presets] + seeded
+    assert solves == [cfg.problem for _, cfg in presets
+                      for _ in range(1 + ("uniqueness" in cfg.checks))]
 
 
-def test_preset_nets_share_one_linear_part(linear_solves):
-    # the 1D presets differ only in b: one data-term evaluation serves all
-    # three, and one more each the 2D and the 3D preset
-    nets = suite.preset_nets()
-    assert [h for h in linear_solves if h is None] == [None] * 3
-    linears = [nets[name].linear for name in ("1d_b0.5", "1d_b1", "1d_b2")]
-    assert all(linear is linears[0] for linear in linears)
+def test_suite_holds_one_preset_net_at_a_time(monkeypatch):
+    # a preset's net is dropped once its checks have run: when the next
+    # preset is solved, no earlier preset net is alive
+    nets, alive = [], []
+
+    def tracked(cfg, *args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in nets))
+        solved = solve(cfg, *args, **kwargs)
+        nets.append(weakref.ref(solved.net))
+        return solved
+
+    monkeypatch.setattr(suite, "solve", tracked)
+    assert all(r.ok for r, _ in suite.run_suite())
+    assert alive == [0] * len(suite.PRESETS)
 
 
 def test_solver_failure_exit(tmp_path):
