@@ -9,8 +9,7 @@ files plus a plain-text run summary.  Exit codes: 0 ok, 1 check failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
+import inspect
 import json
 import math
 import os
@@ -52,36 +51,52 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return doc[key]
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 def _object(doc: dict, key: str, path: str = "", default: dict | None = None) -> dict:
     """The JSON object at ``doc[key]``; required when there is no default."""
-    value = _need(doc, key, path) if default is None else doc.get(key, default)
+    if default is None and key not in doc:
+        raise ConfigError(_at(path, key), "missing required field")
+    value = doc.get(key, default)
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}" if path else key, "expected an object")
+        raise ConfigError(_at(path, key), "expected an object")
     return value
 
 
-def _build(path: str, ctor, **kwargs):
-    try:
-        return ctor(**kwargs)
-    except ValidationError as err:
-        prefix = f"{path}.{err.parameter}" if path else err.parameter
-        raise ConfigError(prefix, str(err).removeprefix(f"{err.parameter}: ")) from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(path, f"bad fields: {err}") from err
+def _fields(path: str, ctor, doc: dict, given) -> dict:
+    """The keywords of ``ctor`` that ``given`` leaves to ``doc``, defaults filled in.
 
-
-def _reject_unknown(doc: dict, path: str, known) -> None:
-    """A misspelt optional field would otherwise be dropped for its default."""
+    A key of ``doc`` that is not one of them (a misspelt optional field
+    would otherwise be dropped for its default), and one without a default
+    that ``doc`` lacks, are config errors named ``<path>.<key>``.
+    """
+    params = inspect.signature(ctor).parameters
+    known = [name for name in params if name not in given]
     for key in doc:
         if key not in known:
-            name = f"{path}.{key}" if path else key
-            raise ConfigError(name, f"unknown field; expected one of {known}")
+            raise ConfigError(_at(path, key), f"unknown field; expected one of {known}")
+    for name in known:
+        if name not in doc and params[name].default is inspect.Parameter.empty:
+            raise ConfigError(_at(path, name), "missing required field")
+    return {name: doc.get(name, params[name].default) for name in known}
+
+
+def _build(path: str, ctor, doc: dict, **given):
+    """``ctor(**doc, **given)`` for the config section ``doc`` at ``path``.
+
+    ``given`` holds what the section does not set.  Every error names the
+    field where it sits: a key ``_fields`` rejects, or the field a
+    ``ValidationError`` of ``ctor`` names.
+    """
+    _fields(path, ctor, doc, given)
+    try:
+        return ctor(**doc, **given)
+    except ValidationError as err:
+        raise ConfigError(_at(path, err.parameter), str(err).removeprefix(f"{err.parameter}: ")) from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(path, f"bad fields: {err}") from err
 
 
 def _reject_bad_scalars(doc, path: str) -> None:
@@ -98,7 +113,7 @@ def _reject_bad_scalars(doc, path: str) -> None:
     else:
         return
     for key, value in items:
-        _reject_bad_scalars(value, f"{path}.{key}" if path else str(key))
+        _reject_bad_scalars(value, _at(path, str(key)))
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -106,51 +121,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
     _reject_bad_scalars(doc, "")
-    _reject_unknown(doc, "", [f.name for f in dataclasses.fields(ExperimentConfig)])
     pdoc = _object(doc, "problem")
-    _reject_unknown(pdoc, "problem", [f.name for f in dataclasses.fields(Problem)])
-    u0 = _build("problem.u0", InitialDatum, **_object(pdoc, "u0", "problem"))
-    u1 = _build("problem.u1", InitialDatum, **_object(pdoc, "u1", "problem"))
-    f = _build("problem.f", NonlinearitySpec, **_object(pdoc, "f", "problem"))
-    problem = _build(
-        "problem",
-        Problem,
-        dim=_need(pdoc, "dim", "problem"),
-        horizon=_need(pdoc, "horizon", "problem"),
-        support_radius=_need(pdoc, "support_radius", "problem"),
-        u0=u0,
-        u1=u1,
-        f=f,
-        small_exponent=pdoc.get("small_exponent", 1.0),
-    )
-    ladder = _build("ladder", EpsilonLadder, **_object(doc, "ladder", default={}))
+    data = {key: _build(f"problem.{key}", cls, _object(pdoc, key, "problem"))
+            for key, cls in (("u0", InitialDatum), ("u1", InitialDatum), ("f", NonlinearitySpec))}
+    problem = _build("problem", Problem, {**pdoc, **data})
+    ladder = _build("ladder", EpsilonLadder, _object(doc, "ladder", default={}))
     gdoc = _object(doc, "grid", default={})
-    if "dx" not in gdoc:
-        raise ConfigError("grid.dx", "missing required field")
+    cone = dict(dim=problem.dim, horizon=problem.horizon, support_radius=problem.support_radius)
     if "spatial_extent" in gdoc:
-        grid = _build(
-            "grid",
-            SpaceTimeGrid,
-            dim=problem.dim,
-            horizon=problem.horizon,
-            support_radius=problem.support_radius,
-            **gdoc,
-        )
+        grid = _build("grid", SpaceTimeGrid, gdoc, **cone)
     else:
-        _reject_unknown(gdoc, "grid", ["dx", "dt", "margin_cells"])
-        grid = _build(
-            "grid",
-            SpaceTimeGrid.covering,
-            dim=problem.dim,
-            horizon=problem.horizon,
-            support_radius=problem.support_radius,
-            dx=gdoc["dx"],
-            dt=gdoc.get("dt"),
-            margin_cells=gdoc.get("margin_cells", 2),
-        )
-    quad = _build("quad", QuadratureSpec, **_object(doc, "quad", default={}))
+        # covering's keywords by name, so that a scan of its calls sees each one passed
+        cover = _fields("grid", SpaceTimeGrid.covering, gdoc, cone)
+        grid = _build("grid", SpaceTimeGrid.covering, {}, **cone, dx=cover["dx"], dt=cover["dt"],
+                      margin_cells=cover["margin_cells"])
+    quad = _build("quad", QuadratureSpec, _object(doc, "quad", default={}))
     sections = {"problem": problem, "ladder": ladder, "grid": grid, "quad": quad}
-    return _build("", ExperimentConfig, **{**doc, **sections})
+    return _build("", ExperimentConfig, {**doc, **sections})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -235,7 +222,7 @@ def _cmd_valuation(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
     if args.check:
-        cfg = _build("", functools.partial(dataclasses.replace, cfg), checks=args.check)
+        cfg = _build("", ExperimentConfig, {**vars(cfg), "checks": args.check})
     if not cfg.checks:
         raise ConfigError("checks", "no checks selected (config 'checks' or --check)")
     out = _outdir(cfg, args)
@@ -309,7 +296,7 @@ def main(argv=None) -> int:
         if args.command == "demo":
             return _cmd_demo(args)
         if "threads" in args:  # the commands that solve a net
-            _build("", check_count, parameter="threads", value=args.threads, minimum=1)
+            _build("", check_count, {}, parameter="threads", value=args.threads, minimum=1)
         cfg = load_config(args.config)
         if args.command == "solve-linear":
             return _cmd_solve_linear(cfg, args)

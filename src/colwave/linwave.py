@@ -621,7 +621,7 @@ class SupportReport:
     tol: float
 
 
-def check_support(field: Field, r: float, tol: float = 1e-10) -> SupportReport:
+def check_support(field: Field, r: float, tol: float) -> SupportReport:
     """Max |field| over nodes with |x| > t + r + 2 dx."""
     if not math.isfinite(r):
         raise ValidationError("r", f"must be finite, got {r}")

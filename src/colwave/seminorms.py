@@ -72,7 +72,8 @@ class SpaceTimeGrid:
 
     ``dx`` and ``dt`` are snapped so that the extents divide evenly; the
     snapped values are what all stencils use.  ``dt <= dx`` is required so
-    that the residual stencils sample adequately.
+    that the residual stencils sample adequately.  ``dt`` defaults to half
+    the requested ``dx``.
     """
 
     dim: int
@@ -80,10 +81,12 @@ class SpaceTimeGrid:
     support_radius: float
     spatial_extent: float
     dx: float
-    dt: float
+    dt: float | None = None
     margin_cells: int = 2
 
     def __post_init__(self):
+        if self.dt is None:
+            object.__setattr__(self, "dt", self.dx / 2.0)
         check_count("dim", self.dim, 1)
         check_count("margin_cells", self.margin_cells, 2)
         if self.dim not in (1, 2, 3):
@@ -126,7 +129,7 @@ class SpaceTimeGrid:
             support_radius=support_radius,
             spatial_extent=cells * dx,
             dx=dx,
-            dt=dx / 2.0 if dt is None else dt,
+            dt=dt,
             margin_cells=margin_cells,
         )
 

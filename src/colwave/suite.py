@@ -314,20 +314,8 @@ def check_ultrametric_calculus() -> CheckResult:
         c = rng.uniform(0.5, 2.0)
         base = rng.uniform(-1.0, 1.0) * np.ones(grid.shape)
         w_net = power_net(grid, ladder, rng.uniform(0.0, 2.0), pattern=base)
-        u_net = Net(
-            ladder,
-            tuple(
-                Field(grid, f.samples + c * float(e) ** a1 * phi1)
-                for f, e in zip(w_net.fields, ladder.values)
-            ),
-        )
-        v_net = Net(
-            ladder,
-            tuple(
-                Field(grid, f.samples + c * float(e) ** a2 * phi2)
-                for f, e in zip(w_net.fields, ladder.values)
-            ),
-        )
+        u_net = w_net + power_net(grid, ladder, a1, pattern=c * phi1)
+        v_net = w_net + power_net(grid, ladder, a2, pattern=c * phi2)
         triples = ((u_net, v_net, w_net), (u_net, w_net, v_net), (v_net, w_net, u_net))
         for x_net, y_net, z_net in triples:
             dxy = ultra_metric(x_net, y_net, 3)

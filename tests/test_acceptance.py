@@ -66,6 +66,24 @@ def test_preset_check_fails_with_each_config_check_it_reads(monkeypatch, tmp_pat
     assert f"{preset}/{name}" in CLAIMS[claim]
 
 
+@pytest.mark.parametrize("crash_fails", [True, False])
+def test_a_crashed_config_check_fails_or_raises(monkeypatch, crash_fails):
+    # the demo's rule: a check that raises is a failed result with its error
+    # as details; colwave check lets the error through
+    def crashing(cfg, solved, threads):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setitem(suite.CONFIG_CHECKS, "oracle", crashing)
+    results = suite.run_checks(replace(suite.PRESETS["1d_b1"], checks=["oracle"]), None,
+                               crash_fails=crash_fails)
+    if crash_fails:
+        ((result, _),) = results
+        assert result == suite.CheckResult("oracle", False, "error: planted crash")
+    else:
+        with pytest.raises(RuntimeError, match="planted crash"):
+            next(results)
+
+
 def test_linear_association_fails_on_a_planted_mismatch():
     # the b = 0.5 net checked as if it solved b = 2: its rate of about 0.5 is below 1.9
     solved = suite.solve(suite.PRESETS["1d_b0.5"])

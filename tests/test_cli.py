@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -93,6 +96,18 @@ def test_preset_config_round_trips():
     for cfg in PRESETS.values():
         first = config_dict(cfg)
         assert config_dict(parse_config(first)) == first
+
+
+def test_readme_examples_run():
+    # the README's config document parses, and its library example prints what it says
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (doc,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert parse_config(json.loads(doc)).grid.margin_cells == 2
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue() == "NetClass.BOUNDED_TYPE\n"
 
 
 @pytest.mark.parametrize("name", list(PRESETS))
@@ -267,11 +282,15 @@ def test_malformed_ratio_names_field(tmp_path, capsys):
 
 
 def test_missing_field_reported(tmp_path):
-    path, doc = base_config(tmp_path)
-    del doc["problem"]["horizon"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="problem.horizon"):
-        load_config(path)
+    # each named where it sits; a datum's or f's kind used to be a TypeError
+    # of its constructor, printed as "problem.u0: bad fields: ..."
+    for name in ("problem.horizon", "problem.u0.kind", "problem.f.kind", "grid.dx"):
+        path, doc = base_config(tmp_path)
+        target, key = field_slot(doc, name)
+        del target[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"^{name}: missing required field$"):
+            load_config(path)
 
 
 def test_unknown_check_rejected(tmp_path):
@@ -340,12 +359,13 @@ def test_oracle_non_finite_input_exit(capsys, eps, t, name):
 
 
 def test_explicit_spatial_extent_builds_grid_directly(tmp_path):
-    path, doc = base_config(tmp_path, grid={"spatial_extent": 1.0, "dx": 0.05, "dt": 0.025})
-    path.write_text(json.dumps(doc))
     expected = SpaceTimeGrid(
         dim=1, horizon=0.5, support_radius=0.4, spatial_extent=1.0, dx=0.05, dt=0.025
     )
-    assert load_config(path).grid == expected
+    # dt defaults to dx/2 for this grid form too; it used to be a missing argument
+    for grid in ({"spatial_extent": 1.0, "dx": 0.05, "dt": 0.025}, {"spatial_extent": 1.0, "dx": 0.05}):
+        path, _ = base_config(tmp_path, grid=grid)
+        assert load_config(path).grid == expected
 
 
 def test_spatial_extent_short_of_cone_rejected(tmp_path, capsys):
@@ -515,10 +535,29 @@ def test_rejected_check_run_leaves_no_output_directory(tmp_path, checks, flags):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["problem.small_exponet", "tols", "grid.dtt"])
+@pytest.mark.parametrize("name", [
+    "problem.small_exponet", "tols", "grid.dtt", "grid.dim", "problem.u0.radius",
+    "problem.f.coef", "ladder.eps", "quad.angular_pts",
+])
 def test_unknown_field_rejected(tmp_path, capsys, name):
-    # a misspelt optional field used to be ignored and its default used
+    # a misspelt optional field used to be ignored and its default used;
+    # in a datum, f, ladder or quad it was a TypeError of the constructor
     assert_field_rejected(tmp_path, capsys, name, 2.0)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"dx": 0.05, "dt": 0.025, "spatial_extent": 1.0, "dtt": 0.02},
+     "grid.dtt: unknown field; expected one of ['spatial_extent', 'dx', 'dt', 'margin_cells']"),
+    # dim comes from the problem: it used to crash with a TypeError traceback
+    ({"dx": 0.05, "spatial_extent": 1.0, "dim": 2},
+     "grid.dim: unknown field; expected one of ['spatial_extent', 'dx', 'dt', 'margin_cells']"),
+    ({"spatial_extent": 1.0}, "grid.dx: missing required field"),
+    ({"dx": 0.05, "dtt": 0.02}, "grid.dtt: unknown field; expected one of ['dx', 'dt', 'margin_cells']"),
+], ids=["extent_unknown", "extent_dim", "extent_no_dx", "covering_unknown"])
+def test_both_grid_forms_name_a_bad_key(tmp_path, capsys, grid, message):
+    path, _ = base_config(tmp_path, grid=grid)
+    assert main(["solve-linear", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -559,12 +598,17 @@ def test_bad_number_rejected(tmp_path, capsys, name, value):
     assert_field_rejected(tmp_path, capsys, name, value)
 
 
+def field_slot(doc, name):
+    """The object of ``doc`` that holds the dotted field ``name``, and its key there."""
+    *parents, key = name.split(".")
+    for part in parents:
+        doc = doc[part]
+    return doc, key
+
+
 def assert_field_rejected(tmp_path, capsys, name, value):
     path, doc = base_config(tmp_path)
-    *parents, key = name.split(".")
-    target = doc
-    for part in parents:
-        target = target[part]
+    target, key = field_slot(doc, name)
     target[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=name):

@@ -988,7 +988,7 @@ def test_support_of_linear_solution():
 
 def test_support_zero_and_constant_fields():
     grid = SpaceTimeGrid.covering(1, 0.4, 0.2, dx=0.05, dt=0.025)
-    assert check_support(constant_field(grid, 0.0), 0.2).max_outside == 0.0
+    assert check_support(constant_field(grid, 0.0), 0.2, tol=1e-10).max_outside == 0.0
     report = check_support(constant_field(grid, 1.0), 0.2, tol=0.5)
     assert not report.ok and report.max_outside == 1.0
     assert check_support(constant_field(grid, 0.0), 0.2, tol=0.0).ok
@@ -1061,16 +1061,26 @@ def test_field_binary_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mangle",
-    [lambda b: b[:30], lambda b: b[: 64 + 8 * 5 + 3], lambda b: b + bytes(8)],
-    ids=["short_header", "short_payload", "trailing_bytes"],
+    "mangle, message",
+    [
+        (lambda b: b[:30], "truncated dump header"),
+        (lambda b: b[: 64 + 8 * 5 + 3], "payload does not hold"),
+        (lambda b: b + bytes(8), "payload does not hold"),
+        (lambda b: b"CWF2" + b[4:], "not a colwave field dump"),
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], "unsupported dump version 2"),
+        # one time level more than the grid has (the level count sits at bytes 16..20)
+        (lambda b: b[:16] + (int.from_bytes(b[16:20], "little") + 1).to_bytes(4, "little") + b[20:],
+         "dump header inconsistent with grid geometry"),
+    ],
+    ids=["short_header", "short_payload", "trailing_bytes", "bad_magic", "version_2",
+         "level_count"],
 )
-def test_field_binary_wrong_length(tmp_path, mangle):
+def test_field_binary_wrong_length(tmp_path, mangle, message):
     grid = SpaceTimeGrid.covering(1, 0.3, 0.2, dx=0.1, dt=0.05)
     path = tmp_path / "field.bin"
     field_to_binary(constant_field(grid, 1.0), path)
     path.write_bytes(mangle(path.read_bytes()))
-    with pytest.raises(ValidationError, match="path"):
+    with pytest.raises(ValidationError, match=f"^path: {message}"):
         field_from_binary(path)
 
 

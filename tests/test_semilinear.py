@@ -233,7 +233,8 @@ def test_solve_net_entries_are_picard_solves_on_a_diverging_ladder():
     lambda p, g: picard_solve(p, 0.25, g, QUAD),
     lambda p, g: solve_net(p, LADDER, g, QUAD),
     lambda p, g: apply_fixed_point_map(p, 0.25, Field(g, np.zeros(g.shape)), g, QUAD),
-], ids=["picard_solve", "solve_net", "apply_fixed_point_map"])
+    lambda p, g: residual_sup(Field(g, np.zeros(g.shape)), 0.25, p),
+], ids=["picard_solve", "solve_net", "apply_fixed_point_map", "residual_sup"])
 def test_grid_of_another_dimension_rejected(call, linear_solves):
     # apply_fixed_point_map used to map the 1D problem over the 2D grid
     grid = SpaceTimeGrid.covering(2, 0.4, 0.3, dx=0.1, dt=0.05)
@@ -314,7 +315,7 @@ def _dump_nan_radius(tmp_path):
 def _support_nan_radius(tmp_path):
     # no node would be inspected
     prob, grid = _coarse()
-    return check_support(solve_linear(prob.u0, prob.u1, None, grid, QUAD), math.nan)
+    return check_support(solve_linear(prob.u0, prob.u1, None, grid, QUAD), math.nan, tol=1e-10)
 
 
 def _support_inf_tol(tmp_path):

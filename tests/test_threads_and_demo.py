@@ -174,3 +174,5 @@ def test_solver_failure_exit(tmp_path):
     assert code == EXIT_SOLVER_FAILURE
     # partial outputs retained
     assert (tmp_path / "out" / "solve_reports.csv").exists()
+    assert main(["valuation", "--config", str(path)]) == EXIT_SOLVER_FAILURE
+    assert (tmp_path / "out" / "valuation.csv").exists()

@@ -327,3 +327,15 @@ def test_picard_scaling_fails_on_ratios_of_the_wrong_rate():
     result = suite._picard_scaling(suite.PRESETS["1d_b2"], solved, 1)
     assert not result.ok
     assert result.details == "ratio slope=1.000 (need 2 +/- 0.15)"
+
+
+def test_picard_scaling_fails_on_too_few_usable_ratios():
+    # only two converged entries record a second increment: no slope to fit
+    cfg = suite.PRESETS["1d_b1"]
+    solved = suite.solve(cfg)
+    reports = [rep if j < 2 else replace(rep, increment_history=rep.increment_history[:1])
+               for j, rep in enumerate(solved.reports)]
+    result = suite._picard_scaling(cfg, solved._replace(reports=reports), 1)
+    assert not result.ok
+    assert result.details == "too few usable increment ratios"
+    assert len(result.rows) == 2
